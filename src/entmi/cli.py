@@ -1,9 +1,9 @@
 """Command-line interface for sampling runs, statistics, curves, and checks.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid arguments,
-3 I/O failure.  Identical command lines produce byte-identical output
-files; the worker count (``--workers`` or the ``QES_WORKERS`` variable)
-never changes results, only wall time.
+Exit codes: 0 success, 1 failed verification, 2 invalid arguments or a
+malformed histogram file, 3 I/O failure.  Identical command lines produce
+byte-identical output files; the worker count (``--workers`` or the
+``QES_WORKERS`` variable) never changes results, only wall time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .curves import entanglement_bound, ridge_concurrence, ridge_point
-from .errors import EntmiError, InsufficientDataError
+from .errors import DomainError, EntmiError, InsufficientDataError
 from .histogram import JointHistogram, load_histogram, write_density_csv
 from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec
@@ -40,9 +40,15 @@ def _workers_from(args) -> int | None:
     if args.workers is not None:
         return args.workers
     env = os.environ.get("QES_WORKERS")
-    if env:
-        return int(env)
-    return None
+    if not env:
+        return None
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise DomainError(f"QES_WORKERS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _open_out(path: str):
@@ -267,9 +273,9 @@ def _cmd_verify(parser, args) -> int:
                     check_bound(args.n, seed, Ensemble.COMPLEX_S7, workers=workers)
                 )
             elif name == "zero-mi":
-                reports.append(check_zero_mi_family(args.n, seed))
+                reports.append(check_zero_mi_family(args.n, seed, workers=workers))
             elif name == "mi-oracle":
-                reports.append(check_angle_oracle(args.n, seed))
+                reports.append(check_angle_oracle(args.n, seed, workers=workers))
             elif name == "ridge":
                 if args.hist is not None:
                     try:

@@ -37,6 +37,10 @@ class InsufficientDataError(EntmiError, ValueError):
     """Histogram does not contain enough samples for a reliable check."""
 
 
+class HistogramFormatError(EntmiError, ValueError):
+    """A histogram file or payload is malformed or its counts are inconsistent."""
+
+
 class ConsistencyError(EntmiError, ArithmeticError):
     """A quantity violated an internal numerical invariant (rounding guard)."""
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -31,6 +32,7 @@ from .errors import (
     DomainError,
     EmptyHistogramError,
     EmptySliceError,
+    HistogramFormatError,
     OutOfRangeError,
     ShapeMismatchError,
 )
@@ -146,7 +148,9 @@ class JointHistogram:
         flat = np.bincount(
             idx_c * self.nbins_i + idx_i, minlength=self.nbins_c * self.nbins_i
         )
-        self.counts += flat.astype(np.uint64).reshape(self.counts.shape)
+        # bincount's counts are non-negative int64, so reading their bits as
+        # uint64 is exact and spares a dense copy of the grid.
+        self.counts += flat.view(np.uint64).reshape(self.counts.shape)
         self.total += int(c.size)
 
     def merge(self, other: "JointHistogram") -> "JointHistogram":
@@ -313,57 +317,120 @@ class JointHistogram:
         stream.write("\n")
 
     @classmethod
-    def read_csv(cls, stream: IO[str]) -> "JointHistogram":
-        header = None
-        for line in stream:
-            line = line.strip()
-            if line:
-                header = line
-                break
-        if header is None or not header.startswith(_CSV_HEADER_PREFIX):
-            raise ValueError("missing '# joint_histogram' header line")
-        fields = dict(
-            token.split("=", 1) for token in header[len(_CSV_HEADER_PREFIX):].split()
-        )
-        hist = cls(float(fields["delta_c"]), float(fields["delta_i"]))
-        declared_total = int(fields["total"])
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            r, c, v = line.split(",")
-            hist.counts[int(r), int(c)] += np.uint64(int(v))
+    def _from_bins(
+        cls, delta_c: float, delta_i: float, declared_total: int, bins: np.ndarray
+    ) -> "JointHistogram":
+        """Histogram from (c_index, i_index, count) rows of a uint64 array.
+
+        Repeated bins add up.  Raises ``HistogramFormatError`` when an
+        index lies outside the grid or the counts do not sum to the
+        declared total.
+        """
+        hist = cls(delta_c, delta_i)
+        rows, cols, values = bins.reshape(-1, 3).T
+        if rows.size and (rows.max() >= hist.nbins_c or cols.max() >= hist.nbins_i):
+            raise HistogramFormatError(
+                f"bin index outside the {hist.nbins_c}x{hist.nbins_i} grid"
+            )
+        np.add.at(hist.counts, (rows.astype(np.intp), cols.astype(np.intp)), values)
         hist.total = int(hist.counts.sum())
         if hist.total != declared_total:
-            raise ValueError(
+            raise HistogramFormatError(
                 f"histogram corrupt: header total {declared_total} != "
                 f"sum of counts {hist.total}"
             )
         return hist
 
     @classmethod
+    def read_csv(cls, stream: IO[str]) -> "JointHistogram":
+        header = ""
+        while not header:
+            line = stream.readline()
+            if not line:
+                break
+            header = line.strip()
+        if not header.startswith(_CSV_HEADER_PREFIX):
+            raise HistogramFormatError("missing '# joint_histogram' header line")
+        try:
+            fields = dict(
+                token.split("=", 1)
+                for token in header[len(_CSV_HEADER_PREFIX):].split()
+            )
+            delta_c = float(fields["delta_c"])
+            delta_i = float(fields["delta_i"])
+            declared_total = int(fields["total"])
+        except (KeyError, ValueError):
+            raise HistogramFormatError(f"malformed header line {header!r}") from None
+        try:
+            with warnings.catch_warnings():
+                # An empty histogram has no rows; loadtxt warns about that.
+                warnings.simplefilter("ignore", UserWarning)
+                bins = np.loadtxt(
+                    stream, dtype=np.uint64, delimiter=",", comments="#", ndmin=2
+                )
+        except ValueError as exc:
+            raise HistogramFormatError(f"malformed bin row: {exc}") from None
+        if bins.size and bins.shape[1] != 3:
+            raise HistogramFormatError(
+                f"bin rows have {bins.shape[1]} fields, expected c_index,i_index,count"
+            )
+        return cls._from_bins(delta_c, delta_i, declared_total, bins)
+
+    @classmethod
     def from_json_dict(cls, payload: dict) -> "JointHistogram":
-        hist = cls(float(payload["delta_c"]), float(payload["delta_i"]))
-        for r, c, v in payload["bins"]:
-            hist.counts[int(r), int(c)] += np.uint64(int(v))
-        hist.total = int(hist.counts.sum())
-        if hist.total != int(payload["total"]):
-            raise ValueError("histogram corrupt: total does not match bins")
-        return hist
+        try:
+            delta_c = float(payload["delta_c"])
+            delta_i = float(payload["delta_i"])
+            declared_total = int(payload["total"])
+            bins = payload["bins"]
+        except (KeyError, TypeError, ValueError):
+            raise HistogramFormatError(
+                "histogram JSON needs numeric delta_c, delta_i, total and a bins list"
+            ) from None
+        if not isinstance(bins, list) or not all(
+            isinstance(row, list)
+            and len(row) == 3
+            and all(type(v) is int for v in row)
+            for row in bins
+        ):
+            raise HistogramFormatError(
+                "histogram JSON bins must be [c_index, i_index, count] integer triples"
+            )
+        try:
+            bins = np.array(bins, dtype=np.uint64)
+        except OverflowError:
+            raise HistogramFormatError(
+                "histogram JSON bin values must lie in [0, 2**64)"
+            ) from None
+        return cls._from_bins(delta_c, delta_i, declared_total, bins)
 
     @classmethod
     def read_json(cls, stream: IO[str]) -> "JointHistogram":
-        return cls.from_json_dict(json.load(stream))
+        try:
+            payload = json.load(stream)
+        except ValueError as exc:
+            raise HistogramFormatError(f"invalid histogram JSON: {exc}") from None
+        return cls.from_json_dict(payload)
 
 
 def load_histogram(path) -> JointHistogram:
-    """Read a histogram file, sniffing CSV vs JSON from the first byte."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.read(1)
-        fh.seek(0)
-        if first == "{":
-            return JointHistogram.read_json(fh)
-        return JointHistogram.read_csv(fh)
+    """Read a histogram file, sniffing CSV vs JSON from the first byte.
+
+    Raises ``OSError`` when the file cannot be read and
+    ``HistogramFormatError`` (naming the file) when its content is
+    malformed.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.read(1)
+            fh.seek(0)
+            if first == "{":
+                return JointHistogram.read_json(fh)
+            return JointHistogram.read_csv(fh)
+    except UnicodeDecodeError:
+        raise HistogramFormatError(f"{path}: not a UTF-8 text file") from None
+    except HistogramFormatError as exc:
+        raise HistogramFormatError(f"{path}: {exc}") from None
 
 
 def write_density_csv(density: Density1D, stream: IO[str]) -> None:

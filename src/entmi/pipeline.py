@@ -2,15 +2,22 @@
 
 Work is split into blocks of ``BLOCK_SIZE`` samples; block ``j`` of a
 job is always drawn from stream ``base_stream + j`` of the job's master
-seed.  Because the block decomposition depends only on the sample count,
-results are bit-identical for any worker count, and a shorter run is a
-prefix of a longer one with the same seed.
+seed.  The blocks are dealt round-robin into one share per worker, and
+each worker reduces its whole share to one partial result (a histogram,
+or a violation count and the worst excess) before sending it back, so
+the parent receives ``workers`` results however many blocks the job has.
+Partials combine by integer sums and by maxima, which do not depend on
+how blocks are grouped or ordered.  Because the block decomposition
+depends only on the sample count, results are bit-identical for any
+worker count, and a shorter run is a prefix of a longer one with the
+same seed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from functools import partial
 
 import numpy as np
 
@@ -64,25 +71,34 @@ def resolve_workers(workers: int | None) -> int:
     return int(workers)
 
 
-def _run_tasks(task, args_list, workers: int):
-    # Streamed so a long job never holds every partial result at once;
-    # all consumers reduce with commutative operations.
-    if workers == 1 or len(args_list) == 1:
-        for args in args_list:
-            yield task(args)
+def _run_tasks(
+    task, head: tuple, n: int, base_stream: int, block_size: int, workers: int
+):
+    """Yield ``task((*head, share))`` for each worker's share of a job's blocks.
+
+    A share is a list of (stream_id, count) blocks; block j, drawn from
+    stream ``base_stream + j``, goes to share j mod shares, so shares
+    differ by at most one block.  Callers reduce the partials with
+    commutative operations, in whatever order they arrive.
+    """
+    plan = [(base_stream + j, count) for j, count in block_plan(n, block_size)]
+    parts = min(workers, len(plan))
+    args_list = [(*head, plan[w::parts]) for w in range(parts)]
+    if parts == 1:
+        yield task(args_list[0])
         return
-    with multiprocessing.Pool(processes=min(workers, len(args_list))) as pool:
-        yield from pool.imap_unordered(task, args_list, chunksize=1)
+    with multiprocessing.Pool(processes=parts) as pool:
+        yield from pool.imap_unordered(task, args_list)
 
 
-def _histogram_block(args) -> np.ndarray:
-    kind, master_seed, stream_id, count, delta_c, delta_i = args
-    amplitudes = sample_amplitudes(
-        Ensemble(kind), SeedSpec(master_seed, stream_id), count
-    )
-    c, i = observables(amplitudes)
+def _histogram_share(args) -> np.ndarray:
+    kind, master_seed, delta_c, delta_i, blocks = args
     local = JointHistogram(delta_c, delta_i)
-    local.accumulate_many(c, i)
+    for stream_id, count in blocks:
+        amplitudes = sample_amplitudes(
+            Ensemble(kind), SeedSpec(master_seed, stream_id), count
+        )
+        local.accumulate_many(*observables(amplitudes))
     return local.counts
 
 
@@ -104,24 +120,59 @@ def run_histogram_job(
     workers = resolve_workers(workers)
     kind = Ensemble(kind)
     out = JointHistogram(delta_c, delta_i)
-    args_list = [
-        (kind.value, master_seed, base_stream + j, count, delta_c, delta_i)
-        for j, count in block_plan(n, block_size)
-    ]
-    for counts in _run_tasks(_histogram_block, args_list, workers):
+    head = (kind.value, master_seed, delta_c, delta_i)
+    for counts in _run_tasks(
+        _histogram_share, head, n, base_stream, block_size, workers
+    ):
         out.counts += counts
     out.total = n
     return out
 
 
-def _bound_block(args) -> tuple[int, float]:
-    kind, master_seed, stream_id, count, tol = args
-    amplitudes = sample_amplitudes(
-        Ensemble(kind), SeedSpec(master_seed, stream_id), count
-    )
-    c, i = observables(amplitudes)
-    excess = i - entanglement_from_concurrence(c) - tol
-    return int(np.count_nonzero(excess > 0.0)), float(excess.max())
+def _excess_share(args) -> tuple[int, float]:
+    excess_of, master_seed, blocks = args
+    violations = 0
+    worst = 0.0
+    for stream_id, count in blocks:
+        excess = excess_of(SeedSpec(master_seed, stream_id), count)
+        violations += int(np.count_nonzero(excess > 0.0))
+        worst = max(worst, float(excess.max()))
+    return violations, worst
+
+
+def scan_excess(
+    excess_of,
+    n: int,
+    seed: SeedSpec,
+    workers: int | None = None,
+    block_size: int = BLOCK_SIZE,
+) -> tuple[int, float]:
+    """Count the samples of an ``n``-sample check whose excess is positive.
+
+    ``excess_of(seed, count)`` draws one block of ``count`` samples from
+    ``seed`` and returns each sample's excess over the check's tolerance.
+    Block ``j`` uses stream ``seed.stream_id + j``.  With more than one
+    worker ``excess_of`` is pickled, so it must be a module-level function
+    or a ``functools.partial`` of one.
+
+    Returns (violations, max_excess) where max_excess is the largest
+    excess of any sample, clipped at zero when there are no violations.
+    """
+    workers = resolve_workers(workers)
+    head = (excess_of, seed.master_seed)
+    violations = 0
+    max_excess = 0.0
+    for bad, excess in _run_tasks(
+        _excess_share, head, n, seed.stream_id, block_size, workers
+    ):
+        violations += bad
+        max_excess = max(max_excess, excess)
+    return violations, max_excess
+
+
+def _bound_excess(kind: str, tol: float, seed: SeedSpec, count: int) -> np.ndarray:
+    c, i = observables(sample_amplitudes(Ensemble(kind), seed, count))
+    return i - entanglement_from_concurrence(c) - tol
 
 
 def run_bound_scan(
@@ -139,15 +190,10 @@ def run_bound_scan(
     amount by which any sample exceeded the tolerated bound (clipped at
     zero when there are no violations).
     """
-    workers = resolve_workers(workers)
-    kind = Ensemble(kind)
-    args_list = [
-        (kind.value, master_seed, base_stream + j, count, tol)
-        for j, count in block_plan(n, block_size)
-    ]
-    violations = 0
-    max_excess = 0.0
-    for bad, excess in _run_tasks(_bound_block, args_list, workers):
-        violations += bad
-        max_excess = max(max_excess, excess)
-    return violations, max(max_excess, 0.0)
+    return scan_excess(
+        partial(_bound_excess, Ensemble(kind).value, tol),
+        n,
+        SeedSpec(master_seed, base_stream),
+        workers,
+        block_size,
+    )

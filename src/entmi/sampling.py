@@ -89,26 +89,88 @@ def stream_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _redraw_degenerate(gen: np.random.Generator, draws: np.ndarray) -> None:
-    while True:
-        bad = np.flatnonzero(np.abs(draws).max(axis=1) < _DEGENERATE_TOL)
-        if bad.size == 0:
-            return
-        draws[bad] = gen.standard_normal((bad.size, draws.shape[1]))
+def _squared_norm(draws: np.ndarray) -> np.ndarray:
+    """Row sums of squares, added in the order ``(draws * draws).sum(axis=1)`` uses.
+
+    numpy adds a row of 4 in sequence, ((x0^2 + x1^2) + x2^2) + x3^2, and a
+    row of 8 pairwise, ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).
+    Keeping that order keeps every normalized amplitude bit-identical to
+    the row-wise reduction, without its per-row loop overhead.
+    """
+    if draws.shape[1] == 4:
+        cols = [draws[:, k] for k in range(4)]
+        acc = np.multiply(cols[0], cols[0])
+        scratch = np.empty_like(acc)
+        for col in cols[1:]:
+            acc += np.multiply(col, col, out=scratch)
+        return acc
+    squares = draws * draws
+    while squares.shape[1] > 1:
+        squares = squares[:, 0::2] + squares[:, 1::2]
+    return squares[:, 0]
 
 
-def _draw_real_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
-    draws = gen.standard_normal((n, 4))
-    _redraw_degenerate(gen, draws)
-    draws /= np.sqrt((draws * draws).sum(axis=1))[:, None]
+def _may_be_degenerate(norm: np.ndarray, width: int) -> np.ndarray:
+    """Rows whose norm over ``width`` components lets them be degenerate.
+
+    Every |x| < tol forces norm < sqrt(width) * tol; the extra factor
+    sqrt(2) covers the rounding of the squares, their sum and the root.
+    This is a superset of the degenerate rows, cheap because the norm is
+    needed anyway; :func:`_degenerate_rows` then applies the exact rule.
+    """
+    return np.flatnonzero(norm < np.sqrt(2.0 * width) * _DEGENERATE_TOL)
+
+
+def _degenerate_rows(draws: np.ndarray, rows: np.ndarray, halves) -> np.ndarray:
+    """Those of ``rows`` with every component of some half below tolerance.
+
+    ``halves`` lists the column groups normalized separately: the whole
+    row for the spheres, (p, r) and (q, s) for zero-mi.
+    """
+    bad = np.zeros(rows.size, dtype=bool)
+    for cols in halves:
+        bad |= np.abs(draws[np.ix_(rows, cols)]).max(axis=1) < _DEGENERATE_TOL
+    return rows[bad]
+
+
+def _redraw_degenerate(
+    gen: np.random.Generator, draws: np.ndarray, rows: np.ndarray, halves
+) -> np.ndarray:
+    """Redraw degenerate rows until none is left; return the rows redrawn.
+
+    Only ``rows`` (ascending, from :func:`_may_be_degenerate`) are tested,
+    so they must include every degenerate row.  Each pass redraws the
+    degenerate ones with one ``standard_normal((count, width))`` call and
+    tests only those again, which consumes the generator exactly as a
+    scan of every row per pass does.  Later passes redraw a subset of the
+    first, so the first pass's rows are the ones whose norms are now
+    stale.
+    """
+    redrawn = rows = _degenerate_rows(draws, rows, halves)
+    while rows.size:
+        draws[rows] = gen.standard_normal((rows.size, draws.shape[1]))
+        rows = _degenerate_rows(draws, rows, halves)
+    return redrawn
+
+
+def _draw_sphere(gen: np.random.Generator, n: int, width: int) -> np.ndarray:
+    draws = gen.standard_normal((n, width))
+    norm = np.sqrt(_squared_norm(draws))
+    redrawn = _redraw_degenerate(
+        gen, draws, _may_be_degenerate(norm, width), [list(range(width))]
+    )
+    norm[redrawn] = np.sqrt(_squared_norm(draws[redrawn]))
+    draws /= norm[:, None]
     return draws
 
 
+def _draw_real_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
+    return _draw_sphere(gen, n, 4)
+
+
 def _draw_complex_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
-    draws = gen.standard_normal((n, 8))
-    _redraw_degenerate(gen, draws)
-    draws /= np.sqrt((draws * draws).sum(axis=1))[:, None]
-    return draws[:, 0::2] + 1j * draws[:, 1::2]
+    # Columns are (re, im) pairs, so the float64 rows view as 4 complex128.
+    return _draw_sphere(gen, n, 8).view(np.complex128)
 
 
 def _draw_params(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -120,21 +182,23 @@ def _draw_params(gen: np.random.Generator, n: int) -> np.ndarray:
 
 def _draw_zero_mi(gen: np.random.Generator, n: int) -> np.ndarray:
     draws = gen.standard_normal((n, 4))
-    while True:
-        bad_left = np.abs(draws[:, [0, 2]]).max(axis=1) < _DEGENERATE_TOL
-        bad_right = np.abs(draws[:, [1, 3]]).max(axis=1) < _DEGENERATE_TOL
-        bad = np.flatnonzero(bad_left | bad_right)
-        if bad.size == 0:
-            break
-        draws[bad] = gen.standard_normal((bad.size, 4))
     p, q, r, s = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3]
     left_norm = np.hypot(p, r)
     right_norm = np.hypot(q, s)
-    p = p / left_norm
-    r = r / left_norm
-    q = q / right_norm
-    s = s / right_norm
-    return np.stack([p * q, p * s, r * q, -(r * s)], axis=1)
+    screened = _may_be_degenerate(np.minimum(left_norm, right_norm), 2)
+    redrawn = _redraw_degenerate(gen, draws, screened, [[0, 2], [1, 3]])
+    left_norm[redrawn] = np.hypot(p[redrawn], r[redrawn])
+    right_norm[redrawn] = np.hypot(q[redrawn], s[redrawn])
+    p /= left_norm
+    r /= left_norm
+    q /= right_norm
+    s /= right_norm
+    out = np.empty_like(draws)
+    np.multiply(p, q, out=out[:, 0])
+    np.multiply(p, s, out=out[:, 1])
+    np.multiply(r, q, out=out[:, 2])
+    np.negative(np.multiply(r, s, out=out[:, 3]), out=out[:, 3])
+    return out
 
 
 _DRAWERS = {

@@ -187,6 +187,14 @@ def marginal_entropies(probs):
     return _scalarize(np.maximum(left, 0.0)), _scalarize(np.maximum(right, 0.0))
 
 
+def _xlog2_into(v, logs, mask):
+    """Overwrite ``v`` with :func:`xlog2` of it, using the given buffers."""
+    np.logical_not(np.greater(v, 0.0, out=mask), out=mask)
+    np.copyto(v, 1.0, where=mask)
+    v *= np.log2(v, out=logs)
+    return v
+
+
 def mutual_information(probs):
     """Mutual information (bits) between the two measured qubits.
 
@@ -196,16 +204,39 @@ def mutual_information(probs):
     ``ConsistencyError``.
     """
     p = np.asarray(probs, dtype=np.float64)
-    left = -xlog2(p[..., 0] + p[..., 1]) - xlog2(p[..., 2] + p[..., 3])
-    right = -xlog2(p[..., 0] + p[..., 2]) - xlog2(p[..., 1] + p[..., 3])
-    total = -xlog2(p).sum(axis=-1)
-    info = left + right - total
+    if p.ndim == 0 or p.shape[-1] != 4:
+        raise ValueError("expected four probabilities on the last axis")
+    # One contiguous row per outcome, and each xlog2 term evaluated into a
+    # reused buffer.  The terms combine exactly as in
+    #   (-x(p0+p1) - x(p2+p3)) + (-x(p0+p2) - x(p1+p3)) - -(x(p).sum(-1)),
+    # a sum over 4 terms being ((t0 + t1) + t2) + t3, so every value is
+    # bit-identical to that row-wise expression.
+    rows = p.reshape(-1, 4).T.copy()
+    p0, p1, p2, p3 = rows
+    logs = np.empty_like(p0)
+    term = np.empty_like(p0)
+    mask = np.empty(p0.shape, dtype=bool)
+
+    def xlog2_of_sum(x, y, out=None):
+        return _xlog2_into(np.add(x, y, out=out), logs, mask)
+
+    info = np.negative(xlog2_of_sum(p0, p1))
+    info -= xlog2_of_sum(p2, p3, term)
+    right = np.negative(xlog2_of_sum(p0, p2))
+    right -= xlog2_of_sum(p1, p3, term)
+    info += right
+    for row in rows:
+        _xlog2_into(row, logs, mask)
+    total = np.add(p0, p1, out=right)
+    total += p2
+    total += p3
+    info -= np.negative(total, out=total)
     if np.min(info) < -_MI_ROUNDOFF_TOL:
         raise ConsistencyError(
             f"mutual information {np.min(info)!r} below -{_MI_ROUNDOFF_TOL}; "
             "input is not a probability distribution"
         )
-    return _scalarize(np.maximum(info, 0.0))
+    return _scalarize(np.maximum(info, 0.0, out=info).reshape(p.shape[:-1]))
 
 
 def _clamp_unit(values, what):

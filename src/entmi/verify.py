@@ -16,7 +16,7 @@ import numpy as np
 from .curves import mi_from_angles, ridge_mi
 from .errors import DomainError, InsufficientDataError
 from .histogram import JointHistogram
-from .pipeline import BLOCK_SIZE, BOUND_TOL, block_plan, run_bound_scan
+from .pipeline import BOUND_TOL, run_bound_scan, scan_excess
 from .sampling import Ensemble, SeedSpec, sample_zero_mi_family, stream_generator
 from .states import mutual_information, params_to_amplitudes, probabilities
 
@@ -82,27 +82,38 @@ def check_bound(
     )
 
 
-def check_zero_mi_family(n: int, seed: SeedSpec) -> VerificationReport:
+def _zero_mi_excess(seed: SeedSpec, count: int) -> np.ndarray:
+    amplitudes = sample_zero_mi_family(seed, count)
+    return np.atleast_1d(mutual_information(probabilities(amplitudes))) - ZERO_MI_TOL
+
+
+def check_zero_mi_family(
+    n: int, seed: SeedSpec, workers: int | None = None
+) -> VerificationReport:
     """States with |ad| = |bc| have mutual information below 1e-12."""
     if n < 1:
         raise DomainError("sample count must be at least 1")
-    violations = 0
-    worst = 0.0
-    for j, count in block_plan(n, BLOCK_SIZE):
-        amplitudes = sample_zero_mi_family(seed.with_stream(seed.stream_id + j), count)
-        info = np.atleast_1d(mutual_information(probabilities(amplitudes)))
-        excess = info - ZERO_MI_TOL
-        violations += int(np.count_nonzero(excess > 0.0))
-        worst = max(worst, float(excess.max()))
+    violations, worst = scan_excess(_zero_mi_excess, n, seed, workers)
     return VerificationReport(
         name="zero-mi",
         samples=n,
         violations=violations,
-        max_violation=max(worst, 0.0),
+        max_violation=worst,
     )
 
 
-def check_angle_oracle(n: int, seed: SeedSpec) -> VerificationReport:
+def _angle_oracle_excess(seed: SeedSpec, count: int) -> np.ndarray:
+    angles = stream_generator(seed).random((count, 2)) * (2.0 * np.pi)
+    alpha, delta = angles[:, 0], angles[:, 1]
+    direct = np.atleast_1d(mi_from_angles(alpha, delta))
+    amplitudes = params_to_amplitudes(np.full(count, 0.5), alpha, alpha - delta)
+    pipelined = np.atleast_1d(mutual_information(probabilities(amplitudes)))
+    return np.abs(direct - pipelined) - ORACLE_TOL
+
+
+def check_angle_oracle(
+    n: int, seed: SeedSpec, workers: int | None = None
+) -> VerificationReport:
     """Closed-form MI of the two-angle family matches the measurement pipeline.
 
     Draws random (alpha, delta) pairs and compares ``mi_from_angles``
@@ -111,25 +122,12 @@ def check_angle_oracle(n: int, seed: SeedSpec) -> VerificationReport:
     """
     if n < 1:
         raise DomainError("sample count must be at least 1")
-    violations = 0
-    worst = 0.0
-    for j, count in block_plan(n, BLOCK_SIZE):
-        gen = stream_generator(seed.with_stream(seed.stream_id + j))
-        angles = gen.random((count, 2)) * (2.0 * np.pi)
-        alpha, delta = angles[:, 0], angles[:, 1]
-        direct = np.atleast_1d(mi_from_angles(alpha, delta))
-        amplitudes = params_to_amplitudes(
-            np.full(count, 0.5), alpha, alpha - delta
-        )
-        pipelined = np.atleast_1d(mutual_information(probabilities(amplitudes)))
-        gap = np.abs(direct - pipelined) - ORACLE_TOL
-        violations += int(np.count_nonzero(gap > 0.0))
-        worst = max(worst, float(gap.max()))
+    violations, worst = scan_excess(_angle_oracle_excess, n, seed, workers)
     return VerificationReport(
         name="mi-oracle",
         samples=n,
         violations=violations,
-        max_violation=max(worst, 0.0),
+        max_violation=worst,
     )
 
 

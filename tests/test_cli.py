@@ -56,6 +56,17 @@ class TestSample:
         out = tmp_path / "h.csv"
         assert run_cli(["sample", "--n", "5000", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_invalid_env_workers_exit_2(
+        self, run_cli, tmp_path, monkeypatch, capsys, value
+    ):
+        monkeypatch.setenv("QES_WORKERS", value)
+        out = tmp_path / "h.csv"
+        assert run_cli(["sample", "--n", "5000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "QES_WORKERS" in err
+        assert not out.exists()
+
     def test_json_format(self, run_cli, tmp_path):
         out = tmp_path / "h.json"
         code = run_cli(
@@ -276,3 +287,50 @@ class TestDensityCommands:
             ["conditional", "--hist", str(sampled_hist), "--axis", "c",
              "--lo", "0.9", "--hi", "0.1"]
         ) == 2
+
+
+_HEADER = "# joint_histogram delta_c=0.5 delta_i=0.5 total=5\n"
+
+_MALFORMED = [
+    ("negative-index.csv", _HEADER + "-1,0,5\n"),
+    ("index-out-of-range.csv", _HEADER + "2,0,5\n"),
+    ("negative-count.csv", _HEADER + "0,0,-5\n"),
+    ("missing-header.csv", "0,0,5\n"),
+    ("two-field-row.csv", _HEADER + "0,5\n"),
+    ("four-field-row.csv", _HEADER + "0,0,5,1\n"),
+    ("non-integer-count.csv", _HEADER + "0,0,2.5\n"),
+    ("malformed-header.csv", "# joint_histogram delta_c=x delta_i=0.5 total=5\n0,0,5\n"),
+    ("wrong-total.csv", _HEADER + "0,0,4\n"),
+    ("two-field-bin.json", '{"delta_c":0.5,"delta_i":0.5,"total":5,"bins":[[0,5]]}'),
+    ("negative-count.json", '{"delta_c":0.5,"delta_i":0.5,"total":5,"bins":[[0,0,-5]]}'),
+    ("index-out-of-range.json", '{"delta_c":0.5,"delta_i":0.5,"total":5,"bins":[[0,2,5]]}'),
+    ("missing-key.json", '{"delta_c":0.5,"total":5,"bins":[]}'),
+    ("truncated.json", '{"delta_c":0.5,'),
+]
+
+
+class TestMalformedHistogram:
+    """Every malformed histogram file ends in exit 2 and one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "name,content", _MALFORMED, ids=[name for name, _ in _MALFORMED]
+    )
+    def test_exit_2_with_one_line(self, run_cli, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        assert run_cli(["marginal", "--hist", str(path), "--axis", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_binary_file_exit_2(self, run_cli, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        assert run_cli(["table", "--hist", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_empty_histogram_reads_back(self, run_cli, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# joint_histogram delta_c=0.5 delta_i=0.5 total=0\n# meta n=0\n")
+        hist = load_histogram(path)
+        assert hist.total == 0 and hist.counts.shape == (2, 2)

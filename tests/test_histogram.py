@@ -267,6 +267,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="corrupt"):
             JointHistogram.read_csv(io.StringIO(tampered))
 
+    def test_csv_repeated_bins_add_and_counts_stay_exact(self):
+        big = 2**63 + 1
+        text = (
+            f"# joint_histogram delta_c=0.5 delta_i=0.5 total={big + 3}\n"
+            f"0,0,1\n1,1,{big}\n0,0,2\n"
+        )
+        hist = JointHistogram.read_csv(io.StringIO(text))
+        assert int(hist.counts[0, 0]) == 3
+        assert int(hist.counts[1, 1]) == big
+        assert hist.total == big + 3
+
     def test_csv_rejects_missing_header(self):
         with pytest.raises(ValueError, match="header"):
             JointHistogram.read_csv(io.StringIO("0,0,1\n"))

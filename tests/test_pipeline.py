@@ -9,6 +9,7 @@ from entmi import (
     JointHistogram,
     SeedSpec,
     concurrence,
+    entanglement_from_concurrence,
     mutual_information,
     observables,
     probabilities,
@@ -122,3 +123,18 @@ class TestBoundScan:
         first = run_bound_scan(Ensemble.REAL_S3, 50_000, 3, workers=1, block_size=10_000)
         second = run_bound_scan(Ensemble.REAL_S3, 50_000, 3, workers=2, block_size=10_000)
         assert first == second
+
+    def test_worst_excess_is_the_block_maximum_for_any_worker_count(self):
+        # A negative tolerance turns every sample into a violation, so the
+        # reported maximum is a genuine float that every grouping must keep.
+        n, block = 50_000, 7_000
+        expected = -np.inf
+        for stream_id, count in block_plan(n, block):
+            amps = sample_amplitudes(Ensemble.COMPLEX_S7, SeedSpec(3, stream_id), count)
+            c, i = observables(amps)
+            excess = i - entanglement_from_concurrence(c) + 1.0
+            expected = max(expected, float(excess.max()))
+        for workers in (1, 2, 3):
+            assert run_bound_scan(
+                Ensemble.COMPLEX_S7, n, 3, tol=-1.0, workers=workers, block_size=block
+            ) == (n, expected)

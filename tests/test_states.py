@@ -25,6 +25,7 @@ from entmi import (
     probabilities,
     total_entropy,
 )
+from entmi.states import xlog2
 
 INV_SQRT2 = 2**-0.5
 
@@ -149,6 +150,39 @@ class TestEntropies:
         # Not a distribution: the guard should refuse rather than clamp.
         with pytest.raises(ConsistencyError):
             mutual_information([0.9, 0.9, 0.9, 0.9])
+
+    def test_mutual_information_matches_row_wise_reference(self):
+        # The row-wise expression MI was first written as; the buffered
+        # column form must reproduce it bit for bit, zeros and shapes included.
+        def reference(p):
+            p = np.asarray(p, dtype=np.float64)
+            left = -xlog2(p[..., 0] + p[..., 1]) - xlog2(p[..., 2] + p[..., 3])
+            right = -xlog2(p[..., 0] + p[..., 2]) - xlog2(p[..., 1] + p[..., 3])
+            total = -xlog2(p).sum(axis=-1)
+            return np.maximum(left + right - total, 0.0)
+
+        real = probabilities(_random_states(21, 20_000, complex_amps=False))
+        real[::7, 1] = 0.0
+        real[::11, 3] = 0.0
+        batches = [
+            real,
+            probabilities(_random_states(22, 20_000)),
+            probabilities(_random_states(23, 600)).reshape(20, 30, 4),
+            probabilities(_random_states(24, 50))[::-2],
+            np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0.5], [0.25] * 4]),
+        ]
+        for probs in batches:
+            before = probs.copy()
+            info = mutual_information(probs)
+            assert info.shape == probs.shape[:-1]
+            assert np.array_equal(info, reference(probs))
+            assert np.array_equal(probs, before)
+
+    def test_mutual_information_needs_four_outcomes(self):
+        with pytest.raises(ValueError):
+            mutual_information([0.5, 0.5])
+        with pytest.raises(ValueError):
+            mutual_information(np.full((2, 8), 0.125))
 
     def test_binary_entropy_symmetry(self):
         grid = np.linspace(0, 1, 101)
