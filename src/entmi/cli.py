@@ -51,15 +51,22 @@ def _workers_from(args) -> int | None:
     return workers
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write_output(path: str, write) -> int:
+    """Call ``write(stream)`` on ``path`` ('-' is stdout).
 
-
-def _close_out(handle) -> None:
-    if handle is not sys.stdout:
-        handle.close()
+    Returns exit code 0, or 3 after one line on stderr when the file
+    cannot be opened, written or closed.
+    """
+    try:
+        if path == "-":
+            write(sys.stdout)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as out:
+                write(out)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    return _EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,17 +177,8 @@ def _cmd_sample(parser, args) -> int:
         Ensemble(args.ensemble), args.n, args.seed, delta_c, delta_i, workers=workers
     )
     meta = {"ensemble": args.ensemble, "n": args.n, "master_seed": args.seed}
-    try:
-        out = _open_out(args.out)
-        try:
-            if args.format == "json":
-                hist.write_json(out, meta=meta)
-            else:
-                hist.write_csv(out, meta=meta)
-        finally:
-            _close_out(out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    writer = hist.write_json if args.format == "json" else hist.write_csv
+    if _write_output(args.out, lambda out: writer(out, meta=meta)) != _EXIT_OK:
         return _EXIT_IO
     print(f"wrote {args.out} (ensemble={args.ensemble} total={hist.total})")
     return _EXIT_OK
@@ -211,16 +209,7 @@ def _cmd_table(parser, args) -> int:
             )
         except EntmiError:
             lines.append(f"{center!r},nan,{inverse!r},nan,nan,0")
-    try:
-        out = _open_out(args.out)
-        try:
-            out.write("\n".join(lines) + "\n")
-        finally:
-            _close_out(out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return _EXIT_OK
+    return _write_output(args.out, lambda out: out.write("\n".join(lines) + "\n"))
 
 
 def _cmd_curve(parser, args) -> int:
@@ -230,16 +219,7 @@ def _cmd_curve(parser, args) -> int:
     for k in range(args.points):
         point = ridge_point(k / (args.points - 1))
         rows.append(f"{point.c!r},{point.i!r},{entanglement_bound(point.c)!r}")
-    try:
-        out = _open_out(args.out)
-        try:
-            out.write("\n".join(rows) + "\n")
-        finally:
-            _close_out(out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return _EXIT_OK
+    return _write_output(args.out, lambda out: out.write("\n".join(rows) + "\n"))
 
 
 def _cmd_verify(parser, args) -> int:
@@ -293,14 +273,7 @@ def _cmd_verify(parser, args) -> int:
             f"ridge check needs --n >= {RIDGE_MIN_TOTAL} or a --hist that large ({exc})"
         )
 
-    try:
-        out = _open_out(args.out)
-        try:
-            write_reports_jsonl(reports, out)
-        finally:
-            _close_out(out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if _write_output(args.out, lambda out: write_reports_jsonl(reports, out)) != _EXIT_OK:
         return _EXIT_IO
     return _EXIT_OK if all(r.passed for r in reports) else _EXIT_CHECK_FAILED
 
@@ -315,16 +288,7 @@ def _cmd_marginal(parser, args) -> int:
         density = hist.marginal(args.axis)
     except EntmiError as exc:
         parser.error(str(exc))
-    try:
-        out = _open_out(args.out)
-        try:
-            write_density_csv(density, out)
-        finally:
-            _close_out(out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return _EXIT_OK
+    return _write_output(args.out, lambda out: write_density_csv(density, out))
 
 
 def _cmd_conditional(parser, args) -> int:
@@ -340,16 +304,7 @@ def _cmd_conditional(parser, args) -> int:
             density = hist.mi_slice(args.lo, args.hi)
     except EntmiError as exc:
         parser.error(str(exc))
-    try:
-        out = _open_out(args.out)
-        try:
-            write_density_csv(density, out)
-        finally:
-            _close_out(out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return _EXIT_OK
+    return _write_output(args.out, lambda out: write_density_csv(density, out))
 
 
 _COMMANDS = {

@@ -42,16 +42,24 @@ _EDGE_TOL = 1e-12
 
 _CSV_HEADER_PREFIX = "# joint_histogram "
 
+# Bin rows formatted per write by ``write_csv``: large enough to amortize
+# the write, small enough that the formatted text stays a few megabytes.
+_CSV_CHUNK_ROWS = 65_536
+
+
+def _tiles_unit_interval(delta: float) -> bool:
+    """Whether bins of width ``delta`` cover [0, 1] exactly, up to round-off."""
+    inverse = 1.0 / delta
+    return abs(inverse - round(inverse)) < 1e-9
+
 
 def bin_count(delta: float) -> int:
     """Number of bins of width ``delta`` needed to cover [0, 1]."""
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"bin width {delta!r} outside (0, 1]")
-    inverse = 1.0 / delta
-    nearest = round(inverse)
-    if abs(inverse - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(inverse))
+    if _tiles_unit_interval(delta):
+        return int(round(1.0 / delta))
+    return int(math.ceil(1.0 / delta))
 
 
 def bin_edges(delta: float, nbins: int) -> np.ndarray:
@@ -66,25 +74,39 @@ def bin_centers(delta: float, nbins: int) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _bin_indices(values: np.ndarray, delta: float, nbins: int) -> np.ndarray:
-    idx = (values / delta).astype(np.int64)
-    return np.minimum(idx, nbins - 1)
+def bin_widths(delta: float, nbins: int) -> np.ndarray:
+    """Width of each bin: ``delta``, except a narrower last bin.
+
+    When ``delta`` does not tile [0, 1] (0.3 gives 4 bins), the last bin
+    ends at 1 and is narrower than the others.
+    """
+    widths = np.full(nbins, float(delta))
+    if not _tiles_unit_interval(delta):
+        widths[-1] = 1.0 - delta * (nbins - 1)
+    return widths
 
 
-def _clip_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
+def _bin_indices_into(values: np.ndarray, delta: float, nbins: int, out) -> None:
+    """Bin index of each of ``values`` into ``out``; ``values`` is overwritten."""
+    np.clip(values, 0.0, 1.0, out=values)
+    np.divide(values, delta, out=values)
+    np.copyto(out, values, casting="unsafe")  # truncates, as astype(np.int64)
+    np.minimum(out, nbins - 1, out=out)
+
+
+def _check_unit_interval(values: np.ndarray, what: str) -> None:
     if values.size and (
         np.min(values) < -_EDGE_TOL or np.max(values) > 1.0 + _EDGE_TOL
     ):
         raise OutOfRangeError(f"{what} values outside [0, 1] beyond tolerance")
-    return np.clip(values, 0.0, 1.0)
 
 
 @dataclass
 class Density1D:
     """Binned probability density over [0, 1].
 
-    ``values[k]`` is the density on bin k; sum(values) * delta == 1 for
-    any non-empty source histogram.
+    ``values[k]`` is the density on bin k; the sum of values times bin
+    widths is 1 for any non-empty source histogram.
     """
 
     label: str
@@ -95,8 +117,12 @@ class Density1D:
     def centers(self) -> np.ndarray:
         return bin_centers(self.delta, len(self.values))
 
+    @property
+    def widths(self) -> np.ndarray:
+        return bin_widths(self.delta, len(self.values))
+
     def integral(self) -> float:
-        return float(np.sum(self.values) * self.delta)
+        return float(np.sum(self.values * self.widths))
 
 
 @dataclass(frozen=True)
@@ -124,7 +150,14 @@ class JointHistogram:
         self.delta_i = float(delta_i)
         self.nbins_c = bin_count(self.delta_c)
         self.nbins_i = bin_count(self.delta_i)
-        self.counts = np.zeros((self.nbins_c, self.nbins_i), dtype=np.uint64)
+        try:
+            self.counts = np.zeros((self.nbins_c, self.nbins_i), dtype=np.uint64)
+        except (MemoryError, ValueError):
+            # numpy raises MemoryError, or ValueError beyond its size limit.
+            raise DomainError(
+                f"cannot allocate a {self.nbins_c}x{self.nbins_i} histogram grid "
+                f"(delta_c={self.delta_c!r}, delta_i={self.delta_i!r})"
+            ) from None
         self.total = 0
 
     # -- construction ------------------------------------------------
@@ -141,17 +174,33 @@ class JointHistogram:
             raise ShapeMismatchError("c and i batches must have the same length")
         if c.size == 0:
             return
-        c = _clip_unit_interval(c, "concurrence")
-        i = _clip_unit_interval(i, "mutual information")
-        idx_c = _bin_indices(c, self.delta_c, self.nbins_c)
-        idx_i = _bin_indices(i, self.delta_i, self.nbins_i)
-        flat = np.bincount(
-            idx_c * self.nbins_i + idx_i, minlength=self.nbins_c * self.nbins_i
-        )
+        # Binning works in place, so it runs on copies of the batch.
+        flat = np.empty(c.size, dtype=np.int64)
+        self._flat_bins(c.copy(), i.copy(), flat, np.empty_like(flat))
+        self._add_flat(flat)
+
+    def _flat_bins(self, c, i, out, scratch) -> np.ndarray:
+        """Row-major flat bin index of each (c, i) pair into ``out``.
+
+        ``c`` and ``i`` are float64 arrays and are overwritten; ``scratch``
+        is an int64 array as long as ``out``.  Values outside [0, 1] by
+        more than round-off raise ``OutOfRangeError``.
+        """
+        _check_unit_interval(c, "concurrence")
+        _check_unit_interval(i, "mutual information")
+        _bin_indices_into(c, self.delta_c, self.nbins_c, out)
+        _bin_indices_into(i, self.delta_i, self.nbins_i, scratch)
+        out *= self.nbins_i
+        out += scratch
+        return out
+
+    def _add_flat(self, flat: np.ndarray) -> None:
+        """Count one observation in each flat bin index of ``flat``."""
+        counts = np.bincount(flat, minlength=self.counts.size)
         # bincount's counts are non-negative int64, so reading their bits as
         # uint64 is exact and spares a dense copy of the grid.
-        self.counts += flat.view(np.uint64).reshape(self.counts.shape)
-        self.total += int(c.size)
+        self.counts += counts.view(np.uint64).reshape(self.counts.shape)
+        self.total += int(flat.size)
 
     def merge(self, other: "JointHistogram") -> "JointHistogram":
         """Elementwise sum with an identically binned histogram."""
@@ -208,7 +257,7 @@ class JointHistogram:
             raise EmptyHistogramError("cannot normalize an empty histogram")
         delta, _ = self._axis(axis)
         sums = self.counts.sum(axis=1 if axis.lower() == "c" else 0, dtype=np.float64)
-        return Density1D(axis.upper(), delta, sums / (self.total * delta))
+        return Density1D(axis.upper(), delta, self._density(axis, sums, self.total))
 
     def _slice_bins(self, axis: str, lo: float, hi: float) -> np.ndarray:
         centers = self.centers(axis)
@@ -245,7 +294,11 @@ class JointHistogram:
         if in_slice == 0.0:
             raise EmptySliceError(f"slice [{lo}, {hi}] over {sliced} holds no counts")
         delta, _ = self._axis(keep)
-        return Density1D(keep.upper(), delta, sums / (in_slice * delta))
+        return Density1D(keep.upper(), delta, self._density(keep, sums, in_slice))
+
+    def _density(self, axis: str, sums: np.ndarray, total) -> np.ndarray:
+        """Density of the counts ``sums`` along ``axis``: each over total x width."""
+        return sums / (float(total) * bin_widths(*self._axis(axis)))
 
     def slice_stats(self, i_center: float, i_halfwidth: float) -> SliceStats:
         """Peak position, mean, and spread of concurrence in one MI slice.
@@ -291,10 +344,14 @@ class JointHistogram:
         if meta:
             pairs = " ".join(f"{k}={v}" for k, v in meta.items())
             stream.write(f"# meta {pairs}\n")
-        rows, cols = np.nonzero(self.counts)
-        values = self.counts[rows, cols]
-        for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
-            stream.write(f"{r},{c},{v}\n")
+        # One (c_index, i_index, count) uint64 row per nonzero bin, formatted
+        # a chunk of rows per write; uint64 keeps counts of 2**63 and up exact.
+        table = np.empty((np.count_nonzero(self.counts), 3), dtype=np.uint64)
+        table[:, 0], table[:, 1] = np.nonzero(self.counts)
+        table[:, 2] = self.counts[table[:, 0], table[:, 1]]
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            stream.write("%d,%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
     def to_json_dict(self, meta: dict | None = None) -> dict:
         rows, cols = np.nonzero(self.counts)
@@ -322,11 +379,14 @@ class JointHistogram:
     ) -> "JointHistogram":
         """Histogram from (c_index, i_index, count) rows of a uint64 array.
 
-        Repeated bins add up.  Raises ``HistogramFormatError`` when an
-        index lies outside the grid or the counts do not sum to the
-        declared total.
+        Repeated bins add up.  Raises ``HistogramFormatError`` when the
+        bin widths give no grid that can be allocated, an index lies
+        outside the grid or the counts do not sum to the declared total.
         """
-        hist = cls(delta_c, delta_i)
+        try:
+            hist = cls(delta_c, delta_i)
+        except DomainError as exc:
+            raise HistogramFormatError(str(exc)) from None
         rows, cols, values = bins.reshape(-1, 3).T
         if rows.size and (rows.max() >= hist.nbins_c or cols.max() >= hist.nbins_i):
             raise HistogramFormatError(

@@ -10,7 +10,9 @@ Partials combine by integer sums and by maxima, which do not depend on
 how blocks are grouped or ordered.  Because the block decomposition
 depends only on the sample count, results are bit-identical for any
 worker count, and a shorter run is a prefix of a longer one with the
-same seed.
+same seed.  Within a block, everything after the whole-block draw
+(normalize, concurrence, MI, binning) runs over cache-sized row tiles,
+on buffers kept for the worker's share.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ import numpy as np
 
 from .errors import DomainError
 from .histogram import JointHistogram
-from .sampling import Ensemble, SeedSpec, sample_amplitudes
+from .sampling import Ensemble, SampleBlock, SeedSpec, stream_generator
 from .states import (
+    _concurrence_into,
+    _mutual_information_into,
+    _probabilities_into,
     concurrence,
     entanglement_from_concurrence,
     mutual_information,
@@ -91,14 +96,55 @@ def _run_tasks(
         yield from pool.imap_unordered(task, args_list)
 
 
+class _BlockKernel:
+    """The (C, I) pairs of one ensemble's blocks, one tile at a time.
+
+    Holds one worker share's buffers: a :class:`SampleBlock` for the
+    share's largest block, and one tile of probabilities and observables.
+    Each block is drawn whole, so the generator is consumed exactly as
+    one ``sample_amplitudes`` call would; every later step (normalize,
+    concurrence, probabilities, MI) runs per tile and computes, element
+    for element, what :func:`observables` computes on the whole block.
+    """
+
+    def __init__(self, kind: Ensemble, capacity: int):
+        self.block = SampleBlock(kind, capacity)
+        tile = self.block.tile_rows
+        self._products = np.empty((2, tile), dtype=self.block.dtype)
+        self._c = np.empty(tile)
+        self._probs = np.empty((4, tile))
+        self._info = np.empty((4, tile))
+        self._mask = np.empty(tile, dtype=bool)
+
+    def pairs(self, seed: SeedSpec, count: int):
+        """Yield (start, stop, c, i) per tile of a block of ``count`` states.
+
+        ``c`` and ``i`` hold the tile's rows [start, stop) of the block
+        drawn from ``seed``; their buffers are reused by the next tile.
+        """
+        self.block.draw(stream_generator(seed), count)
+        for start, stop in self.block.tiles():
+            size = stop - start
+            amplitudes = self.block.amplitudes(start, stop)
+            c = _concurrence_into(amplitudes, self._c[:size], self._products[:, :size])
+            probs = _probabilities_into(
+                amplitudes, self._probs[:, :size], self._info[0, :size]
+            )
+            i = _mutual_information_into(probs, self._info[:, :size], self._mask[:size])
+            yield start, stop, c, i
+
+
 def _histogram_share(args) -> np.ndarray:
     kind, master_seed, delta_c, delta_i, blocks = args
     local = JointHistogram(delta_c, delta_i)
+    capacity = max(count for _, count in blocks)
+    kernel = _BlockKernel(Ensemble(kind), capacity)
+    flat = np.empty(capacity, dtype=np.int64)
+    scratch = np.empty(kernel.block.tile_rows, dtype=np.int64)
     for stream_id, count in blocks:
-        amplitudes = sample_amplitudes(
-            Ensemble(kind), SeedSpec(master_seed, stream_id), count
-        )
-        local.accumulate_many(*observables(amplitudes))
+        for start, stop, c, i in kernel.pairs(SeedSpec(master_seed, stream_id), count):
+            local._flat_bins(c, i, flat[start:stop], scratch[: stop - start])
+        local._add_flat(flat[:count])
     return local.counts
 
 
@@ -130,7 +176,8 @@ def run_histogram_job(
 
 
 def _excess_share(args) -> tuple[int, float]:
-    excess_of, master_seed, blocks = args
+    make_excess, master_seed, blocks = args
+    excess_of = make_excess(max(count for _, count in blocks))
     violations = 0
     worst = 0.0
     for stream_id, count in blocks:
@@ -141,7 +188,7 @@ def _excess_share(args) -> tuple[int, float]:
 
 
 def scan_excess(
-    excess_of,
+    make_excess,
     n: int,
     seed: SeedSpec,
     workers: int | None = None,
@@ -149,17 +196,18 @@ def scan_excess(
 ) -> tuple[int, float]:
     """Count the samples of an ``n``-sample check whose excess is positive.
 
-    ``excess_of(seed, count)`` draws one block of ``count`` samples from
-    ``seed`` and returns each sample's excess over the check's tolerance.
-    Block ``j`` uses stream ``seed.stream_id + j``.  With more than one
-    worker ``excess_of`` is pickled, so it must be a module-level function
-    or a ``functools.partial`` of one.
+    ``make_excess(capacity)`` is called once per worker share and returns
+    ``excess_of(seed, count)``, which draws one block of ``count <=
+    capacity`` samples from ``seed`` and returns each sample's excess over
+    the check's tolerance.  Block ``j`` uses stream ``seed.stream_id + j``.
+    With more than one worker ``make_excess`` is pickled, so it must be a
+    module-level function or a ``functools.partial`` of one.
 
     Returns (violations, max_excess) where max_excess is the largest
     excess of any sample, clipped at zero when there are no violations.
     """
     workers = resolve_workers(workers)
-    head = (excess_of, seed.master_seed)
+    head = (make_excess, seed.master_seed)
     violations = 0
     max_excess = 0.0
     for bad, excess in _run_tasks(
@@ -170,8 +218,25 @@ def scan_excess(
     return violations, max_excess
 
 
-def _bound_excess(kind: str, tol: float, seed: SeedSpec, count: int) -> np.ndarray:
-    c, i = observables(sample_amplitudes(Ensemble(kind), seed, count))
+def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
+    """A ``make_excess`` for :func:`scan_excess` over ensemble ``kind``.
+
+    Each sample's excess is ``excess_of_pairs(c, i)`` of its (C, I) pair,
+    evaluated one tile at a time on buffers kept for the worker share.
+    Bind ``kind`` and ``excess_of_pairs`` with ``functools.partial``.
+    """
+    kernel = _BlockKernel(Ensemble(kind), capacity)
+    excess = np.empty(capacity)
+
+    def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
+        for start, stop, c, i in kernel.pairs(seed, count):
+            excess[start:stop] = excess_of_pairs(c, i)
+        return excess[:count]
+
+    return excess_of
+
+
+def _bound_excess(tol: float, c: np.ndarray, i: np.ndarray) -> np.ndarray:
     return i - entanglement_from_concurrence(c) - tol
 
 
@@ -191,7 +256,7 @@ def run_bound_scan(
     zero when there are no violations).
     """
     return scan_excess(
-        partial(_bound_excess, Ensemble(kind).value, tol),
+        partial(tile_excess, Ensemble(kind).value, partial(_bound_excess, tol)),
         n,
         SeedSpec(master_seed, base_stream),
         workers,

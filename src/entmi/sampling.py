@@ -89,25 +89,48 @@ def stream_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _squared_norm(draws: np.ndarray) -> np.ndarray:
+# Rows per tile: every pass after the whole-block draw works on this many
+# rows at a time, so a tile's draws and the kernel's per-tile buffers stay
+# in a core's L2 cache instead of streaming full-block temporaries.
+_TILE_ROWS = 16_384
+
+
+def _tiles(count: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of at most ``_TILE_ROWS`` covering ``count`` rows."""
+    return [
+        (start, min(start + _TILE_ROWS, count)) for start in range(0, count, _TILE_ROWS)
+    ]
+
+
+def _squared_norm(draws: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Row sums of squares, added in the order ``(draws * draws).sum(axis=1)`` uses.
 
     numpy adds a row of 4 in sequence, ((x0^2 + x1^2) + x2^2) + x3^2, and a
     row of 8 pairwise, ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).
     Keeping that order keeps every normalized amplitude bit-identical to
-    the row-wise reduction, without its per-row loop overhead.
+    the row-wise reduction, without its per-row loop overhead.  ``out``
+    has one entry per row and ``scratch`` three rows of that length.
     """
-    if draws.shape[1] == 4:
-        cols = [draws[:, k] for k in range(4)]
-        acc = np.multiply(cols[0], cols[0])
-        scratch = np.empty_like(acc)
+    if out is None:
+        out = np.empty(len(draws))
+    if scratch is None:
+        scratch = np.empty((3, len(draws)))
+    cols = list(draws.T)
+    if len(cols) == 4:
+        np.multiply(cols[0], cols[0], out=out)
         for col in cols[1:]:
-            acc += np.multiply(col, col, out=scratch)
-        return acc
-    squares = draws * draws
-    while squares.shape[1] > 1:
-        squares = squares[:, 0::2] + squares[:, 1::2]
-    return squares[:, 0]
+            out += np.multiply(col, col, out=scratch[0])
+        return out
+    return _pairwise_squares(cols, out, scratch)
+
+
+def _pairwise_squares(cols, out, scratch):
+    if len(cols) == 1:
+        return np.multiply(cols[0], cols[0], out=out)
+    half = len(cols) // 2
+    _pairwise_squares(cols[:half], out, scratch)
+    out += _pairwise_squares(cols[half:], scratch[0], scratch[1:])
+    return out
 
 
 def _may_be_degenerate(norm: np.ndarray, width: int) -> np.ndarray:
@@ -153,60 +176,149 @@ def _redraw_degenerate(
     return redrawn
 
 
-def _draw_sphere(gen: np.random.Generator, n: int, width: int) -> np.ndarray:
-    draws = gen.standard_normal((n, width))
-    norm = np.sqrt(_squared_norm(draws))
+# Each ensemble is a whole-block ``draw(gen, draws, norms, scratch)``, which
+# fills ``draws`` with one generator call, redraws degenerate rows and
+# leaves in ``norms`` what ``finish`` needs, and a row-wise
+# ``finish(rows, norms, scratch)``, which turns drawn rows into the
+# stream's values in place.  ``scratch`` holds three rows of one tile.
+# Both work on the same rows, in the same order, as one pass over the
+# whole block would, so the values do not depend on the tiling.
+
+
+def _draw_sphere(gen, draws, norms, scratch):
+    gen.standard_normal(out=draws)
+    width = draws.shape[1]
+    norm = norms[0]
+    screened = []
+    for start, stop in _tiles(len(draws)):
+        tile = norm[start:stop]
+        _squared_norm(draws[start:stop], tile, scratch[:, : stop - start])
+        np.sqrt(tile, out=tile)
+        screened.append(start + _may_be_degenerate(tile, width))
     redrawn = _redraw_degenerate(
-        gen, draws, _may_be_degenerate(norm, width), [list(range(width))]
+        gen, draws, np.concatenate(screened), [list(range(width))]
     )
     norm[redrawn] = np.sqrt(_squared_norm(draws[redrawn]))
-    draws /= norm[:, None]
-    return draws
 
 
-def _draw_real_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
-    return _draw_sphere(gen, n, 4)
+def _finish_sphere(rows, norms, scratch):
+    # Column by column: the same quotients as ``rows /= norm[:, None]``,
+    # without the broadcast's per-row inner loop.
+    for col in rows.T:
+        col /= norms[0]
 
 
-def _draw_complex_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
-    # Columns are (re, im) pairs, so the float64 rows view as 4 complex128.
-    return _draw_sphere(gen, n, 8).view(np.complex128)
+def _draw_params(gen, draws, norms, scratch):
+    gen.random(out=draws)
 
 
-def _draw_params(gen: np.random.Generator, n: int) -> np.ndarray:
-    u = gen.random((n, 3))
-    u[:, 1] *= 2.0 * np.pi
-    u[:, 2] *= 2.0 * np.pi
-    return u
+def _finish_params(rows, norms, scratch):
+    rows[:, 1] *= 2.0 * np.pi
+    rows[:, 2] *= 2.0 * np.pi
 
 
-def _draw_zero_mi(gen: np.random.Generator, n: int) -> np.ndarray:
-    draws = gen.standard_normal((n, 4))
-    p, q, r, s = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3]
-    left_norm = np.hypot(p, r)
-    right_norm = np.hypot(q, s)
-    screened = _may_be_degenerate(np.minimum(left_norm, right_norm), 2)
-    redrawn = _redraw_degenerate(gen, draws, screened, [[0, 2], [1, 3]])
-    left_norm[redrawn] = np.hypot(p[redrawn], r[redrawn])
-    right_norm[redrawn] = np.hypot(q[redrawn], s[redrawn])
-    p /= left_norm
-    r /= left_norm
-    q /= right_norm
-    s /= right_norm
-    out = np.empty_like(draws)
-    np.multiply(p, q, out=out[:, 0])
-    np.multiply(p, s, out=out[:, 1])
-    np.multiply(r, q, out=out[:, 2])
-    np.negative(np.multiply(r, s, out=out[:, 3]), out=out[:, 3])
-    return out
+def _draw_zero_mi(gen, draws, norms, scratch):
+    gen.standard_normal(out=draws)
+    left, right = norms
+    screened = []
+    for start, stop in _tiles(len(draws)):
+        tile = draws[start:stop]
+        np.hypot(tile[:, 0], tile[:, 2], out=left[start:stop])
+        np.hypot(tile[:, 1], tile[:, 3], out=right[start:stop])
+        least = np.minimum(
+            left[start:stop], right[start:stop], out=scratch[0, : stop - start]
+        )
+        screened.append(start + _may_be_degenerate(least, 2))
+    redrawn = _redraw_degenerate(gen, draws, np.concatenate(screened), [[0, 2], [1, 3]])
+    left[redrawn] = np.hypot(draws[redrawn, 0], draws[redrawn, 2])
+    right[redrawn] = np.hypot(draws[redrawn, 1], draws[redrawn, 3])
 
 
-_DRAWERS = {
-    Ensemble.REAL_S3: _draw_real_sphere,
-    Ensemble.COMPLEX_S7: _draw_complex_sphere,
-    Ensemble.PARAM: _draw_params,
-    Ensemble.ZERO_MI: _draw_zero_mi,
+def _finish_zero_mi(rows, norms, scratch):
+    # Normalize (p, r) and (q, s), then overwrite the row with
+    # (pq, ps, rq, -rs); the two cross products go through scratch.
+    p, q, r, s = rows.T
+    left, right = norms
+    p /= left
+    r /= left
+    q /= right
+    s /= right
+    ps = np.multiply(p, s, out=scratch[0])
+    rq = np.multiply(r, q, out=scratch[1])
+    np.multiply(p, q, out=p)
+    np.negative(np.multiply(r, s, out=s), out=s)
+    q[...] = ps
+    r[...] = rq
+
+
+# ensemble: (draw, finish, float64 columns drawn per state, norm rows kept,
+# dtype of the values).  complex-s7 draws (re, im) pairs, so its float64
+# rows view as 4 complex128.
+_LAYOUTS = {
+    Ensemble.REAL_S3: (_draw_sphere, _finish_sphere, 4, 1, np.float64),
+    Ensemble.COMPLEX_S7: (_draw_sphere, _finish_sphere, 8, 1, np.complex128),
+    Ensemble.PARAM: (_draw_params, _finish_params, 3, 0, np.float64),
+    Ensemble.ZERO_MI: (_draw_zero_mi, _finish_zero_mi, 4, 2, np.float64),
 }
+
+
+class SampleBlock:
+    """Reusable buffers for drawing blocks of one ensemble.
+
+    :meth:`draw` consumes a generator for a whole block, exactly as one
+    ``standard_normal`` (or ``random``) call of the block's shape followed
+    by the degenerate-row redraws does.  :meth:`values` then finishes the
+    drawn rows one range at a time, in place, so every pass after the draw
+    can run on a cache-sized tile.  Each row is finished once per draw.
+    Blocks hold at most ``capacity`` states; ``dtype`` is the dtype of the
+    values and amplitudes, and ``tile_rows`` the length of the longest
+    range :meth:`tiles` gives.
+    """
+
+    def __init__(self, kind: Ensemble, capacity: int):
+        self.kind = Ensemble(kind)
+        self._draw, self._finish, width, norms, self.dtype = _LAYOUTS[self.kind]
+        self.tile_rows = min(capacity, _TILE_ROWS)
+        self._draws = np.empty((capacity, width))
+        self._norms = np.empty((norms, capacity))
+        self._scratch = np.empty((3, self.tile_rows))
+        self.count = 0
+
+    def draw(self, gen: np.random.Generator, count: int) -> None:
+        if not 1 <= count <= len(self._draws):
+            raise DomainError(f"block of {count} states outside [1, {len(self._draws)}]")
+        self.count = count
+        self._draw(gen, self._draws[:count], self._norms[:, :count], self._scratch)
+
+    def tiles(self) -> list[tuple[int, int]]:
+        """(start, stop) ranges of at most one tile covering the drawn block."""
+        return _tiles(self.count)
+
+    def values(self, start: int, stop: int) -> np.ndarray:
+        """Finished stream values of rows [start, stop), at most one tile.
+
+        Amplitudes for the sphere and zero-mi ensembles, (y, alpha, beta)
+        triples for ``param``; a view of the block's buffer.
+        """
+        rows = self._draws[start:stop]
+        self._finish(rows, self._norms[:, start:stop], self._scratch[:, : stop - start])
+        return rows.view(self.dtype)
+
+    def amplitudes(self, start: int, stop: int) -> np.ndarray:
+        """Amplitudes of rows [start, stop), mapping parameter triples to states."""
+        values = self.values(start, stop)
+        if self.kind is Ensemble.PARAM:
+            return params_to_amplitudes(values[:, 0], values[:, 1], values[:, 2])
+        return values
+
+
+def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` values of ``gen`` as ensemble ``kind``: draw, then finish."""
+    block = SampleBlock(kind, n)
+    block.draw(gen, n)
+    for start, stop in block.tiles():
+        block.values(start, stop)
+    return block._draws.view(block.dtype)
 
 
 class StateStream:
@@ -221,12 +333,11 @@ class StateStream:
         self.kind = Ensemble(kind)
         self.seed = seed
         self._gen = stream_generator(seed)
-        self._drawer = _DRAWERS[self.kind]
 
     def take(self, n: int) -> np.ndarray:
         if n < 1:
             raise DomainError("sample count must be at least 1")
-        return self._drawer(self._gen, int(n))
+        return _take(self.kind, self._gen, int(n))
 
 
 def sample_real_sphere(seed: SeedSpec, n: int) -> np.ndarray:

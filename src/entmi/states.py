@@ -165,9 +165,12 @@ def probabilities(state) -> np.ndarray:
     Returns (|a|^2, |b|^2, |c|^2, |d|^2) on the last axis.
     """
     amps = _amplitudes_of(state)
-    if np.iscomplexobj(amps):
-        return amps.real**2 + amps.imag**2
-    return np.asarray(amps, dtype=np.float64) ** 2
+    if not np.iscomplexobj(amps):
+        amps = np.asarray(amps, dtype=np.float64)
+    rows = amps.reshape(-1, 4)
+    probs = np.empty((4, len(rows)))
+    _probabilities_into(rows, probs, np.empty(len(rows)))
+    return probs.T.reshape(amps.shape)
 
 
 def total_entropy(probs):
@@ -195,34 +198,27 @@ def _xlog2_into(v, logs, mask):
     return v
 
 
-def mutual_information(probs):
-    """Mutual information (bits) between the two measured qubits.
+def _mutual_information_into(rows, buffers, mask):
+    """Mutual information (bits) of the distributions whose outcome k is ``rows[k]``.
 
-    Computed as H_left + H_right - H_total.  Round-off can produce values
-    a few ulp below zero; those are clamped to 0.  Anything below
-    -1e-12 means the input was not a distribution and raises
-    ``ConsistencyError``.
+    ``rows`` is a (4, n) float64 array and is overwritten; ``buffers`` is a
+    (4, n) float64 array whose first row receives the result, and ``mask``
+    a boolean array of length n.  Values below -1e-12 raise
+    ``ConsistencyError``; the rest are clamped at 0.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 0 or p.shape[-1] != 4:
-        raise ValueError("expected four probabilities on the last axis")
-    # One contiguous row per outcome, and each xlog2 term evaluated into a
-    # reused buffer.  The terms combine exactly as in
+    p0, p1, p2, p3 = rows
+    info, right, term, logs = buffers
+
+    def xlog2_of_sum(x, y, out):
+        return _xlog2_into(np.add(x, y, out=out), logs, mask)
+
+    # The terms combine exactly as in
     #   (-x(p0+p1) - x(p2+p3)) + (-x(p0+p2) - x(p1+p3)) - -(x(p).sum(-1)),
     # a sum over 4 terms being ((t0 + t1) + t2) + t3, so every value is
     # bit-identical to that row-wise expression.
-    rows = p.reshape(-1, 4).T.copy()
-    p0, p1, p2, p3 = rows
-    logs = np.empty_like(p0)
-    term = np.empty_like(p0)
-    mask = np.empty(p0.shape, dtype=bool)
-
-    def xlog2_of_sum(x, y, out=None):
-        return _xlog2_into(np.add(x, y, out=out), logs, mask)
-
-    info = np.negative(xlog2_of_sum(p0, p1))
+    np.negative(xlog2_of_sum(p0, p1, info), out=info)
     info -= xlog2_of_sum(p2, p3, term)
-    right = np.negative(xlog2_of_sum(p0, p2))
+    np.negative(xlog2_of_sum(p0, p2, right), out=right)
     right -= xlog2_of_sum(p1, p3, term)
     info += right
     for row in rows:
@@ -236,22 +232,72 @@ def mutual_information(probs):
             f"mutual information {np.min(info)!r} below -{_MI_ROUNDOFF_TOL}; "
             "input is not a probability distribution"
         )
-    return _scalarize(np.maximum(info, 0.0, out=info).reshape(p.shape[:-1]))
+    return np.maximum(info, 0.0, out=info)
+
+
+def mutual_information(probs):
+    """Mutual information (bits) between the two measured qubits.
+
+    Computed as H_left + H_right - H_total.  Round-off can produce values
+    a few ulp below zero; those are clamped to 0.  Anything below
+    -1e-12 means the input was not a distribution and raises
+    ``ConsistencyError``.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim == 0 or p.shape[-1] != 4:
+        raise ValueError("expected four probabilities on the last axis")
+    rows = p.reshape(-1, 4).T.copy()
+    info = _mutual_information_into(
+        rows, np.empty_like(rows), np.empty(rows.shape[1], dtype=bool)
+    )
+    return _scalarize(info.reshape(p.shape[:-1]))
+
+
+def _probabilities_into(amps, rows, scratch):
+    """|amplitude k|^2 of each row of the (n, 4) ``amps`` into ``rows[k]``.
+
+    ``amps`` is float64 or complex, ``rows`` a (4, n) float64 array and
+    ``scratch`` a float64 array of length n.
+    """
+    for k, row in enumerate(rows):
+        col = amps[:, k]
+        if np.iscomplexobj(col):
+            np.multiply(col.real, col.real, out=row)
+            row += np.multiply(col.imag, col.imag, out=scratch)
+        else:
+            np.multiply(col, col, out=row)
+    return rows
 
 
 def _clamp_unit(values, what):
     values = np.asarray(values, dtype=np.float64)
     if np.max(values, initial=0.0) > 1.0 + _UNIT_CLAMP_TOL:
         raise ConsistencyError(f"{what} {np.max(values)!r} exceeds 1 beyond round-off")
-    return np.minimum(values, 1.0)
+    return np.minimum(values, 1.0, out=values)
+
+
+def _concurrence_into(amps, out, scratch):
+    """Concurrence 2|ad - bc| of each row of the (n, 4) ``amps``, into ``out``.
+
+    ``out`` is a float64 array of length n and ``scratch`` a (2, n) array
+    of the amplitudes' dtype.  Values above 1 beyond round-off raise
+    ``ConsistencyError``; the rest are clamped.
+    """
+    a, b, c, d = amps.T
+    ad = np.multiply(a, d, out=scratch[0])
+    ad -= np.multiply(b, c, out=scratch[1])
+    np.multiply(2.0, np.abs(ad, out=out), out=out)
+    return _clamp_unit(out, "concurrence")
 
 
 def concurrence(state):
     """Concurrence 2|ad - bc| of a pure state, in [0, 1]."""
     amps = _amplitudes_of(state)
-    a, b, c, d = (amps[..., k] for k in range(4))
-    value = 2.0 * np.abs(a * d - b * c)
-    return _scalarize(_clamp_unit(value, "concurrence"))
+    rows = amps.reshape(-1, 4)
+    value = _concurrence_into(
+        rows, np.empty(len(rows)), np.empty((2, len(rows)), dtype=rows.dtype)
+    )
+    return _scalarize(value.reshape(amps.shape[:-1]))
 
 
 def concurrence_polar(mod_a, mod_b, mod_c, mod_d, theta):

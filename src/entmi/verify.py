@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import IO, Iterable
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .curves import mi_from_angles, ridge_mi
 from .errors import DomainError, InsufficientDataError
 from .histogram import JointHistogram
-from .pipeline import BOUND_TOL, run_bound_scan, scan_excess
-from .sampling import Ensemble, SeedSpec, sample_zero_mi_family, stream_generator
+from .pipeline import BOUND_TOL, run_bound_scan, scan_excess, tile_excess
+from .sampling import Ensemble, SeedSpec, _tiles, stream_generator
 from .states import mutual_information, params_to_amplitudes, probabilities
 
 # Zero-MI family states must have MI at most this.
@@ -82,9 +83,8 @@ def check_bound(
     )
 
 
-def _zero_mi_excess(seed: SeedSpec, count: int) -> np.ndarray:
-    amplitudes = sample_zero_mi_family(seed, count)
-    return np.atleast_1d(mutual_information(probabilities(amplitudes))) - ZERO_MI_TOL
+def _zero_mi_excess(c: np.ndarray, i: np.ndarray) -> np.ndarray:
+    return i - ZERO_MI_TOL
 
 
 def check_zero_mi_family(
@@ -93,7 +93,9 @@ def check_zero_mi_family(
     """States with |ad| = |bc| have mutual information below 1e-12."""
     if n < 1:
         raise DomainError("sample count must be at least 1")
-    violations, worst = scan_excess(_zero_mi_excess, n, seed, workers)
+    violations, worst = scan_excess(
+        partial(tile_excess, Ensemble.ZERO_MI.value, _zero_mi_excess), n, seed, workers
+    )
     return VerificationReport(
         name="zero-mi",
         samples=n,
@@ -102,13 +104,29 @@ def check_zero_mi_family(
     )
 
 
-def _angle_oracle_excess(seed: SeedSpec, count: int) -> np.ndarray:
-    angles = stream_generator(seed).random((count, 2)) * (2.0 * np.pi)
-    alpha, delta = angles[:, 0], angles[:, 1]
-    direct = np.atleast_1d(mi_from_angles(alpha, delta))
-    amplitudes = params_to_amplitudes(np.full(count, 0.5), alpha, alpha - delta)
-    pipelined = np.atleast_1d(mutual_information(probabilities(amplitudes)))
-    return np.abs(direct - pipelined) - ORACLE_TOL
+def _angle_oracle_excess(capacity: int):
+    """A ``make_excess`` for :func:`scan_excess`: the oracle, one tile at a time.
+
+    Each block's angles are drawn whole, as one ``random((count, 2))``
+    call; both routes then run per tile, so their temporaries stay small.
+    """
+    angles = np.empty((capacity, 2))
+    excess = np.empty(capacity)
+
+    def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
+        block = stream_generator(seed).random(out=angles[:count])
+        block *= 2.0 * np.pi
+        for start, stop in _tiles(count):
+            alpha, delta = block[start:stop, 0], block[start:stop, 1]
+            direct = np.atleast_1d(mi_from_angles(alpha, delta))
+            amplitudes = params_to_amplitudes(
+                np.full(stop - start, 0.5), alpha, alpha - delta
+            )
+            pipelined = np.atleast_1d(mutual_information(probabilities(amplitudes)))
+            np.subtract(np.abs(direct - pipelined), ORACLE_TOL, out=excess[start:stop])
+        return excess[:count]
+
+    return excess_of
 
 
 def check_angle_oracle(

@@ -306,6 +306,9 @@ _MALFORMED = [
     ("index-out-of-range.json", '{"delta_c":0.5,"delta_i":0.5,"total":5,"bins":[[0,2,5]]}'),
     ("missing-key.json", '{"delta_c":0.5,"total":5,"bins":[]}'),
     ("truncated.json", '{"delta_c":0.5,'),
+    # A 10^9 x 10^9 grid cannot be allocated (numpy asks for 6.94 EiB).
+    ("unallocatable-grid.csv", "# joint_histogram delta_c=1e-9 delta_i=1e-9 total=0\n"),
+    ("zero-bin-width.json", '{"delta_c":0.0,"delta_i":0.5,"total":0,"bins":[]}'),
 ]
 
 

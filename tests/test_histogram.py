@@ -67,6 +67,13 @@ class TestAccumulate:
             h.accumulate(1.01, 0.0)
         with pytest.raises(OutOfRangeError):
             h.accumulate(0.5, -0.01)
+        # Batches are binned in tiles; an overshoot in a later tile still
+        # raises, and nothing of the batch is counted.
+        c = np.full(60_000, 0.5)
+        c[50_001] = 1.5
+        with pytest.raises(OutOfRangeError):
+            h.accumulate_many(c, np.zeros_like(c))
+        assert h.total == 0 and not h.counts.any()
 
     def test_batch_lengths_must_match(self):
         h = JointHistogram(0.01, 0.01)
@@ -149,6 +156,21 @@ class TestDensities:
         h.accumulate_many(gen.random(100_000), gen.random(100_000))
         assert h.marginal("c").integral() == pytest.approx(1.0, abs=1e-9)
         assert h.marginal("i").integral() == pytest.approx(1.0, abs=1e-9)
+
+    def test_narrow_last_bin_density_uses_its_true_width(self):
+        # 0.3 gives 4 bins; the last is [0.9, 1.0], a third as wide as the others.
+        h = JointHistogram(0.3, 0.3)
+        h.accumulate_many([0.1, 0.95, 0.95, 0.5], [0.95, 0.95, 0.2, 0.95])
+        widths = np.diff(np.array([0.0, 0.3, 0.6, 0.9, 1.0]))
+        densities = [
+            h.marginal("c"), h.marginal("i"),
+            h.concurrence_slice(0.0, 1.0), h.mi_slice(0.8, 1.0),
+        ]
+        for density in densities:
+            assert np.sum(density.values * widths) == pytest.approx(1.0, abs=1e-12)
+            assert density.integral() == pytest.approx(1.0, abs=1e-12)
+        assert h.marginal("c").values[3] == pytest.approx(0.5 / 0.1)
+        assert h.marginal("c").values[0] == pytest.approx(0.25 / 0.3)
 
     def test_joint_density_integrates_to_one(self):
         gen = np.random.default_rng(12)

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from entmi import (
+    ConsistencyError,
     DomainError,
     Ensemble,
     JointHistogram,
+    OutOfRangeError,
     SeedSpec,
+    bin_count,
     concurrence,
     entanglement_from_concurrence,
     mutual_information,
     observables,
+    params_to_amplitudes,
     probabilities,
     run_bound_scan,
     run_histogram_job,
     sample_amplitudes,
 )
+from entmi import pipeline, sampling
 from entmi.pipeline import block_plan, resolve_workers
+from entmi.states import xlog2
 
 
 class TestBlockPlan:
@@ -138,3 +144,150 @@ class TestBoundScan:
             assert run_bound_scan(
                 Ensemble.COMPLEX_S7, n, 3, tol=-1.0, workers=workers, block_size=block
             ) == (n, expected)
+
+
+# -- the tiled block kernel ----------------------------------------------------
+#
+# The kernel draws a block whole, then normalizes, computes C and I and bins
+# one tile at a time.  The references below are the whole-block path as it
+# was first written: one generator call per block, a scan of every row per
+# redraw pass, row-wise norms, and C, I and bin indices over the whole block.
+
+TILE = sampling._TILE_ROWS
+DEGENERATE_TOL = 1e-12
+
+
+def _reference_amplitudes(kind, gen, n):
+    if kind is Ensemble.PARAM:
+        u = gen.random((n, 3))
+        u[:, 1] *= 2.0 * np.pi
+        u[:, 2] *= 2.0 * np.pi
+        return params_to_amplitudes(u[:, 0], u[:, 1], u[:, 2])
+    width = 8 if kind is Ensemble.COMPLEX_S7 else 4
+    halves = [[0, 2], [1, 3]] if kind is Ensemble.ZERO_MI else [list(range(width))]
+    draws = gen.standard_normal((n, width))
+    while True:
+        bad = np.unique(np.concatenate([
+            np.flatnonzero(np.abs(draws[:, cols]).max(axis=1) < DEGENERATE_TOL)
+            for cols in halves
+        ]))
+        if bad.size == 0:
+            break
+        draws[bad] = gen.standard_normal((bad.size, width))
+    if kind is Ensemble.ZERO_MI:
+        p, q, r, s = draws.T
+        left, right = np.hypot(p, r), np.hypot(q, s)
+        p, r, q, s = p / left, r / left, q / right, s / right
+        return np.stack([p * q, p * s, r * q, -(r * s)], axis=1)
+    draws /= np.sqrt((draws * draws).sum(axis=1))[:, None]
+    return draws[:, 0::2] + 1j * draws[:, 1::2] if width == 8 else draws
+
+
+def _reference_observables(amps):
+    a, b, c, d = (amps[:, k] for k in range(4))
+    conc = np.minimum(2.0 * np.abs(a * d - b * c), 1.0)
+    p = probabilities(amps)
+    left = -xlog2(p[:, 0] + p[:, 1]) - xlog2(p[:, 2] + p[:, 3])
+    right = -xlog2(p[:, 0] + p[:, 2]) - xlog2(p[:, 1] + p[:, 3])
+    info = np.maximum(left + right - -xlog2(p).sum(axis=1), 0.0)
+    return conc, info
+
+
+def _reference_counts(c, i, delta):
+    nbins = bin_count(delta)
+    idx_c = np.minimum((np.clip(c, 0.0, 1.0) / delta).astype(np.int64), nbins - 1)
+    idx_i = np.minimum((np.clip(i, 0.0, 1.0) / delta).astype(np.int64), nbins - 1)
+    return np.bincount(idx_c * nbins + idx_i, minlength=nbins * nbins).reshape(
+        nbins, nbins
+    )
+
+
+class ZeroedRow:
+    """A generator whose first block draw has row ``row`` zeroed: a degenerate row."""
+
+    def __init__(self, gen, row):
+        self._gen = gen
+        self._row = row
+
+    def standard_normal(self, size=None, out=None):
+        return self._zeroed(self._gen.standard_normal(size, out=out))
+
+    def random(self, size=None, out=None):
+        return self._zeroed(self._gen.random(size, out=out))
+
+    def _zeroed(self, values):
+        if self._row is not None:
+            values[self._row] = 0.0
+            self._row = None
+        return values
+
+
+def _tiled_observables(kind, seed, count):
+    kernel = pipeline._BlockKernel(kind, count)
+    c_all, i_all = np.full(count, np.nan), np.full(count, np.nan)
+    for start, stop, c, i in kernel.pairs(seed, count):
+        c_all[start:stop] = c
+        i_all[start:stop] = i
+    return c_all, i_all
+
+
+class TestTiledKernel:
+    @pytest.mark.parametrize("kind", list(Ensemble))
+    @pytest.mark.parametrize(
+        "count,zeroed",
+        [(1, None), (1_000, None), (TILE, None), (250_000, None),
+         (TILE + 9, TILE + 3), (250_000, 7 * TILE + 11)],
+    )
+    def test_matches_whole_block_reference(self, monkeypatch, kind, count, zeroed):
+        seed = SeedSpec(31, 4)
+        monkeypatch.setattr(
+            pipeline, "stream_generator",
+            lambda s: ZeroedRow(sampling.stream_generator(s), zeroed),
+        )
+        c, i = _tiled_observables(kind, seed, count)
+        amps = _reference_amplitudes(
+            kind, ZeroedRow(sampling.stream_generator(seed), zeroed), count
+        )
+        ref_c, ref_i = _reference_observables(amps)
+        assert np.array_equal(c, ref_c) and np.array_equal(i, ref_i)
+
+    @pytest.mark.parametrize("kind", list(Ensemble))
+    @pytest.mark.parametrize("delta", [0.01, 0.001, 0.3])
+    def test_histogram_share_matches_whole_block_reference(self, kind, delta):
+        blocks = [(5, 250_000), (6, TILE + 1)]
+        counts = pipeline._histogram_share((kind.value, 8, delta, delta, blocks))
+        expected = 0
+        public = JointHistogram(delta, delta)
+        for stream_id, count in blocks:
+            amps = _reference_amplitudes(
+                kind, sampling.stream_generator(SeedSpec(8, stream_id)), count
+            )
+            pairs = _reference_observables(amps)
+            expected = expected + _reference_counts(*pairs, delta)
+            public.accumulate_many(*pairs)
+        assert counts.dtype == np.uint64
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(public.counts, expected)
+
+    @pytest.mark.parametrize(
+        "row_values,error,message",
+        [
+            ([1.0, 0.0, 0.0, 1.0], ConsistencyError, "concurrence"),
+            ([2.0, 0.0, 0.0, 0.0], ConsistencyError, "mutual information"),
+            # MI of (1/e, 0, 0, 1/e) is 2 log2(e) / e = 1.06 bits.
+            ([np.exp(-0.5), 0.0, 0.0, np.exp(-0.5)], OutOfRangeError, "mutual"),
+        ],
+    )
+    def test_bad_row_in_a_later_tile_raises(self, monkeypatch, row_values, error, message):
+        row = 3 * TILE + 7
+        amplitudes = sampling.SampleBlock.amplitudes
+
+        def corrupted(self, start, stop):
+            amps = amplitudes(self, start, stop)
+            if start <= row < stop:
+                amps[row - start] = row_values
+            return amps
+
+        monkeypatch.setattr(sampling.SampleBlock, "amplitudes", corrupted)
+        with pytest.raises(error, match=message):
+            run_histogram_job(Ensemble.REAL_S3, 250_000, 2, 0.01, 0.01, workers=1)

@@ -263,6 +263,18 @@ def _hand_built_rows(width, rng):
     return np.array(rows)
 
 
+def _draw_real_sphere(gen, n):
+    return sampling._take(Ensemble.REAL_S3, gen, n)
+
+
+def _draw_complex_sphere(gen, n):
+    return sampling._take(Ensemble.COMPLEX_S7, gen, n)
+
+
+def _draw_zero_mi(gen, n):
+    return sampling._take(Ensemble.ZERO_MI, gen, n)
+
+
 class ScriptedGenerator:
     """Stands in for a Generator: ``standard_normal`` returns scripted blocks."""
 
@@ -270,11 +282,15 @@ class ScriptedGenerator:
         self._blocks = [np.array(b, dtype=np.float64) for b in blocks]
         self.shapes = []
 
-    def standard_normal(self, shape):
-        self.shapes.append(tuple(shape))
+    def standard_normal(self, shape=None, out=None):
+        shape = out.shape if out is not None else tuple(shape)
+        self.shapes.append(shape)
         block = self._blocks.pop(0)
-        assert block.shape == tuple(shape), "drawer asked for an unscripted shape"
-        return block.copy()
+        assert block.shape == shape, "drawer asked for an unscripted shape"
+        if out is None:
+            return block.copy()
+        out[...] = block
+        return out
 
 
 class TestDegenerateScreen:
@@ -325,8 +341,8 @@ class TestDegenerateScreen:
     @pytest.mark.parametrize(
         "drawer,reference,width",
         [
-            (sampling._draw_real_sphere, lambda g, n: _reference_sphere(g, n, 4), 4),
-            (sampling._draw_complex_sphere, _reference_complex_sphere, 8),
+            (_draw_real_sphere, lambda g, n: _reference_sphere(g, n, 4), 4),
+            (_draw_complex_sphere, _reference_complex_sphere, 8),
         ],
     )
     def test_sphere_redraw_matches_reference(self, drawer, reference, width):
@@ -348,7 +364,7 @@ class TestDegenerateScreen:
         again[5, [0, 2]] = 1e-13
         script = [first, again, rng.standard_normal((2, 4))]
         new_gen, old_gen = ScriptedGenerator(script), ScriptedGenerator(script)
-        new = sampling._draw_zero_mi(new_gen, len(first))
+        new = _draw_zero_mi(new_gen, len(first))
         old = _reference_zero_mi(old_gen, len(first))
         assert new_gen.shapes == old_gen.shapes == [(14, 4), (8, 4), (2, 4)]
         assert np.array_equal(new, old)
