@@ -8,16 +8,7 @@ the ridge of the joint density) plus an executable verification suite
 make the sampled statistics checkable end to end.
 """
 
-from .curves import (
-    MIExtrema,
-    RidgePoint,
-    entanglement_bound,
-    mi_extrema,
-    mi_from_angles,
-    ridge_concurrence,
-    ridge_mi,
-    ridge_point,
-)
+from .curves import MIExtrema, mi_extrema, mi_from_angles, ridge_concurrence, ridge_mi
 from .errors import (
     ConsistencyError,
     ConvergenceError,
@@ -30,7 +21,6 @@ from .errors import (
     NotNormalizedError,
     OutOfRangeError,
     ShapeMismatchError,
-    ZeroVectorError,
 )
 from .histogram import (
     Density1D,
@@ -39,37 +29,15 @@ from .histogram import (
     bin_count,
     load_histogram,
     write_density_csv,
-    write_slice_stats_csv,
 )
-from .pipeline import (
-    BLOCK_SIZE,
-    BOUND_TOL,
-    observables,
-    run_bound_scan,
-    run_histogram_job,
-)
-from .sampling import (
-    Ensemble,
-    EnsembleSpec,
-    SeedSpec,
-    StateStream,
-    sample_amplitudes,
-    sample_complex_sphere,
-    sample_real_sphere,
-    sample_uniform_params,
-    sample_zero_mi_family,
-    stream_generator,
-)
+from .pipeline import BLOCK_SIZE, run_histogram_job
+from .sampling import Ensemble, SeedSpec, sample_amplitudes, stream_generator
 from .states import (
-    ParamState,
-    TwoQubitState,
     binary_entropy,
     concurrence,
     concurrence_polar,
     entanglement_entropy,
     entanglement_from_concurrence,
-    from_params,
-    make_state,
     marginal_entropies,
     mutual_information,
     params_to_amplitudes,
@@ -77,6 +45,7 @@ from .states import (
     total_entropy,
 )
 from .verify import (
+    BOUND_TOL,
     VerificationReport,
     check_angle_oracle,
     check_bound,
@@ -97,7 +66,6 @@ __all__ = [
     "EmptyHistogramError",
     "EmptySliceError",
     "Ensemble",
-    "EnsembleSpec",
     "EntmiError",
     "HistogramFormatError",
     "InsufficientDataError",
@@ -105,15 +73,10 @@ __all__ = [
     "MIExtrema",
     "NotNormalizedError",
     "OutOfRangeError",
-    "ParamState",
-    "RidgePoint",
     "SeedSpec",
     "ShapeMismatchError",
     "SliceStats",
-    "StateStream",
-    "TwoQubitState",
     "VerificationReport",
-    "ZeroVectorError",
     "bin_count",
     "binary_entropy",
     "check_angle_oracle",
@@ -122,32 +85,21 @@ __all__ = [
     "check_zero_mi_family",
     "concurrence",
     "concurrence_polar",
-    "entanglement_bound",
     "entanglement_entropy",
     "entanglement_from_concurrence",
-    "from_params",
     "load_histogram",
-    "make_state",
     "marginal_entropies",
     "mi_extrema",
     "mi_from_angles",
     "mutual_information",
-    "observables",
     "params_to_amplitudes",
     "probabilities",
     "ridge_concurrence",
     "ridge_mi",
-    "ridge_point",
-    "run_bound_scan",
     "run_histogram_job",
     "sample_amplitudes",
-    "sample_complex_sphere",
-    "sample_real_sphere",
-    "sample_uniform_params",
-    "sample_zero_mi_family",
     "stream_generator",
     "total_entropy",
     "write_density_csv",
     "write_reports_jsonl",
-    "write_slice_stats_csv",
 ]

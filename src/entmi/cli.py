@@ -9,14 +9,16 @@ byte-identical output files; the worker count (``--workers`` or the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-from .curves import entanglement_bound, ridge_concurrence, ridge_point
+from .curves import ridge_concurrence, ridge_mi
 from .errors import DomainError, EntmiError, InsufficientDataError
 from .histogram import JointHistogram, load_histogram, write_density_csv
 from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec
+from .states import entanglement_from_concurrence
 from .verify import (
     RIDGE_MIN_TOTAL,
     check_angle_oracle,
@@ -191,13 +193,11 @@ def _cmd_table(parser, args) -> int:
         parser.error("--centers must be a comma-separated list of numbers")
     if not centers:
         parser.error("--centers is empty")
-    if args.halfwidth <= 0:
-        parser.error("--halfwidth must be positive")
-    try:
-        hist = load_histogram(args.hist)
-    except OSError as exc:
-        print(f"error: cannot read {args.hist}: {exc}", file=sys.stderr)
-        return _EXIT_IO
+    if not all(math.isfinite(center) for center in centers):
+        parser.error("--centers must be finite numbers")
+    if not 0 < args.halfwidth < math.inf:
+        parser.error("--halfwidth must be positive and finite")
+    hist = load_histogram(args.hist)
     lines = ["i_center,c_star,ridge_c,mean_c,std_c,count"]
     for center in centers:
         inverse = ridge_concurrence(center) if 0.0 <= center <= 1.0 else float("nan")
@@ -217,8 +217,8 @@ def _cmd_curve(parser, args) -> int:
         parser.error("--points must be at least 2")
     rows = ["c,ridge_i,bound_e"]
     for k in range(args.points):
-        point = ridge_point(k / (args.points - 1))
-        rows.append(f"{point.c!r},{point.i!r},{entanglement_bound(point.c)!r}")
+        c = k / (args.points - 1)
+        rows.append(f"{c!r},{ridge_mi(c)!r},{entanglement_from_concurrence(c)!r}")
     return _write_output(args.out, lambda out: out.write("\n".join(rows) + "\n"))
 
 
@@ -258,11 +258,7 @@ def _cmd_verify(parser, args) -> int:
                 reports.append(check_angle_oracle(args.n, seed, workers=workers))
             elif name == "ridge":
                 if args.hist is not None:
-                    try:
-                        hist = load_histogram(args.hist)
-                    except OSError as exc:
-                        print(f"error: cannot read {args.hist}: {exc}", file=sys.stderr)
-                        return _EXIT_IO
+                    hist = load_histogram(args.hist)
                 else:
                     hist = run_histogram_job(
                         Ensemble.REAL_S3, args.n, args.seed, 0.01, 0.01, workers=workers
@@ -279,11 +275,7 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_marginal(parser, args) -> int:
-    try:
-        hist = load_histogram(args.hist)
-    except OSError as exc:
-        print(f"error: cannot read {args.hist}: {exc}", file=sys.stderr)
-        return _EXIT_IO
+    hist = load_histogram(args.hist)
     try:
         density = hist.marginal(args.axis)
     except EntmiError as exc:
@@ -292,11 +284,7 @@ def _cmd_marginal(parser, args) -> int:
 
 
 def _cmd_conditional(parser, args) -> int:
-    try:
-        hist = load_histogram(args.hist)
-    except OSError as exc:
-        print(f"error: cannot read {args.hist}: {exc}", file=sys.stderr)
-        return _EXIT_IO
+    hist = load_histogram(args.hist)
     try:
         if args.axis == "c":
             density = hist.concurrence_slice(args.lo, args.hi)
@@ -325,6 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     except EntmiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except OSError as exc:
+        # A --hist file that cannot be read (writes fail in _write_output);
+        # the message names the file.
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_IO
 
 
 def entry_point() -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .states import binary_entropy, entanglement_from_concurrence, xlog2
+from .states import binary_entropy, xlog2
 
 _BISECT_MAX_ITER = 200
 
@@ -90,19 +90,6 @@ def ridge_concurrence(info, tol: float = 1e-12) -> float:
 
 
 @dataclass(frozen=True)
-class RidgePoint:
-    """A point (c, i) on the ridge curve, with i = ridge_mi(c)."""
-
-    c: float
-    i: float
-
-
-def ridge_point(c: float) -> RidgePoint:
-    """The ridge-curve point above concurrence ``c``."""
-    return RidgePoint(c=float(c), i=ridge_mi(float(c)))
-
-
-@dataclass(frozen=True)
 class MIExtrema:
     """Angles where the two-angle mutual information is stationary.
 
@@ -127,12 +114,3 @@ def mi_extrema(delta: float, index: int = 0) -> MIExtrema:
         alpha_max=0.5 * (delta + (index + 0.5) * np.pi),
         alpha_min=0.5 * (delta + index * np.pi),
     )
-
-
-def entanglement_bound(c):
-    """Upper bound E(C) on post-measurement mutual information.
-
-    Alias for :func:`entanglement_from_concurrence`; the ridge curve lies
-    strictly below this bound for 0 < C < 1.
-    """
-    return entanglement_from_concurrence(c)

@@ -5,10 +5,6 @@ class EntmiError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroVectorError(EntmiError, ValueError):
-    """All amplitudes are numerically zero; the state cannot be normalized."""
-
-
 class NotNormalizedError(EntmiError, ValueError):
     """Squared amplitudes do not sum to 1 within tolerance."""
 

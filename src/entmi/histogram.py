@@ -13,9 +13,8 @@ Joint histogram CSV: a header line
 
 optionally followed by further ``#`` comment lines (callers may add
 self-describing metadata), then one ``c_bin_index,i_bin_index,count``
-row per nonzero bin in row-major order.  Densities serialize as
-``bin_center,density`` rows, slice statistics as
-``i_center,c_star,mean_c,std_c,count`` rows.
+row per nonzero bin in row-major order.  Everything after the header
+line is ASCII.  Densities serialize as ``bin_center,density`` rows.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -57,6 +56,8 @@ def bin_count(delta: float) -> int:
     """Number of bins of width ``delta`` needed to cover [0, 1]."""
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"bin width {delta!r} outside (0, 1]")
+    if not math.isfinite(1.0 / delta):
+        raise DomainError(f"bin width {delta!r} too small: 1/width overflows")
     if _tiles_unit_interval(delta):
         return int(round(1.0 / delta))
     return int(math.ceil(1.0 / delta))
@@ -95,8 +96,10 @@ def _bin_indices_into(values: np.ndarray, delta: float, nbins: int, out) -> None
 
 
 def _check_unit_interval(values: np.ndarray, what: str) -> None:
-    if values.size and (
-        np.min(values) < -_EDGE_TOL or np.max(values) > 1.0 + _EDGE_TOL
+    # NaN propagates through min/max and fails both comparisons, so it is
+    # out of range too instead of being cast to some bin index.
+    if values.size and not (
+        np.min(values) >= -_EDGE_TOL and np.max(values) <= 1.0 + _EDGE_TOL
     ):
         raise OutOfRangeError(f"{what} values outside [0, 1] beyond tolerance")
 
@@ -380,9 +383,12 @@ class JointHistogram:
         """Histogram from (c_index, i_index, count) rows of a uint64 array.
 
         Repeated bins add up.  Raises ``HistogramFormatError`` when the
-        bin widths give no grid that can be allocated, an index lies
-        outside the grid or the counts do not sum to the declared total.
+        declared total lies outside [0, 2**64), the bin widths give no grid
+        that can be allocated, an index lies outside the grid or the counts
+        do not sum to the declared total.
         """
+        if not 0 <= declared_total < 2**64:
+            raise HistogramFormatError(f"total {declared_total} outside [0, 2**64)")
         try:
             hist = cls(delta_c, delta_i)
         except DomainError as exc:
@@ -392,13 +398,15 @@ class JointHistogram:
             raise HistogramFormatError(
                 f"bin index outside the {hist.nbins_c}x{hist.nbins_i} grid"
             )
-        np.add.at(hist.counts, (rows.astype(np.intp), cols.astype(np.intp)), values)
-        hist.total = int(hist.counts.sum())
-        if hist.total != declared_total:
+        # The exact sum, from 32-bit halves: a uint64 sum would wrap at 2**64.
+        total = (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+        if total != declared_total:
             raise HistogramFormatError(
                 f"histogram corrupt: header total {declared_total} != "
-                f"sum of counts {hist.total}"
+                f"sum of counts {total}"
             )
+        np.add.at(hist.counts, (rows.astype(np.intp), cols.astype(np.intp)), values)
+        hist.total = total
         return hist
 
     @classmethod
@@ -421,6 +429,13 @@ class JointHistogram:
             declared_total = int(fields["total"])
         except (KeyError, ValueError):
             raise HistogramFormatError(f"malformed header line {header!r}") from None
+        # numpy's loadtxt can crash the interpreter on a field holding a
+        # code point such as U+10FFFF, so it only ever sees ASCII.  Reading
+        # the file twice costs less than handing loadtxt a string buffer.
+        start = stream.tell()
+        if not stream.read().isascii():
+            raise HistogramFormatError("non-ASCII text after the header line")
+        stream.seek(start)
         try:
             with warnings.catch_warnings():
                 # An empty histogram has no rows; loadtxt warns about that.
@@ -439,14 +454,24 @@ class JointHistogram:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "JointHistogram":
         try:
-            delta_c = float(payload["delta_c"])
-            delta_i = float(payload["delta_i"])
-            declared_total = int(payload["total"])
-            bins = payload["bins"]
-        except (KeyError, TypeError, ValueError):
+            delta_c, delta_i, declared_total, bins = (
+                payload[key] for key in ("delta_c", "delta_i", "total", "bins")
+            )
+        except (KeyError, TypeError):
             raise HistogramFormatError(
-                "histogram JSON needs numeric delta_c, delta_i, total and a bins list"
+                "histogram JSON needs delta_c, delta_i, total and bins"
             ) from None
+        # Comparing before any float() keeps NaN, infinities and integers too
+        # large for a float out; bool is not a number here.
+        if not all(
+            type(delta) in (int, float) and 0 < delta <= 1
+            for delta in (delta_c, delta_i)
+        ):
+            raise HistogramFormatError(
+                "histogram JSON delta_c and delta_i must be numbers in (0, 1]"
+            )
+        if type(declared_total) is not int:
+            raise HistogramFormatError("histogram JSON total must be an integer")
         if not isinstance(bins, list) or not all(
             isinstance(row, list)
             and len(row) == 3
@@ -462,13 +487,13 @@ class JointHistogram:
             raise HistogramFormatError(
                 "histogram JSON bin values must lie in [0, 2**64)"
             ) from None
-        return cls._from_bins(delta_c, delta_i, declared_total, bins)
+        return cls._from_bins(float(delta_c), float(delta_i), declared_total, bins)
 
     @classmethod
     def read_json(cls, stream: IO[str]) -> "JointHistogram":
         try:
             payload = json.load(stream)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise HistogramFormatError(f"invalid histogram JSON: {exc}") from None
         return cls.from_json_dict(payload)
 
@@ -498,12 +523,3 @@ def write_density_csv(density: Density1D, stream: IO[str]) -> None:
     stream.write("bin_center,density\n")
     for center, value in zip(density.centers.tolist(), density.values.tolist()):
         stream.write(f"{center!r},{value!r}\n")
-
-
-def write_slice_stats_csv(rows: Iterable[SliceStats], stream: IO[str]) -> None:
-    """Emit ``i_center,c_star,mean_c,std_c,count`` rows."""
-    stream.write("i_center,c_star,mean_c,std_c,count\n")
-    for row in rows:
-        stream.write(
-            f"{row.i_center!r},{row.c_star!r},{row.mean_c!r},{row.std_c!r},{row.count}\n"
-        )

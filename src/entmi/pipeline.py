@@ -19,36 +19,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .histogram import JointHistogram
 from .sampling import Ensemble, SampleBlock, SeedSpec, stream_generator
-from .states import (
-    _concurrence_into,
-    _mutual_information_into,
-    _probabilities_into,
-    concurrence,
-    entanglement_from_concurrence,
-    mutual_information,
-    probabilities,
-)
+from .states import _concurrence_into, _mutual_information_into, _probabilities_into
 
 BLOCK_SIZE = 250_000
-
-# Excess of MI over the entanglement bound tolerated before a sample
-# counts as a violation.
-BOUND_TOL = 1e-9
-
-
-def observables(amplitudes) -> tuple[np.ndarray, np.ndarray]:
-    """(concurrence, mutual information) arrays for a batch of states."""
-    return (
-        np.atleast_1d(concurrence(amplitudes)),
-        np.atleast_1d(mutual_information(probabilities(amplitudes))),
-    )
 
 
 def block_plan(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
@@ -104,7 +83,8 @@ class _BlockKernel:
     Each block is drawn whole, so the generator is consumed exactly as
     one ``sample_amplitudes`` call would; every later step (normalize,
     concurrence, probabilities, MI) runs per tile and computes, element
-    for element, what :func:`observables` computes on the whole block.
+    for element, what the public ``concurrence``, ``probabilities`` and
+    ``mutual_information`` compute on the whole block.
     """
 
     def __init__(self, kind: Ensemble, capacity: int):
@@ -234,31 +214,3 @@ def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
         return excess[:count]
 
     return excess_of
-
-
-def _bound_excess(tol: float, c: np.ndarray, i: np.ndarray) -> np.ndarray:
-    return i - entanglement_from_concurrence(c) - tol
-
-
-def run_bound_scan(
-    kind: Ensemble,
-    n: int,
-    master_seed: int,
-    tol: float = BOUND_TOL,
-    workers: int | None = None,
-    base_stream: int = 0,
-    block_size: int = BLOCK_SIZE,
-) -> tuple[int, float]:
-    """Count samples whose MI exceeds the entanglement bound plus ``tol``.
-
-    Returns (violations, max_excess) where max_excess is the largest
-    amount by which any sample exceeded the tolerated bound (clipped at
-    zero when there are no violations).
-    """
-    return scan_excess(
-        partial(tile_excess, Ensemble(kind).value, partial(_bound_excess, tol)),
-        n,
-        SeedSpec(master_seed, base_stream),
-        workers,
-        block_size,
-    )

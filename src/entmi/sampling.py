@@ -57,9 +57,6 @@ class SeedSpec:
             if not 0 <= int(value) < _UINT64_LIMIT:
                 raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
 
-    def with_stream(self, stream_id: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_id)
-
 
 class Ensemble(str, Enum):
     """Supported random-state ensembles."""
@@ -68,19 +65,6 @@ class Ensemble(str, Enum):
     COMPLEX_S7 = "complex-s7"
     PARAM = "param"
     ZERO_MI = "zero-mi"
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A fully specified sampling run: what, how many, from which stream."""
-
-    kind: Ensemble
-    n: int
-    seed: SeedSpec
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("sample count must be at least 1")
 
 
 def stream_generator(seed: SeedSpec) -> np.random.Generator:
@@ -321,49 +305,15 @@ def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
     return block._draws.view(block.dtype)
 
 
-class StateStream:
-    """Incremental sampler over one (master_seed, stream_id) stream.
-
-    A stream object is single-owner: share nothing, create one stream
-    per worker.  Splitting a draw into several ``take`` calls returns
-    exactly the same values as one combined call.
-    """
-
-    def __init__(self, kind: Ensemble, seed: SeedSpec):
-        self.kind = Ensemble(kind)
-        self.seed = seed
-        self._gen = stream_generator(seed)
-
-    def take(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise DomainError("sample count must be at least 1")
-        return _take(self.kind, self._gen, int(n))
-
-
-def sample_real_sphere(seed: SeedSpec, n: int) -> np.ndarray:
-    """n real-amplitude states uniform on the unit sphere in R^4, shape (n, 4)."""
-    return StateStream(Ensemble.REAL_S3, seed).take(n)
-
-
-def sample_complex_sphere(seed: SeedSpec, n: int) -> np.ndarray:
-    """n complex-amplitude states uniform on the unit sphere in C^4, shape (n, 4)."""
-    return StateStream(Ensemble.COMPLEX_S7, seed).take(n)
-
-
-def sample_uniform_params(seed: SeedSpec, n: int) -> np.ndarray:
-    """n parameter triples (y, alpha, beta), shape (n, 3)."""
-    return StateStream(Ensemble.PARAM, seed).take(n)
-
-
-def sample_zero_mi_family(seed: SeedSpec, n: int) -> np.ndarray:
-    """n states with |ad| = |bc| (zero mutual information), shape (n, 4)."""
-    return StateStream(Ensemble.ZERO_MI, seed).take(n)
-
-
 def sample_amplitudes(kind: Ensemble, seed: SeedSpec, n: int) -> np.ndarray:
-    """Amplitudes for any ensemble, mapping parameter triples to states."""
+    """The first ``n`` states of ensemble ``kind`` on stream ``seed``, shape (n, 4).
+
+    Parameter triples of ``param`` are mapped to their real amplitudes.
+    """
+    if n < 1:
+        raise DomainError("sample count must be at least 1")
     kind = Ensemble(kind)
-    draws = StateStream(kind, seed).take(n)
+    draws = _take(kind, stream_generator(seed), int(n))
     if kind is Ensemble.PARAM:
         return params_to_amplitudes(draws[:, 0], draws[:, 1], draws[:, 2])
     return draws

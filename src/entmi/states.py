@@ -8,18 +8,15 @@ quantities below (total/marginal Shannon entropies, mutual information)
 are computed from it in bits.  Concurrence 2|ad - bc| and the von Neumann
 entropy of either reduced qubit quantify the quantum correlation.
 
-All observable functions accept either a :class:`TwoQubitState` or a
-plain array whose last axis holds the four amplitudes, so large batches
-can be processed without per-state objects.
+All observable functions take an array whose last axis holds the four
+amplitudes, so one call processes a single state or a whole batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, NotNormalizedError, ZeroVectorError
+from .errors import ConsistencyError, DomainError, NotNormalizedError
 
 # |sum of squared moduli - 1| must stay below this for a valid state.
 NORM_TOL = 1e-12
@@ -49,80 +46,13 @@ def _scalarize(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _check_finite(values, what="amplitudes"):
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must be finite (no NaN/Inf)")
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Normalized pure state a|00> + b|01> + c|10> + d|11>."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        amps = np.array([self.a, self.b, self.c, self.d], dtype=np.complex128)
-        _check_finite(amps.view(np.float64))
-        norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if norm2 < 1e-24:
-            raise ZeroVectorError("state vector is numerically zero")
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise NotNormalizedError(
-                f"squared amplitudes sum to {norm2!r}, not 1 within {NORM_TOL}"
-            )
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Amplitudes as a length-4 complex array (a, b, c, d)."""
-        return np.array([self.a, self.b, self.c, self.d], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class ParamState:
-    """Angle parametrization of a real-amplitude state.
-
-    Amplitudes are (A cos(alpha), A sin(alpha), B cos(beta), B sin(beta))
-    with A = sqrt(y) and B = sqrt(1 - y), so the norm is 1 by construction.
-    Angles are unrestricted; y must lie in [0, 1].
-    """
-
-    y: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_finite(np.array([self.y, self.alpha, self.beta]), "parameters")
-        if not 0.0 <= self.y <= 1.0:
-            raise DomainError(f"y={self.y!r} outside [0, 1]")
-
-
-def make_state(a, b, c, d, normalize: bool = False) -> TwoQubitState:
-    """Build a :class:`TwoQubitState` from four complex amplitudes.
-
-    With ``normalize=True`` the amplitudes are rescaled to unit norm;
-    otherwise they must already be normalized within ``NORM_TOL``.
-
-    Raises ``ZeroVectorError`` if all amplitudes are numerically zero and
-    ``NotNormalizedError`` if ``normalize`` is off and the norm is not 1.
-    """
-    amps = np.array([a, b, c, d], dtype=np.complex128)
-    _check_finite(amps.view(np.float64))
-    norm = float(np.sqrt(np.sum(amps.real**2 + amps.imag**2)))
-    if norm < 1e-12:
-        raise ZeroVectorError("cannot build a state from an all-zero vector")
-    if normalize:
-        amps = amps / norm
-    return TwoQubitState(*(complex(x) for x in amps))
-
-
 def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
-    """Vectorized amplitude construction for the angle parametrization.
+    """Real amplitudes of the angle parametrization of a two-qubit state.
 
-    Broadcasts y, alpha, beta and returns real amplitudes stacked on the
-    last axis.  y outside [0, 1] raises ``DomainError``.
+    (sqrt(y) cos(alpha), sqrt(y) sin(alpha), sqrt(1-y) cos(beta),
+    sqrt(1-y) sin(beta)) has unit norm by construction.  Broadcasts y,
+    alpha, beta and stacks the amplitudes on the last axis; angles are
+    unrestricted, and y outside [0, 1] raises ``DomainError``.
     """
     y, alpha, beta = np.broadcast_arrays(
         np.asarray(y, dtype=np.float64),
@@ -144,15 +74,7 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
     )
 
 
-def from_params(p: ParamState) -> TwoQubitState:
-    """Scalar version of :func:`params_to_amplitudes` returning a state."""
-    amps = params_to_amplitudes(p.y, p.alpha, p.beta)
-    return TwoQubitState(*(complex(x) for x in amps))
-
-
 def _amplitudes_of(state) -> np.ndarray:
-    if isinstance(state, TwoQubitState):
-        return state.amplitudes
     arr = np.asarray(state)
     if arr.ndim == 0 or arr.shape[-1] != 4:
         raise ValueError("expected four amplitudes on the last axis")

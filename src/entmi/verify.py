@@ -17,9 +17,18 @@ import numpy as np
 from .curves import mi_from_angles, ridge_mi
 from .errors import DomainError, InsufficientDataError
 from .histogram import JointHistogram
-from .pipeline import BOUND_TOL, run_bound_scan, scan_excess, tile_excess
+from .pipeline import scan_excess, tile_excess
 from .sampling import Ensemble, SeedSpec, _tiles, stream_generator
-from .states import mutual_information, params_to_amplitudes, probabilities
+from .states import (
+    entanglement_from_concurrence,
+    mutual_information,
+    params_to_amplitudes,
+    probabilities,
+)
+
+# MI may exceed the entanglement bound by this much before a sample
+# counts as a violation.
+BOUND_TOL = 1e-9
 
 # Zero-MI family states must have MI at most this.
 ZERO_MI_TOL = 1e-12
@@ -61,6 +70,10 @@ def write_reports_jsonl(reports: Iterable[VerificationReport], stream: IO[str]) 
         stream.write("\n")
 
 
+def _bound_excess(tol: float, c: np.ndarray, i: np.ndarray) -> np.ndarray:
+    return i - entanglement_from_concurrence(c) - tol
+
+
 def check_bound(
     n: int,
     seed: SeedSpec,
@@ -71,9 +84,11 @@ def check_bound(
     if n < 1:
         raise DomainError("sample count must be at least 1")
     kind = Ensemble(kind)
-    violations, max_excess = run_bound_scan(
-        kind, n, seed.master_seed, tol=BOUND_TOL,
-        workers=workers, base_stream=seed.stream_id,
+    violations, max_excess = scan_excess(
+        partial(tile_excess, kind.value, partial(_bound_excess, BOUND_TOL)),
+        n,
+        seed,
+        workers,
     )
     return VerificationReport(
         name=f"bound[{kind.value}]",

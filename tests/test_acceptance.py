@@ -43,7 +43,6 @@ from entmi import (
     ridge_mi,
     run_histogram_job,
     sample_amplitudes,
-    sample_zero_mi_family,
     stream_generator,
 )
 
@@ -188,7 +187,7 @@ def test_criterion_5_information_bound():
 
 
 def test_criterion_6_zero_mi_family():
-    amps = sample_zero_mi_family(SeedSpec(SEED_ZERO_MI), 100_000)
+    amps = sample_amplitudes(Ensemble.ZERO_MI, SeedSpec(SEED_ZERO_MI), 100_000)
     info = np.atleast_1d(mutual_information(probabilities(amps)))
     fraction = float(np.mean(concurrence(amps) > 0.01))
     identity_ok = float(info.max()) <= 1e-12

@@ -1,0 +1,42 @@
+"""The public surface: ``entmi.__all__`` and the README's library quick start."""
+
+import re
+from pathlib import Path
+
+import entmi
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# What the CLI, the README, the verify checks and the benchmark use, plus
+# the exceptions, result types and independent reference routes.
+PUBLIC = {
+    "BLOCK_SIZE", "BOUND_TOL", "ConsistencyError", "ConvergenceError", "Density1D",
+    "DomainError", "EmptyHistogramError", "EmptySliceError", "Ensemble", "EntmiError",
+    "HistogramFormatError", "InsufficientDataError", "JointHistogram", "MIExtrema",
+    "NotNormalizedError", "OutOfRangeError", "SeedSpec", "ShapeMismatchError",
+    "SliceStats", "VerificationReport", "bin_count", "binary_entropy",
+    "check_angle_oracle", "check_bound", "check_ridge", "check_zero_mi_family",
+    "concurrence", "concurrence_polar", "entanglement_entropy",
+    "entanglement_from_concurrence", "load_histogram", "marginal_entropies",
+    "mi_extrema", "mi_from_angles", "mutual_information", "params_to_amplitudes",
+    "probabilities", "ridge_concurrence", "ridge_mi", "run_histogram_job",
+    "sample_amplitudes", "stream_generator", "total_entropy", "write_density_csv",
+    "write_reports_jsonl",
+}
+
+
+def test_public_surface_and_readme_quick_start(capsys):
+    assert len(entmi.__all__) == len(PUBLIC)
+    assert set(entmi.__all__) == PUBLIC
+
+    namespace = {}
+    exec(f"from entmi import {', '.join(entmi.__all__)}", namespace)
+    assert all(namespace[name] is getattr(entmi, name) for name in PUBLIC)
+
+    block = re.search(
+        r"## Library quick start\n\n```python\n(.*?)```", README.read_text(), re.S
+    ).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    stats, inverse = capsys.readouterr().out.splitlines()
+    assert stats.startswith("SliceStats(i_center=0.5,")
+    assert float(inverse) == entmi.ridge_concurrence(0.5)

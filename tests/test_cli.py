@@ -79,13 +79,18 @@ class TestSample:
         assert payload["meta"]["ensemble"] == "real-s3"
         assert load_histogram(out).total == 10000
 
-    def test_invalid_arguments_exit_2(self, run_cli, tmp_path):
+    def test_invalid_arguments_exit_2(self, run_cli, tmp_path, capsys):
         out = str(tmp_path / "h.csv")
         assert run_cli(["sample", "--ensemble", "bogus", "--out", out]) == 2
         assert run_cli(["sample", "--n", "0", "--out", out]) == 2
         assert run_cli(["sample", "--bins", "0", "--out", out]) == 2
         assert run_cli(["sample", "--bins", "2", "--out", out]) == 2
         assert run_cli(["sample", "--workers", "0", "--out", out]) == 2
+        capsys.readouterr()
+        # A subnormal width passes the (0, 1] check, but 1/width overflows.
+        assert run_cli(["sample", "--bins", "5e-324", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unwritable_path_exits_3(self, run_cli):
         assert run_cli(
@@ -148,6 +153,28 @@ class TestTable:
         assert run_cli(
             ["table", "--hist", str(sampled_hist), "--centers", "a,b"]
         ) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_halfwidth_exit_2(self, run_cli, sampled_hist, capsys, value):
+        assert run_cli(
+            ["table", "--hist", str(sampled_hist), "--halfwidth", value]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: --halfwidth must be positive and finite"
+        )
+
+    @pytest.mark.parametrize("centers", ["nan,0.5", "0.5,inf", "0.1,-inf"])
+    def test_non_finite_centers_exit_2(self, run_cli, sampled_hist, capsys, centers):
+        assert run_cli(
+            ["table", "--hist", str(sampled_hist), "--centers", centers]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: --centers must be finite numbers"
+        )
 
 
 class TestCurve:
@@ -309,6 +336,12 @@ _MALFORMED = [
     # A 10^9 x 10^9 grid cannot be allocated (numpy asks for 6.94 EiB).
     ("unallocatable-grid.csv", "# joint_histogram delta_c=1e-9 delta_i=1e-9 total=0\n"),
     ("zero-bin-width.json", '{"delta_c":0.0,"delta_i":0.5,"total":0,"bins":[]}'),
+    # 1/5e-324 overflows to inf, so the width has no bin count.
+    ("subnormal-bin-width.csv", "# joint_histogram delta_c=5e-324 delta_i=0.5 total=0\n"),
+    ("infinite-total.json", '{"delta_c":0.5,"delta_i":0.5,"total":Infinity,"bins":[[0,0,5]]}'),
+    ("overflowing-total.json", '{"delta_c":0.5,"delta_i":0.5,"total":1e400,"bins":[[0,0,5]]}'),
+    ("fractional-total.json", '{"delta_c":0.5,"delta_i":0.5,"total":1.7,"bins":[[0,0,1]]}'),
+    ("non-ascii-row.csv", _HEADER + "0,0,\U0010ffff\n"),
 ]
 
 
@@ -320,8 +353,27 @@ class TestMalformedHistogram:
     )
     def test_exit_2_with_one_line(self, run_cli, tmp_path, capsys, name, content):
         path = tmp_path / name
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         assert run_cli(["marginal", "--hist", str(path), "--axis", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table"],
+            ["marginal", "--axis", "c"],
+            ["conditional", "--axis", "c", "--lo", "0.1", "--hi", "0.2"],
+            ["verify", "--check", "ridge"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unreadable_histogram_exit_3_with_one_line(
+        self, run_cli, tmp_path, capsys, argv
+    ):
+        path = tmp_path / "absent.csv"
+        assert run_cli(argv + ["--hist", str(path), "--out", "-"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err

@@ -6,7 +6,6 @@ import pytest
 from entmi import (
     ConvergenceError,
     DomainError,
-    entanglement_bound,
     entanglement_from_concurrence,
     marginal_entropies,
     mi_extrema,
@@ -16,7 +15,6 @@ from entmi import (
     probabilities,
     ridge_concurrence,
     ridge_mi,
-    ridge_point,
 )
 
 # 40-digit reference evaluations of the ridge curve and the bound.
@@ -49,6 +47,9 @@ class TestRidge:
         assert ridge_mi(0.37) == pytest.approx(RIDGE_AT_037, abs=1e-15)
         assert round(ridge_mi(0.37), 2) == 0.10
         assert ridge_mi(0.5) == pytest.approx(RIDGE_AT_05, abs=1e-15)
+        assert entanglement_from_concurrence(0.5) == pytest.approx(
+            BOUND_AT_05, abs=1e-15
+        )
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -63,21 +64,12 @@ class TestRidge:
     def test_sandwich_between_zero_and_bound(self):
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         ridge = ridge_mi(grid)
-        bound = entanglement_bound(grid)
+        bound = entanglement_from_concurrence(grid)
         assert np.all(ridge >= 0.0)
         assert np.all(ridge <= bound + 1e-15)
         interior = (grid > 0) & (grid < 1)
         assert np.all(ridge[interior] > 0.0)
         assert np.all(ridge[interior] < bound[interior])
-
-    def test_bound_alias(self):
-        assert entanglement_bound(0.5) == entanglement_from_concurrence(0.5)
-        assert entanglement_bound(0.5) == pytest.approx(BOUND_AT_05, abs=1e-15)
-
-    def test_ridge_point(self):
-        point = ridge_point(0.37)
-        assert point.c == 0.37
-        assert point.i == ridge_mi(0.37)
 
 
 class TestInverse:

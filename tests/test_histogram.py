@@ -2,6 +2,7 @@
 
 import io
 import json
+import string
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from entmi import (
     DomainError,
     EmptyHistogramError,
     EmptySliceError,
+    HistogramFormatError,
     JointHistogram,
     OutOfRangeError,
     ShapeMismatchError,
-    SliceStats,
     bin_count,
     write_density_csv,
-    write_slice_stats_csv,
 )
 from entmi.histogram import load_histogram
 
@@ -31,6 +31,13 @@ class TestBinMath:
     )
     def test_bin_count(self, delta, expected):
         assert bin_count(delta) == expected
+
+    def test_bin_count_rejects_width_whose_inverse_overflows(self):
+        # 5e-324 lies in (0, 1], but 1/5e-324 is inf, which has no bin count.
+        with pytest.raises(DomainError, match="overflows"):
+            bin_count(5e-324)
+        with pytest.raises(DomainError):
+            JointHistogram(5e-324, 0.5)
 
     def test_bin_count_domain(self):
         with pytest.raises(DomainError):
@@ -73,6 +80,15 @@ class TestAccumulate:
         c[50_001] = 1.5
         with pytest.raises(OutOfRangeError):
             h.accumulate_many(c, np.zeros_like(c))
+        assert h.total == 0 and not h.counts.any()
+
+    def test_nan_raises(self):
+        # A NaN used to be cast to an arbitrary bin index and counted.
+        h = JointHistogram(0.1, 0.1)
+        with pytest.raises(OutOfRangeError):
+            h.accumulate(float("nan"), 0.5)
+        with pytest.raises(OutOfRangeError):
+            h.accumulate_many([0.5, 0.5], [0.2, float("nan")])
         assert h.total == 0 and not h.counts.any()
 
     def test_batch_lengths_must_match(self):
@@ -330,14 +346,6 @@ class TestSerialization:
         write_density_csv(density, buf)
         assert buf.getvalue() == "bin_center,density\n0.25,1.5\n0.75,0.5\n"
 
-    def test_slice_stats_csv_format(self):
-        row = SliceStats(0.5, 0.005, 0.78, 0.81, 0.09, 12345)
-        buf = io.StringIO()
-        write_slice_stats_csv([row], buf)
-        assert buf.getvalue() == (
-            "i_center,c_star,mean_c,std_c,count\n0.5,0.78,0.81,0.09,12345\n"
-        )
-
 
 class TestPropertyBased:
     @given(
@@ -365,3 +373,149 @@ class TestPropertyBased:
             merged = merged.merge(part)
         assert merged == serial
         assert serial.total == len(points)
+
+
+# -- reader fuzzing --------------------------------------------------------------
+#
+# A reader either returns a histogram whose counts sum to its total or raises
+# HistogramFormatError, never anything else.  The texts are valid histograms
+# with up to three fields made odd.  Bin widths come only from lists of widths
+# that are rejected before any grid is allocated or that give at most
+# 100 x 100 bins: a width such as 1e-5 asks np.zeros for 80 GB, which
+# overcommit may grant, and counts.sum() would then scan all of it.
+
+GOOD_WIDTHS = ["1.0", "0.5", "0.3", "0.25", "0.1", "0.01", repr(1 / 3)]
+BAD_WIDTHS = ["nan", "inf", "-inf", "1e400", "5e-324", "1e-300", "0", "-0.5", "1.5", "x"]
+# Odd values of a number field: non-finite, huge, subnormal, zero, negative,
+# fractional and >= 2**64 values, and non-numbers.
+ODD_NUMBERS = [
+    "nan", "inf", "-inf", "1e400", "5e-324", "0", "-1", "1.7", "2.5e3",
+    str(2**64), str(2**64 - 1), str(2**63), "", "x", "0x10",
+]
+JSON_BAD_WIDTHS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "5e-324", "1e-300", "0", "-0.5",
+    "1.5", str(10**400), "true", "null", '"0.5"', "[]",
+]
+JSON_ODD = [
+    "NaN", "Infinity", "-Infinity", "1e400", "5e-324", "-1", "1.7", "1.0",
+    str(2**64), str(2**64 - 1), str(2**63), "true", "null", '"5"', "[]", "{}",
+]
+SMALL = st.integers(0, 2).map(str)
+
+
+def _odd(values):
+    return st.one_of(st.integers(-2, 2**64 + 2).map(str), st.sampled_from(values))
+
+
+@st.composite
+def _histogram_fields(draw, bad_widths, odd_values):
+    """Header fields and bin rows of a small histogram, up to three made odd.
+
+    Returns (fields, rows, odd_bins), where ``odd_bins`` asks the caller to
+    write the bins in a shape the format does not have.
+    """
+    rows = draw(st.lists(st.lists(SMALL, min_size=3, max_size=3), max_size=6))
+    fields = {
+        "delta_c": draw(st.sampled_from(GOOD_WIDTHS)),
+        "delta_i": draw(st.sampled_from(GOOD_WIDTHS)),
+        "total": str(sum(int(row[2]) for row in rows)),
+    }
+    odd_bins = False
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["width", "total", "field", "row", "key", "bins"]))
+        if where == "width":
+            key = draw(st.sampled_from(["delta_c", "delta_i"]))
+            fields[key] = draw(st.sampled_from(bad_widths))
+        elif where == "total":
+            fields["total"] = draw(_odd(odd_values))
+        elif where == "field" and any(rows):
+            row = draw(st.sampled_from([row for row in rows if row]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(_odd(odd_values))
+        elif where == "row":
+            rows.append(draw(st.lists(SMALL | _odd(odd_values), max_size=5)))
+        elif where == "key":
+            fields.pop(draw(st.sampled_from(sorted(fields))), None)
+        elif where == "bins":
+            odd_bins = True
+    return fields, rows, odd_bins
+
+
+@st.composite
+def csv_texts(draw):
+    fields, rows, odd_bins = draw(_histogram_fields(BAD_WIDTHS, ODD_NUMBERS))
+    header = "# joint_histogram " + " ".join(f"{k}={v}" for k, v in fields.items())
+    lines = [header, "# meta n=1"] + [",".join(row) for row in rows]
+    if odd_bins:
+        line = st.text(string.printable, max_size=8) | st.text(max_size=8)
+        lines.insert(draw(st.integers(0, len(lines))), draw(line))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def json_texts(draw):
+    fields, rows, odd_bins = draw(_histogram_fields(JSON_BAD_WIDTHS, JSON_ODD))
+    fields["bins"] = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    if odd_bins:
+        fields["bins"] = draw(st.sampled_from(["{}", "5", "null", "[5]", "[[0,0]]"]))
+    text = "{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}"
+    return draw(st.sampled_from([text] * 8 + [text[:-1], f"[{text}]", "5"]))
+
+
+def _read_or_reject(read, text):
+    try:
+        hist = read(io.StringIO(text))
+    except HistogramFormatError:
+        return
+    assert sum(hist.counts.ravel().tolist()) == hist.total
+
+
+class TestReaderFuzz:
+    @given(csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_read_csv_gives_consistent_histogram_or_format_error(self, text):
+        _read_or_reject(JointHistogram.read_csv, text)
+
+    @given(json_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_read_json_gives_consistent_histogram_or_format_error(self, text):
+        _read_or_reject(JointHistogram.read_json, text)
+
+    def test_non_ascii_row_is_a_format_error(self):
+        # loadtxt could crash the interpreter on this field instead of raising.
+        text = "# joint_histogram delta_c=0.5 delta_i=0.5 total=1\n0,0,\U0010ffff\n"
+        with pytest.raises(HistogramFormatError, match="ASCII"):
+            JointHistogram.read_csv(io.StringIO(text))
+
+    def test_counts_summing_past_2_64_are_rejected(self):
+        # uint64 sums wrap: 2**63 + 2**63 would read back as total 0.
+        rows = f"0,0,{2**63}\n0,1,{2**63}\n"
+        bins = [[0, 0, 2**63], [0, 1, 2**63]]
+        for total in (0, 2**64):
+            header = f"# joint_histogram delta_c=0.5 delta_i=0.5 total={total}\n"
+            with pytest.raises(HistogramFormatError):
+                JointHistogram.read_csv(io.StringIO(header + rows))
+            payload = {"delta_c": 0.5, "delta_i": 0.5, "total": total, "bins": bins}
+            with pytest.raises(HistogramFormatError):
+                JointHistogram.from_json_dict(payload)
+
+    @given(st.sampled_from(GOOD_WIDTHS), st.sampled_from(GOOD_WIDTHS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_small_histograms_round_trip(self, delta_c, delta_i, data):
+        hist = JointHistogram(float(delta_c), float(delta_i))
+        # At most 20 counts below 2**59 keep the total below 2**64.
+        cells = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, hist.nbins_c - 1), st.integers(0, hist.nbins_i - 1)),
+            st.integers(1, 2**59),
+            max_size=20,
+        ))
+        for cell, count in cells.items():
+            hist.counts[cell] = count
+        hist.total = sum(cells.values())
+        for write, read in (
+            (hist.write_csv, JointHistogram.read_csv),
+            (hist.write_json, JointHistogram.read_json),
+        ):
+            buf = io.StringIO()
+            write(buf)
+            buf.seek(0)
+            assert read(buf) == hist

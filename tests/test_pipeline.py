@@ -1,5 +1,7 @@
 """Unit tests for the block-parallel sampling jobs."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,19 +13,28 @@ from entmi import (
     OutOfRangeError,
     SeedSpec,
     bin_count,
+    check_bound,
     concurrence,
     entanglement_from_concurrence,
     mutual_information,
-    observables,
     params_to_amplitudes,
     probabilities,
-    run_bound_scan,
     run_histogram_job,
     sample_amplitudes,
 )
-from entmi import pipeline, sampling
-from entmi.pipeline import block_plan, resolve_workers
+from entmi import pipeline, sampling, verify
+from entmi.pipeline import block_plan, resolve_workers, scan_excess, tile_excess
 from entmi.states import xlog2
+
+
+def _observables(amps):
+    """(C, I) arrays of a batch of states through the public functions."""
+    return concurrence(amps), mutual_information(probabilities(amps))
+
+
+def _bound_excess(kind, tol=verify.BOUND_TOL):
+    """The ``make_excess`` that ``check_bound`` scans, with its tolerance exposed."""
+    return partial(tile_excess, kind.value, partial(verify._bound_excess, tol))
 
 
 class TestBlockPlan:
@@ -50,7 +61,7 @@ class TestBlockPlan:
 class TestObservables:
     def test_matches_scalar_route(self):
         amps = sample_amplitudes(Ensemble.COMPLEX_S7, SeedSpec(3, 0), 50)
-        c, i = observables(amps)
+        c, i = _observables(amps)
         for k in range(50):
             assert c[k] == pytest.approx(concurrence(amps[k]), abs=1e-15)
             assert i[k] == pytest.approx(
@@ -85,7 +96,7 @@ class TestHistogramJob:
         manual = JointHistogram(0.05, 0.05)
         for stream_id, count in block_plan(n, block):
             amps = sample_amplitudes(Ensemble.PARAM, SeedSpec(11, stream_id), count)
-            c, i = observables(amps)
+            c, i = _observables(amps)
             manual.accumulate_many(c, i)
         assert job == manual
 
@@ -112,22 +123,26 @@ class TestHistogramJob:
 
 class TestBoundScan:
     def test_no_violations_on_real_ensemble(self):
-        violations, excess = run_bound_scan(
-            Ensemble.REAL_S3, 100_000, 13, workers=2, block_size=25_000
+        violations, excess = scan_excess(
+            _bound_excess(Ensemble.REAL_S3), 100_000, SeedSpec(13),
+            workers=2, block_size=25_000,
         )
         assert violations == 0
         assert excess == 0.0
 
     def test_no_violations_on_complex_ensemble(self):
-        violations, excess = run_bound_scan(
-            Ensemble.COMPLEX_S7, 100_000, 13, workers=1
-        )
-        assert violations == 0
-        assert excess == 0.0
+        report = check_bound(100_000, SeedSpec(13), Ensemble.COMPLEX_S7, workers=1)
+        assert report.violations == 0
+        assert report.max_violation == 0.0
 
     def test_deterministic_across_workers(self):
-        first = run_bound_scan(Ensemble.REAL_S3, 50_000, 3, workers=1, block_size=10_000)
-        second = run_bound_scan(Ensemble.REAL_S3, 50_000, 3, workers=2, block_size=10_000)
+        first, second = (
+            scan_excess(
+                _bound_excess(Ensemble.REAL_S3), 50_000, SeedSpec(3),
+                workers=workers, block_size=10_000,
+            )
+            for workers in (1, 2)
+        )
         assert first == second
 
     def test_worst_excess_is_the_block_maximum_for_any_worker_count(self):
@@ -137,12 +152,13 @@ class TestBoundScan:
         expected = -np.inf
         for stream_id, count in block_plan(n, block):
             amps = sample_amplitudes(Ensemble.COMPLEX_S7, SeedSpec(3, stream_id), count)
-            c, i = observables(amps)
+            c, i = _observables(amps)
             excess = i - entanglement_from_concurrence(c) + 1.0
             expected = max(expected, float(excess.max()))
         for workers in (1, 2, 3):
-            assert run_bound_scan(
-                Ensemble.COMPLEX_S7, n, 3, tol=-1.0, workers=workers, block_size=block
+            assert scan_excess(
+                _bound_excess(Ensemble.COMPLEX_S7, tol=-1.0), n, SeedSpec(3),
+                workers=workers, block_size=block,
             ) == (n, expected)
 
 

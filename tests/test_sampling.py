@@ -8,22 +8,34 @@ from entmi import sampling
 from entmi import (
     DomainError,
     Ensemble,
-    EnsembleSpec,
     SeedSpec,
-    StateStream,
     concurrence,
     concurrence_polar,
     entanglement_from_concurrence,
     mutual_information,
     probabilities,
     sample_amplitudes,
-    sample_complex_sphere,
-    sample_real_sphere,
-    sample_uniform_params,
-    sample_zero_mi_family,
+    stream_generator,
 )
 
 ALL_KINDS = list(Ensemble)
+
+
+def _real(seed, n):
+    return sample_amplitudes(Ensemble.REAL_S3, seed, n)
+
+
+def _complex(seed, n):
+    return sample_amplitudes(Ensemble.COMPLEX_S7, seed, n)
+
+
+def _zero_mi(seed, n):
+    return sample_amplitudes(Ensemble.ZERO_MI, seed, n)
+
+
+def _params(seed, n):
+    """Raw (y, alpha, beta) triples of the ``param`` stream."""
+    return sampling._take(Ensemble.PARAM, stream_generator(seed), n)
 
 
 class TestSeeding:
@@ -33,30 +45,26 @@ class TestSeeding:
         with pytest.raises(DomainError):
             SeedSpec(0, 2**64)
 
-    def test_ensemble_spec_validates_count(self):
-        with pytest.raises(DomainError):
-            EnsembleSpec(Ensemble.REAL_S3, 0, SeedSpec(1))
-
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_repeat_runs_are_bit_identical(self, kind):
         seed = SeedSpec(123, 5)
-        first = StateStream(kind, seed).take(2048)
-        second = StateStream(kind, seed).take(2048)
+        first = sample_amplitudes(kind, seed, 2048)
+        second = sample_amplitudes(kind, seed, 2048)
         assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_chunked_take_equals_single_take(self, kind):
         seed = SeedSpec(9, 2)
-        whole = StateStream(kind, seed).take(5000)
-        stream = StateStream(kind, seed)
+        whole = sampling._take(kind, stream_generator(seed), 5000)
+        gen = stream_generator(seed)
         parts = np.concatenate(
-            [stream.take(1), stream.take(999), stream.take(2500), stream.take(1500)]
+            [sampling._take(kind, gen, count) for count in (1, 999, 2500, 1500)]
         )
         assert np.array_equal(whole, parts)
 
     def test_distinct_streams_share_no_draws(self):
-        a = sample_real_sphere(SeedSpec(77, 0), 1_000_000)
-        b = sample_real_sphere(SeedSpec(77, 1), 1_000_000)
+        a = _real(SeedSpec(77, 0), 1_000_000)
+        b = _real(SeedSpec(77, 1), 1_000_000)
         joined = np.ascontiguousarray(np.vstack([a, b]))
         rows = joined.view([("", joined.dtype)] * 4).ravel()
         assert len(np.unique(rows)) == len(rows)
@@ -64,29 +72,29 @@ class TestSeeding:
 
 class TestRealSphere:
     def test_unit_norm(self):
-        amps = sample_real_sphere(SeedSpec(3, 0), 10_000)
+        amps = _real(SeedSpec(3, 0), 10_000)
         np.testing.assert_allclose((amps**2).sum(axis=1), 1.0, atol=1e-12)
 
     def test_real_dtype(self):
-        amps = sample_real_sphere(SeedSpec(3, 0), 10)
+        amps = _real(SeedSpec(3, 0), 10)
         assert amps.dtype == np.float64
 
     def test_single_coordinate_marginals_match(self):
         # Rotation invariance proxy: every coordinate has the same law.
-        amps = sample_real_sphere(SeedSpec(4, 0), 1_000_000)
+        amps = _real(SeedSpec(4, 0), 1_000_000)
         for other in range(1, 4):
             d = sps.ks_2samp(amps[:, 0], amps[:, other]).statistic
             assert d < 0.01
 
     def test_flat_concurrence_density(self):
-        amps = sample_real_sphere(SeedSpec(6, 0), 1_000_000)
+        amps = _real(SeedSpec(6, 0), 1_000_000)
         c = concurrence(amps)
         counts, _ = np.histogram(c, bins=100, range=(0.0, 1.0))
         density = counts / (len(c) * 0.01)
         assert np.max(np.abs(density - 1.0)) < 0.05
 
     def test_bound_holds_on_every_sample(self):
-        amps = sample_real_sphere(SeedSpec(8, 0), 1_000_000)
+        amps = _real(SeedSpec(8, 0), 1_000_000)
         info = mutual_information(probabilities(amps))
         limit = entanglement_from_concurrence(concurrence(amps))
         assert np.count_nonzero(info > limit + 1e-9) == 0
@@ -94,14 +102,14 @@ class TestRealSphere:
 
 class TestComplexSphere:
     def test_unit_norm(self):
-        amps = sample_complex_sphere(SeedSpec(3, 1), 10_000)
+        amps = _complex(SeedSpec(3, 1), 10_000)
         assert amps.dtype == np.complex128
         np.testing.assert_allclose(
             (amps.real**2 + amps.imag**2).sum(axis=1), 1.0, atol=1e-12
         )
 
     def test_combined_phase_is_uniform(self):
-        amps = sample_complex_sphere(SeedSpec(5, 0), 1_000_000)
+        amps = _complex(SeedSpec(5, 0), 1_000_000)
         theta = (
             np.angle(amps[:, 0]) + np.angle(amps[:, 3])
             - np.angle(amps[:, 1]) - np.angle(amps[:, 2])
@@ -110,7 +118,7 @@ class TestComplexSphere:
         assert d < 0.01
 
     def test_polar_concurrence_matches(self):
-        amps = sample_complex_sphere(SeedSpec(7, 0), 100_000)
+        amps = _complex(SeedSpec(7, 0), 100_000)
         theta = (
             np.angle(amps[:, 0]) + np.angle(amps[:, 3])
             - np.angle(amps[:, 1]) - np.angle(amps[:, 2])
@@ -124,14 +132,14 @@ class TestComplexSphere:
 
 class TestParams:
     def test_ranges(self):
-        draws = sample_uniform_params(SeedSpec(2, 0), 100_000)
+        draws = _params(SeedSpec(2, 0), 100_000)
         y, alpha, beta = draws[:, 0], draws[:, 1], draws[:, 2]
         assert y.min() >= 0 and y.max() <= 1
         assert alpha.min() >= 0 and alpha.max() < 2 * np.pi
         assert beta.min() >= 0 and beta.max() < 2 * np.pi
 
     def test_weight_histogram_is_uniform(self):
-        draws = sample_uniform_params(SeedSpec(2, 1), 1_000_000)
+        draws = _params(SeedSpec(2, 1), 1_000_000)
         counts, _ = np.histogram(draws[:, 0], bins=50, range=(0, 1))
         expected = len(draws) / 50
         sigma = np.sqrt(expected * (1 - 1 / 50))
@@ -155,7 +163,7 @@ class TestZeroMIFamily:
         assert concurrence(amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_products_match_exactly(self):
-        amps = sample_zero_mi_family(SeedSpec(13, 0), 100_000)
+        amps = _zero_mi(SeedSpec(13, 0), 100_000)
         # |ad| = |bc| is what kills the mutual information.
         np.testing.assert_allclose(
             np.abs(amps[:, 0] * amps[:, 3]),
@@ -164,16 +172,16 @@ class TestZeroMIFamily:
         )
 
     def test_information_vanishes(self):
-        amps = sample_zero_mi_family(SeedSpec(13, 1), 100_000)
+        amps = _zero_mi(SeedSpec(13, 1), 100_000)
         info = mutual_information(probabilities(amps))
         assert info.max() <= 1e-12
 
     def test_concurrence_generically_positive(self):
-        amps = sample_zero_mi_family(SeedSpec(13, 2), 100_000)
+        amps = _zero_mi(SeedSpec(13, 2), 100_000)
         assert np.all(concurrence(amps) > 0.0)
 
     def test_unit_norm(self):
-        amps = sample_zero_mi_family(SeedSpec(13, 3), 10_000)
+        amps = _zero_mi(SeedSpec(13, 3), 10_000)
         np.testing.assert_allclose((amps**2).sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -189,7 +197,7 @@ class TestDispatch:
 
     def test_take_validates_count(self):
         with pytest.raises(DomainError):
-            StateStream(Ensemble.REAL_S3, SeedSpec(1, 0)).take(0)
+            sample_amplitudes(Ensemble.REAL_S3, SeedSpec(1, 0), 0)
 
 
 # -- degenerate draws --------------------------------------------------------

@@ -9,16 +9,11 @@ from entmi import (
     ConsistencyError,
     DomainError,
     NotNormalizedError,
-    ParamState,
-    TwoQubitState,
-    ZeroVectorError,
     binary_entropy,
     concurrence,
     concurrence_polar,
     entanglement_entropy,
     entanglement_from_concurrence,
-    from_params,
-    make_state,
     marginal_entropies,
     mutual_information,
     params_to_amplitudes,
@@ -29,9 +24,10 @@ from entmi.states import xlog2
 
 INV_SQRT2 = 2**-0.5
 
-BELL_PLUS = make_state(INV_SQRT2, 0, 0, INV_SQRT2)          # (|00> + |11>)/sqrt(2)
-SINGLET = make_state(0, INV_SQRT2, -INV_SQRT2, 0)           # (|01> - |10>)/sqrt(2)
-SUPERPOSED = make_state(0.5, 0.5, -0.5, 0.5)                # uniform outcomes, C = 1
+BELL_PLUS = np.array([INV_SQRT2, 0, 0, INV_SQRT2])          # (|00> + |11>)/sqrt(2)
+SINGLET = np.array([0, INV_SQRT2, -INV_SQRT2, 0])           # (|01> - |10>)/sqrt(2)
+SUPERPOSED = np.array([0.5, 0.5, -0.5, 0.5])                # uniform outcomes, C = 1
+BASIS_00 = np.array([1.0, 0, 0, 0])                         # |00>
 
 # Independently evaluated with 40-digit arithmetic: binary entropy of 0.8.
 E_AT_C_08 = 0.7219280948873623
@@ -48,50 +44,28 @@ def _random_states(seed, n, complex_amps=True):
 
 
 class TestConstruction:
-    def test_make_state_accepts_normalized_input(self):
-        state = make_state(1, 0, 0, 0)
-        assert state.a == 1
-
-    def test_make_state_rejects_unnormalized_input(self):
-        with pytest.raises(NotNormalizedError):
-            make_state(2, 0, 0, 0)
-
-    def test_make_state_normalizes_on_request(self):
-        state = make_state(2, 0, 0, 0, normalize=True)
-        assert state.a == pytest.approx(1.0)
-
-    def test_make_state_rejects_zero_vector(self):
-        with pytest.raises(ZeroVectorError):
-            make_state(0, 0, 0, 0, normalize=True)
-
-    def test_make_state_rejects_nan(self):
-        with pytest.raises(ValueError):
-            make_state(float("nan"), 0, 0, 1)
-
     def test_norm_tolerance_is_tight(self):
         eps = 1e-6
         with pytest.raises(NotNormalizedError):
-            TwoQubitState(1 + eps, 0, 0, 0)
+            concurrence_polar(1 + eps, 0, 0, 0, 0.0)
 
     def test_param_state_rejects_bad_weight(self):
         with pytest.raises(DomainError):
-            ParamState(1.5, 0.0, 0.0)
+            params_to_amplitudes(1.5, 0.0, 0.0)
 
     def test_from_params_matches_hand_evaluation(self):
-        state = from_params(ParamState(0.5, np.pi / 4, 3 * np.pi / 4))
-        np.testing.assert_allclose(
-            state.amplitudes, [0.5, 0.5, -0.5, 0.5], atol=1e-15
-        )
-        assert concurrence(state) == pytest.approx(1.0, abs=1e-12)
+        amps = params_to_amplitudes(0.5, np.pi / 4, 3 * np.pi / 4)
+        np.testing.assert_allclose(amps, [0.5, 0.5, -0.5, 0.5], atol=1e-15)
+        assert concurrence(amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_from_params_degenerate_weight(self):
-        state = from_params(ParamState(1.0, 0.0, 2.3))
-        np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        amps = params_to_amplitudes(1.0, 0.0, 2.3)
+        np.testing.assert_allclose(amps, [1, 0, 0, 0], atol=1e-15)
 
     def test_from_params_concurrence_is_sine_of_angle_gap(self):
         for gap in np.linspace(-3 * np.pi, 3 * np.pi, 61):
-            state = from_params(ParamState(0.5, gap / 2, -gap / 2))
-            assert concurrence(state) == pytest.approx(abs(np.sin(gap)), abs=1e-12)
+            amps = params_to_amplitudes(0.5, gap / 2, -gap / 2)
+            assert concurrence(amps) == pytest.approx(abs(np.sin(gap)), abs=1e-12)
 
     def test_params_to_amplitudes_rejects_bad_weight(self):
         with pytest.raises(DomainError):
@@ -106,7 +80,7 @@ class TestMeasurement:
 
     def test_basis_state_outcomes(self):
         np.testing.assert_allclose(
-            probabilities(make_state(1, 0, 0, 0)), [1, 0, 0, 0], atol=0
+            probabilities(BASIS_00), [1, 0, 0, 0], atol=0
         )
 
     def test_superposed_outcomes_are_uniform(self):
@@ -194,7 +168,7 @@ class TestEntropies:
 class TestConcurrence:
     def test_examples(self):
         assert concurrence(BELL_PLUS) == pytest.approx(1.0, abs=1e-12)
-        assert concurrence(make_state(1, 0, 0, 0)) == 0.0
+        assert concurrence(BASIS_00) == 0.0
         assert concurrence(SUPERPOSED) == pytest.approx(1.0, abs=1e-12)
 
     def test_polar_opposite_phases(self):
@@ -261,7 +235,7 @@ class TestEntanglement:
 
     def test_partial_trace_examples(self):
         assert entanglement_entropy(SINGLET) == pytest.approx(1.0, abs=1e-12)
-        assert entanglement_entropy(make_state(1, 0, 0, 0)) == 0.0
+        assert entanglement_entropy(BASIS_00) == 0.0
         assert entanglement_entropy(SUPERPOSED) == pytest.approx(1.0, abs=1e-12)
 
     def test_routes_agree_on_random_states(self):
