@@ -342,6 +342,8 @@ _MALFORMED = [
     ("overflowing-total.json", '{"delta_c":0.5,"delta_i":0.5,"total":1e400,"bins":[[0,0,5]]}'),
     ("fractional-total.json", '{"delta_c":0.5,"delta_i":0.5,"total":1.7,"bins":[[0,0,1]]}'),
     ("non-ascii-row.csv", _HEADER + "0,0,\U0010ffff\n"),
+    # json.load raises RecursionError, not ValueError, on deep nesting.
+    ("deeply-nested.json", '{"bins":' + "[" * 100_000),
 ]
 
 
