@@ -1,7 +1,9 @@
 """Command-line interface for sampling runs, statistics, curves, and checks.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid arguments or a
-malformed histogram file, 3 I/O failure.  Identical command lines produce
+malformed histogram file, 3 I/O failure.  :func:`main` alone maps errors
+to exit codes (argument errors and ``EntmiError`` to 2, ``OSError`` to 3),
+each with one ``error: ...`` line on stderr.  Identical command lines produce
 byte-identical output files; the worker count (``--workers`` or the
 ``QES_WORKERS`` variable) never changes results, only wall time.
 """
@@ -14,13 +16,12 @@ import os
 import sys
 
 from .curves import ridge_concurrence, ridge_mi
-from .errors import DomainError, EntmiError, InsufficientDataError
+from .errors import DomainError, EmptySliceError, EntmiError
 from .histogram import JointHistogram, load_histogram, write_density_csv
 from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec
 from .states import entanglement_from_concurrence
 from .verify import (
-    RIDGE_MIN_TOTAL,
     check_angle_oracle,
     check_bound,
     check_ridge,
@@ -39,11 +40,9 @@ _CHECK_NAMES = ("bound", "zero-mi", "mi-oracle", "ridge")
 
 
 def _workers_from(args) -> int | None:
-    if args.workers is not None:
-        return args.workers
     env = os.environ.get("QES_WORKERS")
-    if not env:
-        return None
+    if args.workers is not None or not env:
+        return args.workers
     try:
         workers = int(env)
     except ValueError:
@@ -53,11 +52,11 @@ def _workers_from(args) -> int | None:
     return workers
 
 
-def _write_output(path: str, write) -> int:
+def _write_output(path: str, write) -> None:
     """Call ``write(stream)`` on ``path`` ('-' is stdout).
 
-    Returns exit code 0, or 3 after one line on stderr when the file
-    cannot be opened, written or closed.
+    An ``OSError`` from opening, writing or closing the file is raised
+    again with a message that names the path.
     """
     try:
         if path == "-":
@@ -66,13 +65,18 @@ def _write_output(path: str, write) -> int:
             with open(path, "w", encoding="utf-8", newline="\n") as out:
                 write(out)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return _EXIT_OK
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as ``DomainError``; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise DomainError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entmi",
         description=(
             "Monte Carlo statistics of concurrence and post-measurement "
@@ -162,41 +166,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sample(parser, args) -> int:
-    if args.n < 1:
-        parser.error("--n must be at least 1")
+def _cmd_sample(args) -> int:
     delta_c = args.delta_c if args.delta_c is not None else args.bins
     delta_i = args.delta_i if args.delta_i is not None else args.bins
-    for name, delta in (("delta-c", delta_c), ("delta-i", delta_i)):
-        if not 0.0 < delta <= 1.0:
-            parser.error(f"--{name} must lie in (0, 1]")
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
     workers = _workers_from(args)
-    if workers is not None and workers < 1:
-        parser.error("--workers must be at least 1")
     hist = run_histogram_job(
         Ensemble(args.ensemble), args.n, args.seed, delta_c, delta_i, workers=workers
     )
     meta = {"ensemble": args.ensemble, "n": args.n, "master_seed": args.seed}
     writer = hist.write_json if args.format == "json" else hist.write_csv
-    if _write_output(args.out, lambda out: writer(out, meta=meta)) != _EXIT_OK:
-        return _EXIT_IO
+    _write_output(args.out, lambda out: writer(out, meta=meta))
     print(f"wrote {args.out} (ensemble={args.ensemble} total={hist.total})")
     return _EXIT_OK
 
 
-def _cmd_table(parser, args) -> int:
+def _cmd_table(args) -> int:
     try:
         centers = [float(tok) for tok in args.centers.split(",") if tok.strip()]
     except ValueError:
-        parser.error("--centers must be a comma-separated list of numbers")
+        raise DomainError("--centers must be a comma-separated list of numbers") from None
     if not centers:
-        parser.error("--centers is empty")
+        raise DomainError("--centers is empty")
     if not all(math.isfinite(center) for center in centers):
-        parser.error("--centers must be finite numbers")
+        raise DomainError("--centers must be finite numbers")
     if not 0 < args.halfwidth < math.inf:
-        parser.error("--halfwidth must be positive and finite")
+        raise DomainError("--halfwidth must be positive and finite")
     hist = load_histogram(args.hist)
     lines = ["i_center,c_star,ridge_c,mean_c,std_c,count"]
     for center in centers:
@@ -207,31 +201,27 @@ def _cmd_table(parser, args) -> int:
                 f"{center!r},{stats.c_star!r},{inverse!r},"
                 f"{stats.mean_c!r},{stats.std_c!r},{stats.count}"
             )
-        except EntmiError:
+        except EmptySliceError:
             lines.append(f"{center!r},nan,{inverse!r},nan,nan,0")
-    return _write_output(args.out, lambda out: out.write("\n".join(lines) + "\n"))
+    _write_output(args.out, lambda out: out.write("\n".join(lines) + "\n"))
+    return _EXIT_OK
 
 
-def _cmd_curve(parser, args) -> int:
+def _cmd_curve(args) -> int:
     if args.points < 2:
-        parser.error("--points must be at least 2")
+        raise DomainError("--points must be at least 2")
     rows = ["c,ridge_i,bound_e"]
     for k in range(args.points):
         c = k / (args.points - 1)
         rows.append(f"{c!r},{ridge_mi(c)!r},{entanglement_from_concurrence(c)!r}")
-    return _write_output(args.out, lambda out: out.write("\n".join(rows) + "\n"))
+    _write_output(args.out, lambda out: out.write("\n".join(rows) + "\n"))
+    return _EXIT_OK
 
 
-def _cmd_verify(parser, args) -> int:
-    if args.n < 1:
-        parser.error("--n must be at least 1")
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
+def _cmd_verify(args) -> int:
     if not args.all and not args.check:
-        parser.error("select checks with --all or --check")
+        raise DomainError("select checks with --all or --check")
     workers = _workers_from(args)
-    if workers is not None and workers < 1:
-        parser.error("--workers must be at least 1")
 
     selected = []
     if args.all:
@@ -242,57 +232,46 @@ def _cmd_verify(parser, args) -> int:
 
     seed = SeedSpec(args.seed)
     reports = []
-    try:
-        for name in selected:
-            if name == "bound":
-                reports.append(
-                    check_bound(args.n, seed, Ensemble(args.ensemble), workers=workers)
+    for name in selected:
+        if name == "bound":
+            reports.append(
+                check_bound(args.n, seed, Ensemble(args.ensemble), workers=workers)
+            )
+        elif name == "bound-complex":
+            reports.append(
+                check_bound(args.n, seed, Ensemble.COMPLEX_S7, workers=workers)
+            )
+        elif name == "zero-mi":
+            reports.append(check_zero_mi_family(args.n, seed, workers=workers))
+        elif name == "mi-oracle":
+            reports.append(check_angle_oracle(args.n, seed, workers=workers))
+        elif name == "ridge":
+            if args.hist is not None:
+                hist = load_histogram(args.hist)
+            else:
+                hist = run_histogram_job(
+                    Ensemble.REAL_S3, args.n, args.seed, 0.01, 0.01, workers=workers
                 )
-            elif name == "bound-complex":
-                reports.append(
-                    check_bound(args.n, seed, Ensemble.COMPLEX_S7, workers=workers)
-                )
-            elif name == "zero-mi":
-                reports.append(check_zero_mi_family(args.n, seed, workers=workers))
-            elif name == "mi-oracle":
-                reports.append(check_angle_oracle(args.n, seed, workers=workers))
-            elif name == "ridge":
-                if args.hist is not None:
-                    hist = load_histogram(args.hist)
-                else:
-                    hist = run_histogram_job(
-                        Ensemble.REAL_S3, args.n, args.seed, 0.01, 0.01, workers=workers
-                    )
-                reports.append(check_ridge(hist))
-    except InsufficientDataError as exc:
-        parser.error(
-            f"ridge check needs --n >= {RIDGE_MIN_TOTAL} or a --hist that large ({exc})"
-        )
+            reports.append(check_ridge(hist))
 
-    if _write_output(args.out, lambda out: write_reports_jsonl(reports, out)) != _EXIT_OK:
-        return _EXIT_IO
+    _write_output(args.out, lambda out: write_reports_jsonl(reports, out))
     return _EXIT_OK if all(r.passed for r in reports) else _EXIT_CHECK_FAILED
 
 
-def _cmd_marginal(parser, args) -> int:
-    hist = load_histogram(args.hist)
-    try:
-        density = hist.marginal(args.axis)
-    except EntmiError as exc:
-        parser.error(str(exc))
-    return _write_output(args.out, lambda out: write_density_csv(density, out))
+def _cmd_marginal(args) -> int:
+    density = load_histogram(args.hist).marginal(args.axis)
+    _write_output(args.out, lambda out: write_density_csv(density, out))
+    return _EXIT_OK
 
 
-def _cmd_conditional(parser, args) -> int:
+def _cmd_conditional(args) -> int:
     hist = load_histogram(args.hist)
-    try:
-        if args.axis == "c":
-            density = hist.concurrence_slice(args.lo, args.hi)
-        else:
-            density = hist.mi_slice(args.lo, args.hi)
-    except EntmiError as exc:
-        parser.error(str(exc))
-    return _write_output(args.out, lambda out: write_density_csv(density, out))
+    if args.axis == "c":
+        density = hist.concurrence_slice(args.lo, args.hi)
+    else:
+        density = hist.mi_slice(args.lo, args.hi)
+    _write_output(args.out, lambda out: write_density_csv(density, out))
+    return _EXIT_OK
 
 
 _COMMANDS = {
@@ -306,16 +285,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except EntmiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:
-        # A --hist file that cannot be read (writes fail in _write_output);
-        # the message names the file.
+        # An unreadable --hist or an unwritable --out; the message names the file.
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .states import binary_entropy, xlog2
+from .states import _within, binary_entropy, xlog2
 
 _BISECT_MAX_ITER = 200
 
@@ -55,7 +55,7 @@ def ridge_mi(c):
     strictly increasing with ridge_mi(0) = 0 and ridge_mi(1) = 1.
     """
     c = np.asarray(c, dtype=np.float64)
-    if np.any(c < -1e-12) or np.any(c > 1.0 + 1e-12):
+    if not _within(c, -1e-12, 1.0 + 1e-12):
         raise DomainError("concurrence outside [0, 1]")
     c = np.clip(c, 0.0, 1.0)
     value = np.maximum(1.0 - binary_entropy(0.5 * (1.0 + c)), 0.0)

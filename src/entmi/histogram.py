@@ -35,6 +35,7 @@ from .errors import (
     OutOfRangeError,
     ShapeMismatchError,
 )
+from .states import _within
 
 # Values may poke out of [0, 1] by at most this much before they are an error.
 _EDGE_TOL = 1e-12
@@ -96,11 +97,8 @@ def _bin_indices_into(values: np.ndarray, delta: float, nbins: int, out) -> None
 
 
 def _check_unit_interval(values: np.ndarray, what: str) -> None:
-    # NaN propagates through min/max and fails both comparisons, so it is
-    # out of range too instead of being cast to some bin index.
-    if values.size and not (
-        np.min(values) >= -_EDGE_TOL and np.max(values) <= 1.0 + _EDGE_TOL
-    ):
+    # NaN is out of range too, instead of being cast to some bin index.
+    if not _within(values, -_EDGE_TOL, 1.0 + _EDGE_TOL):
         raise OutOfRangeError(f"{what} values outside [0, 1] beyond tolerance")
 
 
@@ -158,8 +156,8 @@ class JointHistogram:
         except (MemoryError, ValueError):
             # numpy raises MemoryError, or ValueError beyond its size limit.
             raise DomainError(
-                f"cannot allocate a {self.nbins_c}x{self.nbins_i} histogram grid "
-                f"(delta_c={self.delta_c!r}, delta_i={self.delta_i!r})"
+                f"cannot allocate a {self.nbins_c:.3g}x{self.nbins_i:.3g} histogram "
+                f"grid (delta_c={self.delta_c!r}, delta_i={self.delta_i!r})"
             ) from None
         self.total = 0
 

@@ -55,17 +55,19 @@ def resolve_workers(workers: int | None) -> int:
     return int(workers)
 
 
-def _run_tasks(
-    task, head: tuple, n: int, base_stream: int, block_size: int, workers: int
-):
+def _stream_plan(seed: SeedSpec, n: int, block_size: int) -> list[tuple[int, int]]:
+    """The blocks of ``n`` samples as (stream_id, count); block j uses stream_id + j."""
+    return [(seed.stream_id + j, count) for j, count in block_plan(n, block_size)]
+
+
+def _run_tasks(task, head: tuple, plan: list[tuple[int, int]], workers: int):
     """Yield ``task((*head, share))`` for each worker's share of a job's blocks.
 
-    A share is a list of (stream_id, count) blocks; block j, drawn from
-    stream ``base_stream + j``, goes to share j mod shares, so shares
-    differ by at most one block.  Callers reduce the partials with
-    commutative operations, in whatever order they arrive.
+    A share is a list of (stream_id, count) blocks from ``plan``; block j
+    goes to share j mod shares, so shares differ by at most one block.
+    Callers reduce the partials with commutative operations, in whatever
+    order they arrive.
     """
-    plan = [(base_stream + j, count) for j, count in block_plan(n, block_size)]
     parts = min(workers, len(plan))
     args_list = [(*head, plan[w::parts]) for w in range(parts)]
     if parts == 1:
@@ -141,15 +143,15 @@ def run_histogram_job(
     """Sample ``n`` states and histogram their (C, I) pairs.
 
     Deterministic in (kind, n, master_seed, deltas, base_stream,
-    block_size); the worker count only affects wall time.
+    block_size); the worker count only affects wall time.  The sample
+    count and the seed are checked before the grid or a pool exists.
     """
+    plan = _stream_plan(SeedSpec(master_seed, base_stream), n, block_size)
     workers = resolve_workers(workers)
     kind = Ensemble(kind)
     out = JointHistogram(delta_c, delta_i)
     head = (kind.value, master_seed, delta_c, delta_i)
-    for counts in _run_tasks(
-        _histogram_share, head, n, base_stream, block_size, workers
-    ):
+    for counts in _run_tasks(_histogram_share, head, plan, workers):
         out.counts += counts
     out.total = n
     return out
@@ -186,13 +188,12 @@ def scan_excess(
     Returns (violations, max_excess) where max_excess is the largest
     excess of any sample, clipped at zero when there are no violations.
     """
+    plan = _stream_plan(seed, n, block_size)
     workers = resolve_workers(workers)
     head = (make_excess, seed.master_seed)
     violations = 0
     max_excess = 0.0
-    for bad, excess in _run_tasks(
-        _excess_share, head, n, seed.stream_id, block_size, workers
-    ):
+    for bad, excess in _run_tasks(_excess_share, head, plan, workers):
         violations += bad
         max_excess = max(max_excess, excess)
     return violations, max_excess

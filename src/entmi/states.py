@@ -46,6 +46,11 @@ def _scalarize(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _within(values, lo: float, hi: float) -> bool:
+    """Whether every value lies in [lo, hi]; NaN fails both comparisons."""
+    return bool(np.min(values, initial=lo) >= lo and np.max(values, initial=hi) <= hi)
+
+
 def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
     """Real amplitudes of the angle parametrization of a two-qubit state.
 
@@ -59,7 +64,7 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
         np.asarray(alpha, dtype=np.float64),
         np.asarray(beta, dtype=np.float64),
     )
-    if np.any(y < 0.0) or np.any(y > 1.0):
+    if not _within(y, 0.0, 1.0):
         raise DomainError("y outside [0, 1]")
     big = np.sqrt(y)
     small = np.sqrt(1.0 - y)
@@ -168,6 +173,8 @@ def mutual_information(probs):
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] != 4:
         raise ValueError("expected four probabilities on the last axis")
+    if np.isnan(np.min(p, initial=0.0)):
+        raise DomainError("probabilities must not be NaN")
     rows = p.reshape(-1, 4).T.copy()
     info = _mutual_information_into(
         rows, np.empty_like(rows), np.empty(rows.shape[1], dtype=bool)
@@ -193,8 +200,10 @@ def _probabilities_into(amps, rows, scratch):
 
 def _clamp_unit(values, what):
     values = np.asarray(values, dtype=np.float64)
-    if np.max(values, initial=0.0) > 1.0 + _UNIT_CLAMP_TOL:
-        raise ConsistencyError(f"{what} {np.max(values)!r} exceeds 1 beyond round-off")
+    if not np.max(values, initial=0.0) <= 1.0 + _UNIT_CLAMP_TOL:
+        raise ConsistencyError(
+            f"{what} {np.max(values)!r} is NaN or exceeds 1 beyond round-off"
+        )
     return np.minimum(values, 1.0, out=values)
 
 
@@ -239,7 +248,7 @@ def concurrence_polar(mod_a, mod_b, mod_c, mod_d, theta):
         if np.any(moduli < 0.0):
             raise DomainError("moduli must be non-negative")
     norm2 = mod_a**2 + mod_b**2 + mod_c**2 + mod_d**2
-    if np.max(np.abs(norm2 - 1.0)) > NORM_TOL:
+    if not np.max(np.abs(norm2 - 1.0)) <= NORM_TOL:
         raise NotNormalizedError("squared moduli do not sum to 1 within tolerance")
     ad = mod_a * mod_d
     bc = mod_b * mod_c
@@ -257,7 +266,7 @@ def entanglement_from_concurrence(c):
     small C.
     """
     c = np.asarray(c, dtype=np.float64)
-    if np.any(c < -_UNIT_CLAMP_TOL) or np.any(c > 1.0 + _UNIT_CLAMP_TOL):
+    if not _within(c, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
         raise DomainError("concurrence outside [0, 1]")
     c = np.clip(c, 0.0, 1.0)
     root = np.sqrt(1.0 - c * c)

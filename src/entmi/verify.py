@@ -15,7 +15,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .curves import mi_from_angles, ridge_mi
-from .errors import DomainError, InsufficientDataError
+from .errors import InsufficientDataError
 from .histogram import JointHistogram
 from .pipeline import scan_excess, tile_excess
 from .sampling import Ensemble, SeedSpec, _tiles, stream_generator
@@ -81,8 +81,6 @@ def check_bound(
     workers: int | None = None,
 ) -> VerificationReport:
     """MI never exceeds the entanglement bound E(C) + 1e-9."""
-    if n < 1:
-        raise DomainError("sample count must be at least 1")
     kind = Ensemble(kind)
     violations, max_excess = scan_excess(
         partial(tile_excess, kind.value, partial(_bound_excess, BOUND_TOL)),
@@ -106,8 +104,6 @@ def check_zero_mi_family(
     n: int, seed: SeedSpec, workers: int | None = None
 ) -> VerificationReport:
     """States with |ad| = |bc| have mutual information below 1e-12."""
-    if n < 1:
-        raise DomainError("sample count must be at least 1")
     violations, worst = scan_excess(
         partial(tile_excess, Ensemble.ZERO_MI.value, _zero_mi_excess), n, seed, workers
     )
@@ -153,8 +149,6 @@ def check_angle_oracle(
     against MI computed from the assembled amplitudes; the two routes
     share no code beyond elementary functions.
     """
-    if n < 1:
-        raise DomainError("sample count must be at least 1")
     violations, worst = scan_excess(_angle_oracle_excess, n, seed, workers)
     return VerificationReport(
         name="mi-oracle",

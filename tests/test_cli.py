@@ -316,6 +316,57 @@ class TestDensityCommands:
         ) == 2
 
 
+_EMPTY = "# joint_histogram delta_c=0.5 delta_i=0.5 total=0\n"
+
+# Every failure, argparse's own included, is one "error: " line and an exit code.
+_ONE_LINE_ERRORS = [
+    (["sample", "--ensemble", "bogus", "--out", "{out}"], 2),
+    (["sample", "--n", "abc", "--out", "{out}"], 2),
+    (["sample"], 2),
+    ([], 2),
+    (["sample", "--n", "0", "--out", "{out}"], 2),
+    (["sample", "--bins", "0", "--out", "{out}"], 2),
+    (["sample", "--bins", "2", "--out", "{out}"], 2),
+    (["sample", "--seed", "-1", "--out", "{out}"], 2),
+    (["sample", "--n", "500000", "--seed", str(2**64), "--workers", "2",
+      "--out", "{out}"], 2),
+    (["sample", "--workers", "0", "--out", "{out}"], 2),
+    (["curve", "--points", "1"], 2),
+    (["verify", "--n", "100"], 2),
+    (["verify", "--check", "ridge", "--n", "1000"], 2),
+    (["marginal", "--hist", "{empty}", "--axis", "c"], 2),
+    (["conditional", "--hist", "{empty}", "--axis", "c", "--lo", "0.9", "--hi", "0.1"],
+     2),
+    (["sample", "--n", "1000", "--out", "/nonexistent/dir/h.csv"], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", _ONE_LINE_ERRORS, ids=[" ".join(a) for a, _ in _ONE_LINE_ERRORS]
+)
+def test_every_error_is_one_line(run_cli, tmp_path, capsys, argv, code):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(_EMPTY)
+    paths = {"out": str(tmp_path / "h.csv"), "empty": str(empty)}
+    assert run_cli([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unallocatable_grid_message_is_short(run_cli, tmp_path, capsys):
+    path = tmp_path / "tiny-width.csv"
+    path.write_text("# joint_histogram delta_c=1e-300 delta_i=0.5 total=0\n")
+    for argv in (
+        ["sample", "--bins", "1e-300", "--out", str(tmp_path / "h.csv")],
+        ["marginal", "--hist", str(path), "--axis", "c"],
+    ):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200 and "1e+300x" in err
+
+
 _HEADER = "# joint_histogram delta_c=0.5 delta_i=0.5 total=5\n"
 
 _MALFORMED = [

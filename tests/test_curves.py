@@ -57,6 +57,10 @@ class TestRidge:
         with pytest.raises(DomainError):
             ridge_mi(1.1)
 
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            ridge_mi(np.nan)
+
     def test_strictly_increasing(self):
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         assert np.all(np.diff(ridge_mi(grid)) > 0)

@@ -51,6 +51,17 @@ class TestBlockPlan:
         with pytest.raises(DomainError):
             block_plan(0)
 
+    @pytest.mark.parametrize("seed,n", [(-1, 100), (2**64, 100), (0, 0)])
+    def test_job_rejects_bad_input_before_any_pool(self, monkeypatch, seed, n):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(pipeline.multiprocessing, "Pool", no_pool)
+        with pytest.raises(DomainError):
+            run_histogram_job(
+                Ensemble.REAL_S3, n, seed, 0.01, 0.01, workers=2, block_size=10
+            )
+
     def test_resolve_workers(self):
         assert resolve_workers(4) == 4
         assert resolve_workers(None) >= 1

@@ -67,6 +67,10 @@ class TestConstruction:
             amps = params_to_amplitudes(0.5, gap / 2, -gap / 2)
             assert concurrence(amps) == pytest.approx(abs(np.sin(gap)), abs=1e-12)
 
+    def test_params_to_amplitudes_rejects_nan_weight(self):
+        with pytest.raises(DomainError):
+            params_to_amplitudes(np.nan, 0.0, 0.0)
+
     def test_params_to_amplitudes_rejects_bad_weight(self):
         with pytest.raises(DomainError):
             params_to_amplitudes([0.2, 1.2], 0.0, 0.0)
@@ -152,6 +156,10 @@ class TestEntropies:
             assert np.array_equal(info, reference(probs))
             assert np.array_equal(probs, before)
 
+    def test_mutual_information_rejects_nan(self):
+        with pytest.raises(DomainError):
+            mutual_information(probabilities([np.nan, 0.0, 0.0, 1.0]))
+
     def test_mutual_information_needs_four_outcomes(self):
         with pytest.raises(ValueError):
             mutual_information([0.5, 0.5])
@@ -192,6 +200,21 @@ class TestConcurrence:
         with pytest.raises(NotNormalizedError):
             concurrence_polar(1.0, 1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((np.nan, 0.0, 0.0, 1.0, 0.0), NotNormalizedError),
+            ((INV_SQRT2, 0.0, 0.0, INV_SQRT2, np.nan), ConsistencyError),
+        ],
+    )
+    def test_polar_rejects_nan(self, args, error):
+        with pytest.raises(error):
+            concurrence_polar(*args)
+
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(ConsistencyError):
+            concurrence([np.nan, 0.0, 0.0, 1.0])
+
     def test_polar_rejects_negative_moduli(self):
         with pytest.raises(DomainError):
             concurrence_polar(-INV_SQRT2, 0.0, 0.0, INV_SQRT2, 0.0)
@@ -227,6 +250,11 @@ class TestEntanglement:
             entanglement_from_concurrence(1.5)
         with pytest.raises(DomainError):
             entanglement_from_concurrence(-0.2)
+
+    @pytest.mark.parametrize("c", [np.nan, np.array([0.5, np.nan])])
+    def test_nan_is_a_domain_error(self, c):
+        with pytest.raises(DomainError):
+            entanglement_from_concurrence(c)
 
     def test_strictly_increasing_on_grid(self):
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
