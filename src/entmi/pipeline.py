@@ -202,16 +202,21 @@ def scan_excess(
 def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
     """A ``make_excess`` for :func:`scan_excess` over ensemble ``kind``.
 
-    Each sample's excess is ``excess_of_pairs(c, i)`` of its (C, I) pair,
-    evaluated one tile at a time on buffers kept for the worker share.
+    ``excess_of_pairs(c, i, out, scratch, mask)`` writes the excess of
+    each (C, I) pair of a tile into ``out``; it may overwrite ``c``, and
+    ``scratch`` and ``mask`` are a float64 and a boolean array of the
+    tile's length.  All of them are buffers kept for the worker share.
     Bind ``kind`` and ``excess_of_pairs`` with ``functools.partial``.
     """
     kernel = _BlockKernel(Ensemble(kind), capacity)
     excess = np.empty(capacity)
+    scratch = np.empty(kernel.block.tile_rows)
+    mask = np.empty(kernel.block.tile_rows, dtype=bool)
 
     def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
         for start, stop, c, i in kernel.pairs(seed, count):
-            excess[start:stop] = excess_of_pairs(c, i)
+            size = stop - start
+            excess_of_pairs(c, i, excess[start:stop], scratch[:size], mask[:size])
         return excess[:count]
 
     return excess_of

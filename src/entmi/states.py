@@ -154,9 +154,10 @@ def _mutual_information_into(rows, buffers, mask):
     total += p2
     total += p3
     info -= np.negative(total, out=total)
-    if np.min(info) < -_MI_ROUNDOFF_TOL:
+    lowest = float(np.min(info, initial=0.0))
+    if lowest < -_MI_ROUNDOFF_TOL:
         raise ConsistencyError(
-            f"mutual information {np.min(info)!r} below -{_MI_ROUNDOFF_TOL}; "
+            f"mutual information {lowest!r} below -{_MI_ROUNDOFF_TOL}; "
             "input is not a probability distribution"
         )
     return np.maximum(info, 0.0, out=info)
@@ -202,7 +203,7 @@ def _clamp_unit(values, what):
     values = np.asarray(values, dtype=np.float64)
     if not np.max(values, initial=0.0) <= 1.0 + _UNIT_CLAMP_TOL:
         raise ConsistencyError(
-            f"{what} {np.max(values)!r} is NaN or exceeds 1 beyond round-off"
+            f"{what} {float(np.max(values))!r} is NaN or exceeds 1 beyond round-off"
         )
     return np.minimum(values, 1.0, out=values)
 
@@ -268,11 +269,28 @@ def entanglement_from_concurrence(c):
     c = np.asarray(c, dtype=np.float64)
     if not _within(c, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
         raise DomainError("concurrence outside [0, 1]")
-    c = np.clip(c, 0.0, 1.0)
-    root = np.sqrt(1.0 - c * c)
-    x = 0.5 * (1.0 + root)
-    x_comp = c * c / (2.0 * (1.0 + root))
-    return _scalarize(np.maximum(-xlog2(x) - xlog2(x_comp), 0.0))
+    flat = np.clip(c, 0.0, 1.0).reshape(-1)
+    value = _entanglement_into(
+        flat, np.empty((2, flat.size)), np.empty(flat.size, dtype=bool)
+    )
+    return _scalarize(value.reshape(c.shape))
+
+
+def _entanglement_into(c, buffers, mask):
+    """E(C) of the concurrences ``c``, each in [0, 1], into ``buffers[0]``.
+
+    ``c`` is a float64 array and is overwritten; ``buffers`` holds two
+    float64 arrays and ``mask`` is a boolean array, all as long as ``c``.
+    """
+    x, root = buffers
+    c_sq = np.multiply(c, c, out=c)
+    np.sqrt(np.subtract(1.0, c_sq, out=root), out=root)
+    root += 1.0
+    np.multiply(0.5, root, out=x)
+    x_comp = np.divide(c_sq, np.multiply(2.0, root, out=root), out=c)
+    np.negative(_xlog2_into(x, root, mask), out=x)
+    x -= _xlog2_into(x_comp, root, mask)
+    return np.maximum(x, 0.0, out=x)
 
 
 def entanglement_entropy(state):

@@ -14,17 +14,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .curves import mi_from_angles, ridge_mi
+from .curves import _mi_from_trig, ridge_mi
 from .errors import InsufficientDataError
 from .histogram import JointHistogram
 from .pipeline import scan_excess, tile_excess
-from .sampling import Ensemble, SeedSpec, _tiles, stream_generator
-from .states import (
-    entanglement_from_concurrence,
-    mutual_information,
-    params_to_amplitudes,
-    probabilities,
-)
+from .sampling import _TILE_ROWS, Ensemble, SeedSpec, _tiles, stream_generator
+from .states import _entanglement_into, _mutual_information_into, _probabilities_into
 
 # MI may exceed the entanglement bound by this much before a sample
 # counts as a violation.
@@ -70,8 +65,11 @@ def write_reports_jsonl(reports: Iterable[VerificationReport], stream: IO[str]) 
         stream.write("\n")
 
 
-def _bound_excess(tol: float, c: np.ndarray, i: np.ndarray) -> np.ndarray:
-    return i - entanglement_from_concurrence(c) - tol
+def _bound_excess(tol, c, i, out, scratch, mask):
+    # The kernel's C already lies in [0, 1], so the range check and clip
+    # of entanglement_from_concurrence would change no value.
+    np.subtract(i, _entanglement_into(c, (out, scratch), mask), out=out)
+    out -= tol
 
 
 def check_bound(
@@ -96,8 +94,8 @@ def check_bound(
     )
 
 
-def _zero_mi_excess(c: np.ndarray, i: np.ndarray) -> np.ndarray:
-    return i - ZERO_MI_TOL
+def _zero_mi_excess(c, i, out, scratch, mask):
+    np.subtract(i, ZERO_MI_TOL, out=out)
 
 
 def check_zero_mi_family(
@@ -115,26 +113,48 @@ def check_zero_mi_family(
     )
 
 
+# Both amplitude weights of the equal-weight family, sqrt(0.5) = sqrt(1 - 0.5).
+_HALF_ROOT = np.sqrt(0.5)
+
+
 def _angle_oracle_excess(capacity: int):
     """A ``make_excess`` for :func:`scan_excess`: the oracle, one tile at a time.
 
     Each block's angles are drawn whole, as one ``random((count, 2))``
-    call; both routes then run per tile, so their temporaries stay small.
+    call.  Per tile, cos and sin of alpha and of beta = alpha - delta are
+    evaluated once; the closed form squares them, and the pipeline scales
+    them into the amplitudes ``params_to_amplitudes(0.5, alpha, beta)``
+    computes.  Every array is a buffer kept for the worker share.
     """
     angles = np.empty((capacity, 2))
     excess = np.empty(capacity)
+    tile = min(capacity, _TILE_ROWS)
+    trig = np.empty((4, tile))
+    rows = np.empty((4, tile))
+    probs = np.empty((4, tile))
+    info = np.empty((4, tile))
+    mask = np.empty(tile, dtype=bool)
 
     def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
         block = stream_generator(seed).random(out=angles[:count])
         block *= 2.0 * np.pi
         for start, stop in _tiles(count):
+            size = stop - start
             alpha, delta = block[start:stop, 0], block[start:stop, 1]
-            direct = np.atleast_1d(mi_from_angles(alpha, delta))
-            amplitudes = params_to_amplitudes(
-                np.full(stop - start, 0.5), alpha, alpha - delta
-            )
-            pipelined = np.atleast_1d(mutual_information(probabilities(amplitudes)))
-            np.subtract(np.abs(direct - pipelined), ORACLE_TOL, out=excess[start:stop])
+            beta = np.subtract(alpha, delta, out=info[0, :size])
+            cos_a, sin_a, cos_b, sin_b = trig[:, :size]
+            np.cos(alpha, out=cos_a)
+            np.sin(alpha, out=sin_a)
+            np.cos(beta, out=cos_b)
+            np.sin(beta, out=sin_b)
+            amplitudes = np.multiply(_HALF_ROOT, trig[:, :size], out=rows[:, :size])
+            outcomes = _probabilities_into(amplitudes.T, probs[:, :size], info[0, :size])
+            pipelined = _mutual_information_into(outcomes, info[:, :size], mask[:size])
+            squares = np.square(trig[:, :size], out=rows[:, :size])
+            direct = _mi_from_trig(squares, info[1:, :size], mask[:size])
+            gap = np.subtract(direct, pipelined, out=excess[start:stop])
+            np.abs(gap, out=gap)
+            gap -= ORACLE_TOL
         return excess[:count]
 
     return excess_of
@@ -145,9 +165,10 @@ def check_angle_oracle(
 ) -> VerificationReport:
     """Closed-form MI of the two-angle family matches the measurement pipeline.
 
-    Draws random (alpha, delta) pairs and compares ``mi_from_angles``
-    against MI computed from the assembled amplitudes; the two routes
-    share no code beyond elementary functions.
+    Draws random (alpha, delta) pairs and compares the closed form of
+    ``mi_from_angles`` against MI computed from the assembled amplitudes.
+    Both routes start from the same cos and sin values, evaluated once:
+    they share elementary-function values, not formulas.
     """
     violations, worst = scan_excess(_angle_oracle_excess, n, seed, workers)
     return VerificationReport(

@@ -16,6 +16,7 @@ from entmi import (
     ridge_concurrence,
     ridge_mi,
 )
+from entmi.states import xlog2
 
 # 40-digit reference evaluations of the ridge curve and the bound.
 RIDGE_AT_037 = 0.1011389629557098
@@ -142,6 +143,47 @@ class TestAngleFamily:
         extrema = mi_extrema(np.pi / 2, 1)
         assert extrema.alpha_min == pytest.approx(3 * np.pi / 4)
         assert mi_from_angles(extrema.alpha_min, extrema.delta) <= 1e-12
+
+    def test_matches_the_closed_form_bit_for_bit(self):
+        # The expression the closed form was first written as; the buffered
+        # form must reproduce it bit for bit, broadcast, strided and 0-d.
+        def reference(alpha, delta):
+            alpha = np.asarray(alpha, dtype=np.float64)
+            beta = alpha - np.asarray(delta, dtype=np.float64)
+            cos_a2 = np.cos(alpha) ** 2
+            sin_a2 = np.sin(alpha) ** 2
+            cos_b2 = np.cos(beta) ** 2
+            sin_b2 = np.sin(beta) ** 2
+            mean_cos = 0.5 * (cos_a2 + cos_b2)
+            mean_sin = 0.5 * (sin_a2 + sin_b2)
+            value = (
+                -xlog2(mean_cos)
+                - xlog2(mean_sin)
+                + 0.5 * (xlog2(cos_a2) + xlog2(cos_b2) + xlog2(sin_a2) + xlog2(sin_b2))
+            )
+            return np.clip(value, 0.0, 1.0)
+
+        quarters = np.arange(-8, 9) * (np.pi / 2)
+        gen = np.random.default_rng(41)
+        alpha = np.concatenate(
+            [quarters, [0.0, 1.0, 5e-324], gen.uniform(0, 2 * np.pi, 20_000)]
+        )
+        delta = np.concatenate(
+            [quarters[::-1], [0.0, 1.0, 1e-310], gen.uniform(0, 2 * np.pi, 20_000)]
+        )
+        pairs = np.stack([alpha, delta], axis=1)
+        for a, d in [
+            (alpha, delta),
+            (alpha[:200, None], delta[None, :200]),
+            (pairs[:, 0], pairs[:, 1]),
+            (alpha[:500], 0.3),
+        ]:
+            assert np.array_equal(mi_from_angles(a, d), reference(a, d))
+        # A 0-d cosine is squared by libm pow, not x * x; keep that value.
+        for a, d in zip(alpha[:3_000], delta[:3_000]):
+            value = mi_from_angles(float(a), float(d))
+            assert type(value) is float
+            assert value == float(reference(a, d))
 
     def test_periodicity(self):
         gen = np.random.default_rng(5)

@@ -4,12 +4,18 @@ Any change to sampling, the observables, binning, block reduction or the
 writers that moves a single output byte fails here.  n = 600 000 is three
 250k blocks with a ragged tail, so the block plan and the stream keying
 are covered too.  Each case runs with one and with two workers, which must
-give the same bytes.
+give the same bytes.  The verify reports read ``max_violation: 0.0`` for any
+passing check, so the raw excess arrays of each check are pinned as well.
 """
 
 import hashlib
+from functools import partial
 
+import numpy as np
 import pytest
+
+from entmi import SeedSpec, verify
+from entmi.pipeline import BLOCK_SIZE, block_plan, tile_excess
 
 N = 600_000
 SEED = 11
@@ -22,9 +28,31 @@ SAMPLE_DIGESTS = {
     ("real-s3", 0.001): "f8ace1f45e56fde42fd1892305163c3d717135cae98a53cae7fb18c562ceba9e",
 }
 
+CURVE_DIGEST = "05b60f60adff76ff0200a867a826604e9c051e6f7afed65090d899bfb1a71c55"
+
 VERIFY_DIGESTS = {
     "real-s3": "0531bef3062c2fafc1904d358484190bed3f68d821fc947c5e8a691ea0624949",
     "complex-s7": "540434b7803799ffc4362c40c0f8ff6e6937ebda3d9c651acdfc1b808befa0a5",
+}
+
+# sha256 of the float64 excess of every block of the N-sample, SEED plan,
+# concatenated in block order, for each check's ``make_excess``.
+EXCESS_DIGESTS = {
+    "bound[real-s3]": "c7dde8b0dfb49c0379030869bcfda95e3fb097b3843f95b08a75f70cb07d7e86",
+    "bound[complex-s7]": "2164871b56ca7d2cdd8876a90fe8d0be0041e11648fe688c2c9223093234b333",
+    "zero-mi": "798f2bd5d75ab7c14cff5898cdcbcaa8573ffa6b632fb3e1ae1d55b51ea79f73",
+    "mi-oracle": "2aabe75f1f283ba87493f2b86d4edc7f71c34515fb8c7bf453f47623c3dc70d2",
+}
+
+MAKE_EXCESS = {
+    "bound[real-s3]": partial(
+        tile_excess, "real-s3", partial(verify._bound_excess, verify.BOUND_TOL)
+    ),
+    "bound[complex-s7]": partial(
+        tile_excess, "complex-s7", partial(verify._bound_excess, verify.BOUND_TOL)
+    ),
+    "zero-mi": partial(tile_excess, "zero-mi", verify._zero_mi_excess),
+    "mi-oracle": verify._angle_oracle_excess,
 }
 
 
@@ -59,3 +87,19 @@ def test_verify_jsonl_digest(run_cli, tmp_path, ensemble, workers):
     )
     assert code == 0
     assert _sha256(out) == VERIFY_DIGESTS[ensemble]
+
+
+def test_curve_csv_digest(run_cli, tmp_path):
+    out = tmp_path / "curve.csv"
+    assert run_cli(["curve", "--points", "101", "--out", str(out)]) == 0
+    assert _sha256(out) == CURVE_DIGEST
+
+
+@pytest.mark.parametrize("check", sorted(EXCESS_DIGESTS))
+def test_excess_digest(check):
+    excess_of = MAKE_EXCESS[check](BLOCK_SIZE)
+    digest = hashlib.sha256()
+    for stream_id, count in block_plan(N):
+        excess = excess_of(SeedSpec(SEED, stream_id), count)
+        digest.update(np.asarray(excess, dtype="<f8").tobytes())
+    assert digest.hexdigest() == EXCESS_DIGESTS[check]

@@ -156,6 +156,24 @@ class TestEntropies:
             assert np.array_equal(info, reference(probs))
             assert np.array_equal(probs, before)
 
+    def test_mutual_information_of_an_empty_batch(self):
+        empty = np.zeros((0, 4))
+        assert mutual_information(empty).shape == (0,)
+        assert concurrence(empty).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: concurrence([np.nan, 0.0, 0.0, 1.0]),
+            lambda: mutual_information([0.9, 0.9, 0.9, 0.9]),
+        ],
+        ids=["concurrence", "mutual_information"],
+    )
+    def test_consistency_messages_print_plain_floats(self, call):
+        with pytest.raises(ConsistencyError) as error:
+            call()
+        assert "np.float64" not in str(error.value)
+
     def test_mutual_information_rejects_nan(self):
         with pytest.raises(DomainError):
             mutual_information(probabilities([np.nan, 0.0, 0.0, 1.0]))
@@ -255,6 +273,30 @@ class TestEntanglement:
     def test_nan_is_a_domain_error(self, c):
         with pytest.raises(DomainError):
             entanglement_from_concurrence(c)
+
+    def test_matches_the_closed_form_bit_for_bit(self):
+        # The expression E(C) was first written as; the buffered form must
+        # reproduce it bit for bit, for arrays of any layout and for 0-d input.
+        def reference(c):
+            c = np.clip(np.asarray(c, dtype=np.float64), 0.0, 1.0)
+            root = np.sqrt(1.0 - c * c)
+            x = 0.5 * (1.0 + root)
+            x_comp = c * c / (2.0 * (1.0 + root))
+            return np.maximum(-xlog2(x) - xlog2(x_comp), 0.0)
+
+        grid = np.concatenate(
+            [
+                [0.0, 1.0, 5e-324, 1e-310, 1e-160, 1e-8, 1.0 + 1e-13, -1e-13],
+                np.linspace(0.0, 1.0, 10_001),
+                np.random.default_rng(31).random(20_000),
+            ]
+        )
+        for c in (grid, grid[:10_000].reshape(100, 100).T, grid[::-3]):
+            assert np.array_equal(entanglement_from_concurrence(c), reference(c))
+        for c in grid[:3_000]:
+            value = entanglement_from_concurrence(float(c))
+            assert type(value) is float
+            assert value == float(reference(c))
 
     def test_strictly_increasing_on_grid(self):
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)

@@ -18,6 +18,7 @@ from entmi import (
     ridge_mi,
     write_reports_jsonl,
 )
+from entmi import verify
 from entmi.verify import off_zero_peak_index
 
 
@@ -60,6 +61,26 @@ class TestAngleOracle:
 
     def test_name(self):
         assert check_angle_oracle(10, SeedSpec(0)).name == "mi-oracle"
+
+    @pytest.mark.parametrize("route", ["closed-form", "amplitudes"])
+    def test_a_perturbed_route_is_caught(self, monkeypatch, route):
+        # Both routes start from the same cos/sin values; a fault in either
+        # one alone must still show as violations.
+        if route == "closed-form":
+            exact = verify._mi_from_trig
+            monkeypatch.setattr(
+                verify, "_mi_from_trig", lambda *args: exact(*args) + 1e-9
+            )
+        else:
+            exact = verify._probabilities_into
+            monkeypatch.setattr(
+                verify,
+                "_probabilities_into",
+                lambda amps, rows, scratch: exact(amps[:, [0, 1, 3, 2]], rows, scratch),
+            )
+        report = check_angle_oracle(10_000, SeedSpec(606), workers=1)
+        assert report.violations > 0
+        assert not report.passed
 
 
 class TestPeakFinder:
