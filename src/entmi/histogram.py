@@ -213,7 +213,12 @@ class JointHistogram:
         return out
 
     def coarsen(self, factor_c: int, factor_i: int) -> "JointHistogram":
-        """Exact rebinning by integer factors along each axis."""
+        """Exact rebinning by positive integer factors along each axis."""
+        for factor in (factor_c, factor_i):
+            if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)):
+                raise DomainError(f"coarsening factor {factor!r} is not an integer")
+            if factor < 1:
+                raise DomainError(f"coarsening factor {factor} is not positive")
         if self.nbins_c % factor_c or self.nbins_i % factor_i:
             raise ShapeMismatchError("coarsening factors must divide the bin counts")
         out = JointHistogram(self.delta_c * factor_c, self.delta_i * factor_i)

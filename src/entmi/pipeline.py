@@ -10,9 +10,10 @@ Partials combine by integer sums and by maxima, which do not depend on
 how blocks are grouped or ordered.  Because the block decomposition
 depends only on the sample count, results are bit-identical for any
 worker count, and a shorter run is a prefix of a longer one with the
-same seed.  Within a block, everything after the whole-block draw
-(normalize, concurrence, MI, binning) runs over cache-sized row tiles,
-on buffers kept for the worker's share.
+same seed.  Within a block, every step (draw, normalize, concurrence,
+MI, binning) runs over cache-sized row tiles, on buffers kept for the
+worker's share.  A worker's buffers are one tile each, plus one int64 or
+float64 array per block: the bin indices or the excess of each sample.
 """
 
 from __future__ import annotations
@@ -80,13 +81,14 @@ def _run_tasks(task, head: tuple, plan: list[tuple[int, int]], workers: int):
 class _BlockKernel:
     """The (C, I) pairs of one ensemble's blocks, one tile at a time.
 
-    Holds one worker share's buffers: a :class:`SampleBlock` for the
-    share's largest block, and one tile of probabilities and observables.
-    Each block is drawn whole, so the generator is consumed exactly as
-    one ``sample_amplitudes`` call would; every later step (normalize,
-    concurrence, probabilities, MI) runs per tile and computes, element
-    for element, what the public ``concurrence``, ``probabilities`` and
-    ``mutual_information`` compute on the whole block.
+    Holds one worker share's buffers, one tile each: a
+    :class:`SampleBlock` for the share's blocks, and the probabilities and
+    observables.  The block draws each tile in turn, consuming the
+    generator exactly as one ``sample_amplitudes`` call would; every step
+    (draw, normalize, concurrence, probabilities, MI) runs per tile and
+    computes, element for element, what the public ``concurrence``,
+    ``probabilities`` and ``mutual_information`` compute on the whole
+    block.
     """
 
     def __init__(self, kind: Ensemble, capacity: int):
@@ -151,7 +153,11 @@ def run_histogram_job(
     kind = Ensemble(kind)
     out = JointHistogram(delta_c, delta_i)
     head = (kind.value, master_seed, delta_c, delta_i)
-    for counts in _run_tasks(_histogram_share, head, plan, workers):
+    # The first partial becomes the grid, so a fine grid is not held twice;
+    # integer sums do not depend on the order.
+    partials = _run_tasks(_histogram_share, head, plan, workers)
+    out.counts = next(partials)
+    for counts in partials:
         out.counts += counts
     out.total = n
     return out

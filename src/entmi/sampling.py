@@ -73,9 +73,9 @@ def stream_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Rows per tile: every pass after the whole-block draw works on this many
-# rows at a time, so a tile's draws and the kernel's per-tile buffers stay
-# in a core's L2 cache instead of streaming full-block temporaries.
+# Rows per tile: a block is drawn, normalized and finished this many rows
+# at a time, so a tile's draws and the kernel's per-tile buffers stay in a
+# core's L2 cache and a worker's buffers do not grow with the block.
 _TILE_ROWS = 16_384
 
 
@@ -160,29 +160,33 @@ def _redraw_degenerate(
     return redrawn
 
 
-# Each ensemble is a whole-block ``draw(gen, draws, norms, scratch)``, which
-# fills ``draws`` with one generator call, redraws degenerate rows and
-# leaves in ``norms`` what ``finish`` needs, and a row-wise
-# ``finish(rows, norms, scratch)``, which turns drawn rows into the
-# stream's values in place.  ``scratch`` holds three rows of one tile.
-# Both work on the same rows, in the same order, as one pass over the
-# whole block would, so the values do not depend on the tiling.
+# Each ensemble is four row-wise steps, run on one tile at a time:
+# ``fill(gen, draws)`` draws the rows with one generator call;
+# ``screen(draws, norms, scratch)`` leaves in ``norms`` what ``finish``
+# needs and returns the rows that may be degenerate; ``renorm(draws, norms,
+# rows)`` recomputes the norms of redrawn rows; and ``finish(rows, norms,
+# scratch)`` turns drawn rows into the stream's values in place.
+# ``scratch`` holds three rows of one tile.  Every step computes each row
+# on its own, so the values do not depend on the tiling.
 
 
-def _draw_sphere(gen, draws, norms, scratch):
+def _fill_normal(gen, draws):
     gen.standard_normal(out=draws)
-    width = draws.shape[1]
+
+
+def _fill_uniform(gen, draws):
+    gen.random(out=draws)
+
+
+def _screen_sphere(draws, norms, scratch):
     norm = norms[0]
-    screened = []
-    for start, stop in _tiles(len(draws)):
-        tile = norm[start:stop]
-        _squared_norm(draws[start:stop], tile, scratch[:, : stop - start])
-        np.sqrt(tile, out=tile)
-        screened.append(start + _may_be_degenerate(tile, width))
-    redrawn = _redraw_degenerate(
-        gen, draws, np.concatenate(screened), [list(range(width))]
-    )
-    norm[redrawn] = np.sqrt(_squared_norm(draws[redrawn]))
+    _squared_norm(draws, norm, scratch)
+    np.sqrt(norm, out=norm)
+    return _may_be_degenerate(norm, draws.shape[1])
+
+
+def _renorm_sphere(draws, norms, rows):
+    norms[0, rows] = np.sqrt(_squared_norm(draws[rows]))
 
 
 def _finish_sphere(rows, norms, scratch):
@@ -192,8 +196,11 @@ def _finish_sphere(rows, norms, scratch):
         col /= norms[0]
 
 
-def _draw_params(gen, draws, norms, scratch):
-    gen.random(out=draws)
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _screen_params(draws, norms, scratch):
+    return _NO_ROWS
 
 
 def _finish_params(rows, norms, scratch):
@@ -201,21 +208,16 @@ def _finish_params(rows, norms, scratch):
     rows[:, 2] *= 2.0 * np.pi
 
 
-def _draw_zero_mi(gen, draws, norms, scratch):
-    gen.standard_normal(out=draws)
+def _screen_zero_mi(draws, norms, scratch):
     left, right = norms
-    screened = []
-    for start, stop in _tiles(len(draws)):
-        tile = draws[start:stop]
-        np.hypot(tile[:, 0], tile[:, 2], out=left[start:stop])
-        np.hypot(tile[:, 1], tile[:, 3], out=right[start:stop])
-        least = np.minimum(
-            left[start:stop], right[start:stop], out=scratch[0, : stop - start]
-        )
-        screened.append(start + _may_be_degenerate(least, 2))
-    redrawn = _redraw_degenerate(gen, draws, np.concatenate(screened), [[0, 2], [1, 3]])
-    left[redrawn] = np.hypot(draws[redrawn, 0], draws[redrawn, 2])
-    right[redrawn] = np.hypot(draws[redrawn, 1], draws[redrawn, 3])
+    np.hypot(draws[:, 0], draws[:, 2], out=left)
+    np.hypot(draws[:, 1], draws[:, 3], out=right)
+    return _may_be_degenerate(np.minimum(left, right, out=scratch[0]), 2)
+
+
+def _renorm_zero_mi(draws, norms, rows):
+    norms[0, rows] = np.hypot(draws[rows, 0], draws[rows, 2])
+    norms[1, rows] = np.hypot(draws[rows, 1], draws[rows, 3])
 
 
 def _finish_zero_mi(rows, norms, scratch):
@@ -235,58 +237,110 @@ def _finish_zero_mi(rows, norms, scratch):
     r[...] = rq
 
 
-# ensemble: (draw, finish, float64 columns drawn per state, norm rows kept,
-# dtype of the values).  complex-s7 draws (re, im) pairs, so its float64
-# rows view as 4 complex128.
+# ensemble: (fill, screen, renorm, finish, float64 columns drawn per
+# state, norm rows kept, column groups normalized separately (see
+# _degenerate_rows), dtype of the values).  complex-s7 draws (re, im)
+# pairs, so its float64 rows view as 4 complex128.
+_SPHERE = (_fill_normal, _screen_sphere, _renorm_sphere, _finish_sphere)
 _LAYOUTS = {
-    Ensemble.REAL_S3: (_draw_sphere, _finish_sphere, 4, 1, np.float64),
-    Ensemble.COMPLEX_S7: (_draw_sphere, _finish_sphere, 8, 1, np.complex128),
-    Ensemble.PARAM: (_draw_params, _finish_params, 3, 0, np.float64),
-    Ensemble.ZERO_MI: (_draw_zero_mi, _finish_zero_mi, 4, 2, np.float64),
+    Ensemble.REAL_S3: (*_SPHERE, 4, 1, [[0, 1, 2, 3]], np.float64),
+    Ensemble.COMPLEX_S7: (*_SPHERE, 8, 1, [list(range(8))], np.complex128),
+    Ensemble.PARAM: (
+        _fill_uniform, _screen_params, None, _finish_params, 3, 0, [], np.float64
+    ),
+    Ensemble.ZERO_MI: (
+        _fill_normal, _screen_zero_mi, _renorm_zero_mi, _finish_zero_mi,
+        4, 2, [[0, 2], [1, 3]], np.float64,
+    ),
 }
 
 
 class SampleBlock:
-    """Reusable buffers for drawing blocks of one ensemble.
+    """Reusable one-tile buffers for drawing blocks of one ensemble.
 
-    :meth:`draw` consumes a generator for a whole block, exactly as one
-    ``standard_normal`` (or ``random``) call of the block's shape followed
-    by the degenerate-row redraws does.  :meth:`values` then finishes the
-    drawn rows one range at a time, in place, so every pass after the draw
-    can run on a cache-sized tile.  Each row is finished once per draw.
-    Blocks hold at most ``capacity`` states; ``dtype`` is the dtype of the
-    values and amplitudes, and ``tile_rows`` the length of the longest
+    :meth:`draw` starts a block of ``count <= capacity`` states on a
+    generator, and :meth:`values` draws and finishes its rows one tile at
+    a time, in the order :meth:`tiles` gives.  The generator is consumed
+    exactly as by one ``standard_normal`` (or ``random``) call of the
+    block's shape followed by the degenerate-row redraws: chunked draws of
+    a Philox stream replay one whole draw, and the redraws follow the
+    whole block.  So when a tile holds a row that may be degenerate, the
+    rest of the block is drawn at once, screened and redrawn as a whole,
+    and the block's later tiles are read from that buffer; this is the only
+    time more than one tile of draws is held.  ``dtype`` is the dtype of
+    the values and amplitudes, and ``tile_rows`` the length of the longest
     range :meth:`tiles` gives.
     """
 
     def __init__(self, kind: Ensemble, capacity: int):
         self.kind = Ensemble(kind)
-        self._draw, self._finish, width, norms, self.dtype = _LAYOUTS[self.kind]
+        (self._fill, self._screen, self._renorm, self._finish,
+         width, norms, self._halves, self.dtype) = _LAYOUTS[self.kind]
+        self.capacity = capacity
         self.tile_rows = min(capacity, _TILE_ROWS)
-        self._draws = np.empty((capacity, width))
-        self._norms = np.empty((norms, capacity))
+        self._draws = np.empty((self.tile_rows, width))
+        self._norms = np.empty((norms, self.tile_rows))
         self._scratch = np.empty((3, self.tile_rows))
         self.count = 0
+        self._gen = None
+        self._next = 0
+        self._held = None
 
     def draw(self, gen: np.random.Generator, count: int) -> None:
-        if not 1 <= count <= len(self._draws):
-            raise DomainError(f"block of {count} states outside [1, {len(self._draws)}]")
-        self.count = count
-        self._draw(gen, self._draws[:count], self._norms[:, :count], self._scratch)
+        if not 1 <= count <= self.capacity:
+            raise DomainError(f"block of {count} states outside [1, {self.capacity}]")
+        self._gen, self.count, self._next, self._held = gen, count, 0, None
 
     def tiles(self) -> list[tuple[int, int]]:
-        """(start, stop) ranges of at most one tile covering the drawn block."""
+        """(start, stop) ranges of at most one tile covering the block."""
         return _tiles(self.count)
 
     def values(self, start: int, stop: int) -> np.ndarray:
-        """Finished stream values of rows [start, stop), at most one tile.
+        """Finished stream values of rows [start, stop), the block's next tile.
 
         Amplitudes for the sphere and zero-mi ensembles, (y, alpha, beta)
-        triples for ``param``; a view of the block's buffer.
+        triples for ``param``; a view of a buffer the next tile reuses.
         """
-        rows = self._draws[start:stop]
-        self._finish(rows, self._norms[:, start:stop], self._scratch[:, : stop - start])
-        return rows.view(self.dtype)
+        if start != self._next or not start < stop <= min(
+            start + self.tile_rows, self.count
+        ):
+            raise DomainError(f"rows [{start}, {stop}) are not the block's next tile")
+        self._next = stop
+        size = stop - start
+        scratch = self._scratch[:, :size]
+        if self._held is None:
+            draws, norms = self._draws[:size], self._norms[:, :size]
+            self._fill(self._gen, draws)
+            if self._screen(draws, norms, scratch).size:
+                self._held = self._draw_rest(start, draws)
+        if self._held is not None:
+            offset, held, held_norms = self._held
+            draws = held[start - offset : stop - offset]
+            norms = held_norms[:, start - offset : stop - offset]
+        self._finish(draws, norms, scratch)
+        return draws.view(self.dtype)
+
+    def _draw_rest(self, start: int, tile: np.ndarray):
+        """Rows [start, count): ``tile``, then the rest drawn at once, redrawn.
+
+        Rows before ``start`` had no candidate, so the redraws are those
+        of the whole block.  Returns (start, draws, norms).
+        """
+        draws = np.empty((self.count - start, tile.shape[1]))
+        norms = np.empty((len(self._norms), len(draws)))
+        draws[: len(tile)] = tile
+        if len(tile) < len(draws):
+            self._fill(self._gen, draws[len(tile) :])
+        scratch = self._scratch
+        screened = [
+            lo + self._screen(draws[lo:hi], norms[:, lo:hi], scratch[:, : hi - lo])
+            for lo, hi in _tiles(len(draws))
+        ]
+        redrawn = _redraw_degenerate(
+            self._gen, draws, np.concatenate(screened), self._halves
+        )
+        self._renorm(draws, norms, redrawn)
+        return start, draws, norms
 
     def amplitudes(self, start: int, stop: int) -> np.ndarray:
         """Amplitudes of rows [start, stop), mapping parameter triples to states."""
@@ -297,12 +351,13 @@ class SampleBlock:
 
 
 def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
-    """The next ``n`` values of ``gen`` as ensemble ``kind``: draw, then finish."""
+    """The next ``n`` values of ``gen`` as ensemble ``kind``, filled tile by tile."""
     block = SampleBlock(kind, n)
     block.draw(gen, n)
+    out = np.empty((n, block._draws.shape[1])).view(block.dtype)
     for start, stop in block.tiles():
-        block.values(start, stop)
-    return block._draws.view(block.dtype)
+        out[start:stop] = block.values(start, stop)
+    return out
 
 
 def sample_amplitudes(kind: Ensemble, seed: SeedSpec, n: int) -> np.ndarray:

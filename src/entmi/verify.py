@@ -120,15 +120,17 @@ _HALF_ROOT = np.sqrt(0.5)
 def _angle_oracle_excess(capacity: int):
     """A ``make_excess`` for :func:`scan_excess`: the oracle, one tile at a time.
 
-    Each block's angles are drawn whole, as one ``random((count, 2))``
-    call.  Per tile, cos and sin of alpha and of beta = alpha - delta are
+    Each tile's angles are drawn with one ``random((size, 2))`` call, which
+    replays the block's stream as one ``random((count, 2))`` call would.
+    Per tile, cos and sin of alpha and of beta = alpha - delta are
     evaluated once; the closed form squares them, and the pipeline scales
     them into the amplitudes ``params_to_amplitudes(0.5, alpha, beta)``
-    computes.  Every array is a buffer kept for the worker share.
+    computes.  Every array is a buffer kept for the worker share: one tile
+    each, and the block's excess.
     """
-    angles = np.empty((capacity, 2))
     excess = np.empty(capacity)
     tile = min(capacity, _TILE_ROWS)
+    angles = np.empty((tile, 2))
     trig = np.empty((4, tile))
     rows = np.empty((4, tile))
     probs = np.empty((4, tile))
@@ -136,11 +138,12 @@ def _angle_oracle_excess(capacity: int):
     mask = np.empty(tile, dtype=bool)
 
     def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
-        block = stream_generator(seed).random(out=angles[:count])
-        block *= 2.0 * np.pi
+        gen = stream_generator(seed)
         for start, stop in _tiles(count):
             size = stop - start
-            alpha, delta = block[start:stop, 0], block[start:stop, 1]
+            drawn = gen.random(out=angles[:size])
+            drawn *= 2.0 * np.pi
+            alpha, delta = drawn[:, 0], drawn[:, 1]
             beta = np.subtract(alpha, delta, out=info[0, :size])
             cos_a, sin_a, cos_b, sin_b = trig[:, :size]
             np.cos(alpha, out=cos_a)

@@ -152,6 +152,18 @@ class TestMerge:
         with pytest.raises(ShapeMismatchError):
             h.coarsen(3, 3)
 
+    @pytest.mark.parametrize(
+        "factors", [(0, 1), (1, 0), (-2, 1), (2.5, 1), (True, 1), (1, 2.0), ("2", 1)]
+    )
+    def test_coarsen_rejects_factors_that_are_not_positive_integers(self, factors):
+        h = self._filled(4, delta=0.0125)
+        with pytest.raises(DomainError, match="coarsening factor"):
+            h.coarsen(*factors)
+
+    def test_coarsen_accepts_numpy_integers(self):
+        h = self._filled(4, delta=0.0125)
+        assert h.coarsen(np.int64(4), np.int32(2)) == h.coarsen(4, 2)
+
 
 class TestDensities:
     def test_single_point_delta_density(self):

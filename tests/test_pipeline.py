@@ -1,5 +1,6 @@
 """Unit tests for the block-parallel sampling jobs."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -175,10 +176,10 @@ class TestBoundScan:
 
 # -- the tiled block kernel ----------------------------------------------------
 #
-# The kernel draws a block whole, then normalizes, computes C and I and bins
-# one tile at a time.  The references below are the whole-block path as it
-# was first written: one generator call per block, a scan of every row per
-# redraw pass, row-wise norms, and C, I and bin indices over the whole block.
+# The kernel draws, normalizes, computes C and I and bins a block one tile at
+# a time.  The references below are the whole-block path as it was first
+# written: one generator call per block, a scan of every row per redraw
+# pass, row-wise norms, and C, I and bin indices over the whole block.
 
 TILE = sampling._TILE_ROWS
 DEGENERATE_TOL = 1e-12
@@ -230,11 +231,23 @@ def _reference_counts(c, i, delta):
 
 
 class ZeroedRow:
-    """A generator whose first block draw has row ``row`` zeroed: a degenerate row."""
+    """A generator whose drawn rows ``rows`` are zeroed: degenerate rows.
 
-    def __init__(self, gen, row):
+    Rows are counted across every draw, however the block is chunked, so
+    row ``k < count`` is row ``k`` of a block of ``count`` and row
+    ``count + j`` is row ``j`` of the redraws that follow it.  ``cols``
+    picks the columns zeroed, the whole row by default.
+    """
+
+    def __init__(self, gen, row, cols=slice(None)):
         self._gen = gen
-        self._row = row
+        self._rows = [] if row is None else [row] if np.isscalar(row) else list(row)
+        self._cols = cols
+        self._seen = 0
+
+    @property
+    def bit_generator(self):
+        return self._gen.bit_generator
 
     def standard_normal(self, size=None, out=None):
         return self._zeroed(self._gen.standard_normal(size, out=out))
@@ -243,9 +256,10 @@ class ZeroedRow:
         return self._zeroed(self._gen.random(size, out=out))
 
     def _zeroed(self, values):
-        if self._row is not None:
-            values[self._row] = 0.0
-            self._row = None
+        for row in self._rows:
+            if self._seen <= row < self._seen + len(values):
+                values[row - self._seen, self._cols] = 0.0
+        self._seen += len(values)
         return values
 
 
@@ -318,3 +332,125 @@ class TestTiledKernel:
         monkeypatch.setattr(sampling.SampleBlock, "amplitudes", corrupted)
         with pytest.raises(error, match=message):
             run_histogram_job(Ensemble.REAL_S3, 250_000, 2, 0.01, 0.01, workers=1)
+
+
+def _state(gen):
+    """The bit generator's state with its arrays as lists, comparable with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(gen.bit_generator.state)
+
+
+DRAWN = 5 * TILE + 9
+
+
+class TestTileDraws:
+    """A block drawn tile by tile consumes its generator as the whole-block reference.
+
+    Zeroed rows make the block's first flagged tile draw the rest of the
+    block at once and redraw over it; ``DRAWN`` and later rows belong to
+    the redraws, so zeroing them makes a redraw degenerate again.
+    """
+
+    @staticmethod
+    def _tiled(kind, gen, count):
+        block = sampling.SampleBlock(kind, count)
+        block.draw(gen, count)
+        tiles = [block.amplitudes(*tile).copy() for tile in block.tiles()]
+        return np.concatenate(tiles), block._held is not None
+
+    @pytest.mark.parametrize("kind", list(Ensemble))
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [0], [2 * TILE], [DRAWN - 1], [TILE + 5, 3 * TILE + 1],
+         [TILE, TILE + 1, DRAWN], [4 * TILE + 2, DRAWN, DRAWN + 1]],
+    )
+    def test_generator_state_matches_whole_block_reference(self, kind, rows):
+        self._check(kind, rows, slice(None), kind is not Ensemble.PARAM and rows)
+
+    @pytest.mark.parametrize("cols", [[0, 2], [1, 3]])
+    @pytest.mark.parametrize("rows", [[3 * TILE + 7], [TILE - 1, 4 * TILE]])
+    def test_zero_mi_half_degenerate(self, cols, rows):
+        self._check(Ensemble.ZERO_MI, rows, cols, True)
+
+    def _check(self, kind, rows, cols, falls_back):
+        seed = SeedSpec(19, 3)
+        tiled_gen = ZeroedRow(sampling.stream_generator(seed), rows, cols)
+        amps, held = self._tiled(kind, tiled_gen, DRAWN)
+        ref_gen = ZeroedRow(sampling.stream_generator(seed), rows, cols)
+        ref = _reference_amplitudes(kind, ref_gen, DRAWN)
+        assert held == bool(falls_back)
+        assert np.array_equal(amps, ref)
+        assert _state(tiled_gen) == _state(ref_gen)
+        assert _state(tiled_gen) != _state(sampling.stream_generator(seed))
+
+    def test_later_blocks_reuse_one_tile(self):
+        block = sampling.SampleBlock(Ensemble.REAL_S3, DRAWN)
+        gen = ZeroedRow(sampling.stream_generator(SeedSpec(19, 3)), [2 * TILE])
+        block.draw(gen, DRAWN)
+        for tile in block.tiles():
+            block.values(*tile)
+        assert block._held is not None
+        block.draw(sampling.stream_generator(SeedSpec(19, 4)), DRAWN)
+        assert block._held is None
+        assert block._draws.shape == (TILE, 4)
+
+    @pytest.mark.parametrize(
+        "calls",
+        [[(TILE, 2 * TILE)], [(0, TILE), (0, TILE)], [(0, TILE), (TILE, TILE - 1)],
+         [(0, TILE + 1)], [(0, 0)]],
+    )
+    def test_tiles_must_come_in_order(self, calls):
+        block = sampling.SampleBlock(Ensemble.REAL_S3, DRAWN)
+        block.draw(sampling.stream_generator(SeedSpec(1)), DRAWN)
+        *done, wrong = calls
+        for tile in done:
+            block.values(*tile)
+        with pytest.raises(DomainError, match="next tile"):
+            block.values(*wrong)
+
+
+def _histogram_two_blocks(kind):
+    pipeline._histogram_share((kind, 7, 0.01, 0.01, [(0, 250_000), (1, 250_000)]))
+
+
+def _excess_two_blocks(make_excess):
+    excess_of = make_excess(250_000)
+    for stream_id in (0, 1):
+        excess_of(SeedSpec(7, stream_id), 250_000)
+
+
+class TestShareMemory:
+    # tracemalloc peaks of one share of two 250k blocks.  When each block
+    # was drawn whole they were, in MiB: 13.4 and 21.4 for the real-s3 and
+    # complex-s7 histograms, 13.4 and 21.3 for their bound checks, 15.3 for
+    # zero-mi and 7.7 for mi-oracle.  Drawn one tile at a time, a share
+    # holds one tile of each buffer plus one int64 or float64 array per
+    # block (2 MB), which stays under 6 MiB.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            partial(_histogram_two_blocks, "real-s3"),
+            partial(_histogram_two_blocks, "complex-s7"),
+            partial(_excess_two_blocks, _bound_excess(Ensemble.REAL_S3)),
+            partial(_excess_two_blocks, _bound_excess(Ensemble.COMPLEX_S7)),
+            partial(
+                _excess_two_blocks,
+                partial(tile_excess, "zero-mi", verify._zero_mi_excess),
+            ),
+            partial(_excess_two_blocks, verify._angle_oracle_excess),
+        ],
+        ids=["histogram-real-s3", "histogram-complex-s7", "bound-real-s3",
+             "bound-complex-s7", "zero-mi", "mi-oracle"],
+    )
+    def test_peak_is_at_most_6_mib(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
