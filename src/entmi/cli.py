@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ensemble",
         choices=(Ensemble.REAL_S3.value, Ensemble.COMPLEX_S7.value),
         default=Ensemble.REAL_S3.value,
-        help="ensemble for the bound check",
+        help="ensemble for --check bound (--all runs both)",
     )
     p_verify.add_argument(
         "--hist", default=None, help="existing histogram for the ridge check"
@@ -225,22 +225,18 @@ def _cmd_verify(args) -> int:
 
     selected = []
     if args.all:
-        selected = ["bound", "bound-complex", "zero-mi", "mi-oracle"]
+        selected = [("bound", Ensemble.REAL_S3), ("bound", Ensemble.COMPLEX_S7),
+                    ("zero-mi", None), ("mi-oracle", None)]
     for name in args.check or []:
-        if name not in selected:
-            selected.append(name)
+        check = (name, Ensemble(args.ensemble) if name == "bound" else None)
+        if check not in selected:
+            selected.append(check)
 
     seed = SeedSpec(args.seed)
     reports = []
-    for name in selected:
+    for name, kind in selected:
         if name == "bound":
-            reports.append(
-                check_bound(args.n, seed, Ensemble(args.ensemble), workers=workers)
-            )
-        elif name == "bound-complex":
-            reports.append(
-                check_bound(args.n, seed, Ensemble.COMPLEX_S7, workers=workers)
-            )
+            reports.append(check_bound(args.n, seed, kind, workers=workers))
         elif name == "zero-mi":
             reports.append(check_zero_mi_family(args.n, seed, workers=workers))
         elif name == "mi-oracle":

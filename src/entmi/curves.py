@@ -23,6 +23,7 @@ from .errors import ConvergenceError, DomainError
 from .states import _scalarize, _within, _xlog2_into, binary_entropy
 
 _BISECT_MAX_ITER = 200
+_BISECT_TOL = 1e-12
 
 
 def mi_from_angles(alpha, delta):
@@ -85,34 +86,31 @@ def ridge_mi(c):
     if not _within(c, -1e-12, 1.0 + 1e-12):
         raise DomainError("concurrence outside [0, 1]")
     c = np.clip(c, 0.0, 1.0)
-    value = np.maximum(1.0 - binary_entropy(0.5 * (1.0 + c)), 0.0)
-    return float(value) if np.ndim(value) == 0 else value
+    return _scalarize(np.maximum(1.0 - binary_entropy(0.5 * (1.0 + c)), 0.0))
 
 
-def ridge_concurrence(info, tol: float = 1e-12) -> float:
+def ridge_concurrence(info) -> float:
     """Invert ``ridge_mi`` by bisection on [0, 1].
 
     The curve is strictly increasing, so bisection converges
-    unconditionally; the loop stops once |ridge_mi(c) - info| <= tol.
+    unconditionally; the loop stops once |ridge_mi(c) - info| <= 1e-12.
     Raises ``ConvergenceError`` if 200 iterations are not enough.
     """
     info = float(info)
     if not 0.0 <= info <= 1.0:
         raise DomainError(f"mutual information {info!r} outside [0, 1]")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         value = ridge_mi(mid)
-        if abs(value - info) <= tol:
+        if abs(value - info) <= _BISECT_TOL:
             return mid
         if value < info:
             lo = mid
         else:
             hi = mid
     raise ConvergenceError(
-        f"bisection did not reach tolerance {tol!r} for info={info!r}"
+        f"bisection did not reach tolerance {_BISECT_TOL!r} for info={info!r}"
     )
 
 

@@ -10,8 +10,9 @@ Partials combine by integer sums and by maxima, which do not depend on
 how blocks are grouped or ordered.  Because the block decomposition
 depends only on the sample count, results are bit-identical for any
 worker count, and a shorter run is a prefix of a longer one with the
-same seed.  Within a block, every step (draw, normalize, concurrence,
-MI, binning) runs over cache-sized row tiles, on buffers kept for the
+same seed.  Within a block, ``SampleBlock.tiles`` yields the states one
+cache-sized row tile at a time, and every step (draw, normalize,
+concurrence, MI, binning) runs on that tile, on buffers kept for the
 worker's share.  A worker's buffers are one tile each, plus one int64 or
 float64 array per block: the bin indices or the excess of each sample.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .histogram import JointHistogram
-from .sampling import Ensemble, SampleBlock, SeedSpec, stream_generator
+from .sampling import Ensemble, SampleBlock, SeedSpec, _as_amplitudes, stream_generator
 from .states import _concurrence_into, _mutual_information_into, _probabilities_into
 
 BLOCK_SIZE = 250_000
@@ -83,12 +84,12 @@ class _BlockKernel:
 
     Holds one worker share's buffers, one tile each: a
     :class:`SampleBlock` for the share's blocks, and the probabilities and
-    observables.  The block draws each tile in turn, consuming the
-    generator exactly as one ``sample_amplitudes`` call would; every step
-    (draw, normalize, concurrence, probabilities, MI) runs per tile and
-    computes, element for element, what the public ``concurrence``,
-    ``probabilities`` and ``mutual_information`` compute on the whole
-    block.
+    observables.  The block's tile generator draws and finishes each tile
+    in turn, consuming the generator exactly as one ``sample_amplitudes``
+    call would; every later step (concurrence, probabilities, MI) runs on
+    the tile it yields and computes, element for element, what the public
+    ``concurrence``, ``probabilities`` and ``mutual_information`` compute
+    on the whole block.
     """
 
     def __init__(self, kind: Ensemble, capacity: int):
@@ -106,10 +107,9 @@ class _BlockKernel:
         ``c`` and ``i`` hold the tile's rows [start, stop) of the block
         drawn from ``seed``; their buffers are reused by the next tile.
         """
-        self.block.draw(stream_generator(seed), count)
-        for start, stop in self.block.tiles():
+        for start, stop, values in self.block.tiles(stream_generator(seed), count):
             size = stop - start
-            amplitudes = self.block.amplitudes(start, stop)
+            amplitudes = _as_amplitudes(self.block.kind, values)
             c = _concurrence_into(amplitudes, self._c[:size], self._products[:, :size])
             probs = _probabilities_into(
                 amplitudes, self._probs[:, :size], self._info[0, :size]

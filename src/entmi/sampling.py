@@ -258,18 +258,17 @@ _LAYOUTS = {
 class SampleBlock:
     """Reusable one-tile buffers for drawing blocks of one ensemble.
 
-    :meth:`draw` starts a block of ``count <= capacity`` states on a
-    generator, and :meth:`values` draws and finishes its rows one tile at
-    a time, in the order :meth:`tiles` gives.  The generator is consumed
-    exactly as by one ``standard_normal`` (or ``random``) call of the
-    block's shape followed by the degenerate-row redraws: chunked draws of
-    a Philox stream replay one whole draw, and the redraws follow the
-    whole block.  So when a tile holds a row that may be degenerate, the
-    rest of the block is drawn at once, screened and redrawn as a whole,
-    and the block's later tiles are read from that buffer; this is the only
-    time more than one tile of draws is held.  ``dtype`` is the dtype of
-    the values and amplitudes, and ``tile_rows`` the length of the longest
-    range :meth:`tiles` gives.
+    :meth:`tiles` draws a block of ``count <= capacity`` states from a
+    generator and yields its rows one finished tile at a time.  The
+    generator is consumed exactly as by one ``standard_normal`` (or
+    ``random``) call of the block's shape followed by the degenerate-row
+    redraws: chunked draws of a Philox stream replay one whole draw, and
+    the redraws follow the whole block.  So when a tile holds a row that
+    may be degenerate, the rest of the block is drawn at once, screened and
+    redrawn as a whole, and the block's later tiles are yielded from that
+    buffer; this is the only time more than one tile of draws is held.
+    ``dtype`` is the dtype of the values, and ``tile_rows`` the most rows a
+    tile has.
     """
 
     def __init__(self, kind: Ensemble, capacity: int):
@@ -281,82 +280,63 @@ class SampleBlock:
         self._draws = np.empty((self.tile_rows, width))
         self._norms = np.empty((norms, self.tile_rows))
         self._scratch = np.empty((3, self.tile_rows))
-        self.count = 0
-        self._gen = None
-        self._next = 0
-        self._held = None
 
-    def draw(self, gen: np.random.Generator, count: int) -> None:
+    def tiles(self, gen: np.random.Generator, count: int):
+        """Yield (start, stop, values) per tile of a block of ``count`` states.
+
+        ``values`` holds the finished stream values of rows [start, stop):
+        amplitudes for the sphere and zero-mi ensembles, (y, alpha, beta)
+        triples for ``param``; it is a view of a buffer that later tiles reuse.
+        """
         if not 1 <= count <= self.capacity:
             raise DomainError(f"block of {count} states outside [1, {self.capacity}]")
-        self._gen, self.count, self._next, self._held = gen, count, 0, None
-
-    def tiles(self) -> list[tuple[int, int]]:
-        """(start, stop) ranges of at most one tile covering the block."""
-        return _tiles(self.count)
-
-    def values(self, start: int, stop: int) -> np.ndarray:
-        """Finished stream values of rows [start, stop), the block's next tile.
-
-        Amplitudes for the sphere and zero-mi ensembles, (y, alpha, beta)
-        triples for ``param``; a view of a buffer the next tile reuses.
-        """
-        if start != self._next or not start < stop <= min(
-            start + self.tile_rows, self.count
-        ):
-            raise DomainError(f"rows [{start}, {stop}) are not the block's next tile")
-        self._next = stop
-        size = stop - start
-        scratch = self._scratch[:, :size]
-        if self._held is None:
+        for start, stop in _tiles(count):
+            size = stop - start
             draws, norms = self._draws[:size], self._norms[:, :size]
-            self._fill(self._gen, draws)
+            scratch = self._scratch[:, :size]
+            self._fill(gen, draws)
             if self._screen(draws, norms, scratch).size:
-                self._held = self._draw_rest(start, draws)
-        if self._held is not None:
-            offset, held, held_norms = self._held
-            draws = held[start - offset : stop - offset]
-            norms = held_norms[:, start - offset : stop - offset]
-        self._finish(draws, norms, scratch)
-        return draws.view(self.dtype)
+                yield from self._draw_rest(gen, start, count, draws)
+                return
+            self._finish(draws, norms, scratch)
+            yield start, stop, draws.view(self.dtype)
 
-    def _draw_rest(self, start: int, tile: np.ndarray):
-        """Rows [start, count): ``tile``, then the rest drawn at once, redrawn.
+    def _draw_rest(self, gen: np.random.Generator, start: int, count: int, tile):
+        """Yield rows [start, count) by tile: ``tile``, then the rest drawn at once.
 
         Rows before ``start`` had no candidate, so the redraws are those
-        of the whole block.  Returns (start, draws, norms).
+        of the whole block.
         """
-        draws = np.empty((self.count - start, tile.shape[1]))
+        draws = np.empty((count - start, tile.shape[1]))
         norms = np.empty((len(self._norms), len(draws)))
         draws[: len(tile)] = tile
         if len(tile) < len(draws):
-            self._fill(self._gen, draws[len(tile) :])
+            self._fill(gen, draws[len(tile) :])
         scratch = self._scratch
         screened = [
             lo + self._screen(draws[lo:hi], norms[:, lo:hi], scratch[:, : hi - lo])
             for lo, hi in _tiles(len(draws))
         ]
-        redrawn = _redraw_degenerate(
-            self._gen, draws, np.concatenate(screened), self._halves
-        )
+        redrawn = _redraw_degenerate(gen, draws, np.concatenate(screened), self._halves)
         self._renorm(draws, norms, redrawn)
-        return start, draws, norms
+        for lo, hi in _tiles(len(draws)):
+            self._finish(draws[lo:hi], norms[:, lo:hi], scratch[:, : hi - lo])
+            yield start + lo, start + hi, draws[lo:hi].view(self.dtype)
 
-    def amplitudes(self, start: int, stop: int) -> np.ndarray:
-        """Amplitudes of rows [start, stop), mapping parameter triples to states."""
-        values = self.values(start, stop)
-        if self.kind is Ensemble.PARAM:
-            return params_to_amplitudes(values[:, 0], values[:, 1], values[:, 2])
-        return values
+
+def _as_amplitudes(kind: Ensemble, values: np.ndarray) -> np.ndarray:
+    """Amplitudes of ensemble ``kind``'s values, mapping parameter triples to states."""
+    if kind is Ensemble.PARAM:
+        return params_to_amplitudes(values[:, 0], values[:, 1], values[:, 2])
+    return values
 
 
 def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
     """The next ``n`` values of ``gen`` as ensemble ``kind``, filled tile by tile."""
     block = SampleBlock(kind, n)
-    block.draw(gen, n)
     out = np.empty((n, block._draws.shape[1])).view(block.dtype)
-    for start, stop in block.tiles():
-        out[start:stop] = block.values(start, stop)
+    for start, stop, values in block.tiles(gen, n):
+        out[start:stop] = values
     return out
 
 
@@ -368,7 +348,4 @@ def sample_amplitudes(kind: Ensemble, seed: SeedSpec, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError("sample count must be at least 1")
     kind = Ensemble(kind)
-    draws = _take(kind, stream_generator(seed), int(n))
-    if kind is Ensemble.PARAM:
-        return params_to_amplitudes(draws[:, 0], draws[:, 1], draws[:, 2])
-    return draws
+    return _as_amplitudes(kind, _take(kind, stream_generator(seed), int(n)))

@@ -65,6 +65,12 @@ def write_reports_jsonl(reports: Iterable[VerificationReport], stream: IO[str]) 
         stream.write("\n")
 
 
+def _scan_report(name, make_excess, n, seed, workers) -> VerificationReport:
+    """The report of a sampled check: :func:`scan_excess` over ``n`` samples."""
+    violations, worst = scan_excess(make_excess, n, seed, workers)
+    return VerificationReport(name, n, violations, worst)
+
+
 def _bound_excess(tol, c, i, out, scratch, mask):
     # The kernel's C already lies in [0, 1], so the range check and clip
     # of entanglement_from_concurrence would change no value.
@@ -80,17 +86,12 @@ def check_bound(
 ) -> VerificationReport:
     """MI never exceeds the entanglement bound E(C) + 1e-9."""
     kind = Ensemble(kind)
-    violations, max_excess = scan_excess(
+    return _scan_report(
+        f"bound[{kind.value}]",
         partial(tile_excess, kind.value, partial(_bound_excess, BOUND_TOL)),
         n,
         seed,
         workers,
-    )
-    return VerificationReport(
-        name=f"bound[{kind.value}]",
-        samples=n,
-        violations=violations,
-        max_violation=max_excess,
     )
 
 
@@ -102,14 +103,12 @@ def check_zero_mi_family(
     n: int, seed: SeedSpec, workers: int | None = None
 ) -> VerificationReport:
     """States with |ad| = |bc| have mutual information below 1e-12."""
-    violations, worst = scan_excess(
-        partial(tile_excess, Ensemble.ZERO_MI.value, _zero_mi_excess), n, seed, workers
-    )
-    return VerificationReport(
-        name="zero-mi",
-        samples=n,
-        violations=violations,
-        max_violation=worst,
+    return _scan_report(
+        "zero-mi",
+        partial(tile_excess, Ensemble.ZERO_MI.value, _zero_mi_excess),
+        n,
+        seed,
+        workers,
     )
 
 
@@ -173,13 +172,7 @@ def check_angle_oracle(
     Both routes start from the same cos and sin values, evaluated once:
     they share elementary-function values, not formulas.
     """
-    violations, worst = scan_excess(_angle_oracle_excess, n, seed, workers)
-    return VerificationReport(
-        name="mi-oracle",
-        samples=n,
-        violations=violations,
-        max_violation=worst,
-    )
+    return _scan_report("mi-oracle", _angle_oracle_excess, n, seed, workers)
 
 
 def off_zero_peak_index(column: np.ndarray) -> int | None:
@@ -199,28 +192,23 @@ def off_zero_peak_index(column: np.ndarray) -> int | None:
     return best
 
 
-def check_ridge(
-    hist: JointHistogram,
-    c_lo: float = 0.3,
-    c_hi: float = 0.95,
-    min_total: int = RIDGE_MIN_TOTAL,
-) -> VerificationReport:
+def check_ridge(hist: JointHistogram) -> VerificationReport:
     """The off-zero conditional MI peak tracks ridge_mi(C) within 2 bins.
 
-    For every concurrence column whose center lies in [c_lo, c_hi], the
+    For every concurrence column whose center lies in [0.3, 0.95], the
     largest local maximum of the MI distribution away from the zero bin
     must sit within two I-bins of the predicted curve.  Requires a
-    histogram of at least ``min_total`` samples (from the uniform
+    histogram of at least ``RIDGE_MIN_TOTAL`` samples (from the uniform
     real-amplitude ensemble for the prediction to apply).
     """
-    if hist.total < min_total:
+    if hist.total < RIDGE_MIN_TOTAL:
         raise InsufficientDataError(
-            f"ridge check needs at least {min_total} samples, got {hist.total}"
+            f"ridge check needs at least {RIDGE_MIN_TOTAL} samples, got {hist.total}"
         )
     centers_c = hist.centers("c")
     centers_i = hist.centers("i")
     slack = 2.0 * hist.delta_i
-    picked = np.flatnonzero((centers_c >= c_lo) & (centers_c <= c_hi))
+    picked = np.flatnonzero((centers_c >= 0.3) & (centers_c <= 0.95))
     violations = 0
     worst = 0.0
     for idx in picked:

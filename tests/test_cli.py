@@ -240,6 +240,23 @@ class TestVerify:
         names = [json.loads(l)["name"] for l in out.read_text().strip().split("\n")]
         assert names == ["bound[real-s3]", "bound[complex-s7]", "zero-mi", "mi-oracle"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--ensemble", "complex-s7"], ["--check", "bound"],
+         ["--check", "bound", "--ensemble", "complex-s7"],
+         ["--check", "mi-oracle", "--check", "zero-mi", "--check", "mi-oracle"]],
+    )
+    def test_all_runs_each_check_once(self, run_cli, tmp_path, extra):
+        # --all runs both bound ensembles whatever --ensemble says, and a
+        # check it already holds is not run again.
+        out = tmp_path / "report.jsonl"
+        code = run_cli(
+            ["verify", "--all", "--n", "2000", "--seed", "5", "--out", str(out), *extra]
+        )
+        assert code == 0
+        names = [json.loads(l)["name"] for l in out.read_text().strip().split("\n")]
+        assert names == ["bound[real-s3]", "bound[complex-s7]", "zero-mi", "mi-oracle"]
+
     def test_ridge_against_existing_histogram(self, run_cli, tmp_path):
         # Synthetic histogram with peaks exactly on the curve.
         from entmi import ridge_mi

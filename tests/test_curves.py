@@ -91,15 +91,9 @@ class TestInverse:
             c = ridge_concurrence(float(info))
             assert ridge_mi(c) == pytest.approx(float(info), abs=1e-10)
 
-    def test_tolerance_is_honored(self):
-        c = ridge_concurrence(0.35, tol=1e-6)
-        assert abs(ridge_mi(c) - 0.35) <= 1e-6
-
     def test_domain(self):
         with pytest.raises(DomainError):
             ridge_concurrence(1.5)
-        with pytest.raises(DomainError):
-            ridge_concurrence(0.5, tol=0.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
         import entmi.curves as curves

@@ -321,15 +321,15 @@ class TestTiledKernel:
     )
     def test_bad_row_in_a_later_tile_raises(self, monkeypatch, row_values, error, message):
         row = 3 * TILE + 7
-        amplitudes = sampling.SampleBlock.amplitudes
+        tiles = sampling.SampleBlock.tiles
 
-        def corrupted(self, start, stop):
-            amps = amplitudes(self, start, stop)
-            if start <= row < stop:
-                amps[row - start] = row_values
-            return amps
+        def corrupted(self, gen, count):
+            for start, stop, values in tiles(self, gen, count):
+                if start <= row < stop:
+                    values[row - start] = row_values
+                yield start, stop, values
 
-        monkeypatch.setattr(sampling.SampleBlock, "amplitudes", corrupted)
+        monkeypatch.setattr(sampling.SampleBlock, "tiles", corrupted)
         with pytest.raises(error, match=message):
             run_histogram_job(Ensemble.REAL_S3, 250_000, 2, 0.01, 0.01, workers=1)
 
@@ -357,10 +357,18 @@ class TestTileDraws:
 
     @staticmethod
     def _tiled(kind, gen, count):
+        """The block's amplitudes, and whether it drew the rest of the block at once."""
         block = sampling.SampleBlock(kind, count)
-        block.draw(gen, count)
-        tiles = [block.amplitudes(*tile).copy() for tile in block.tiles()]
-        return np.concatenate(tiles), block._held is not None
+        draw_rest = block._draw_rest
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return draw_rest(*args)
+
+        block._draw_rest = counted
+        tiles = [values.copy() for _, _, values in block.tiles(gen, count)]
+        return sampling._as_amplitudes(block.kind, np.concatenate(tiles)), bool(calls)
 
     @pytest.mark.parametrize("kind", list(Ensemble))
     @pytest.mark.parametrize(
@@ -390,27 +398,14 @@ class TestTileDraws:
     def test_later_blocks_reuse_one_tile(self):
         block = sampling.SampleBlock(Ensemble.REAL_S3, DRAWN)
         gen = ZeroedRow(sampling.stream_generator(SeedSpec(19, 3)), [2 * TILE])
-        block.draw(gen, DRAWN)
-        for tile in block.tiles():
-            block.values(*tile)
-        assert block._held is not None
-        block.draw(sampling.stream_generator(SeedSpec(19, 4)), DRAWN)
-        assert block._held is None
+        for _ in block.tiles(gen, DRAWN):
+            pass
+        seed = SeedSpec(19, 4)
+        later = [v.copy() for _, _, v in block.tiles(sampling.stream_generator(seed), DRAWN)]
         assert block._draws.shape == (TILE, 4)
-
-    @pytest.mark.parametrize(
-        "calls",
-        [[(TILE, 2 * TILE)], [(0, TILE), (0, TILE)], [(0, TILE), (TILE, TILE - 1)],
-         [(0, TILE + 1)], [(0, 0)]],
-    )
-    def test_tiles_must_come_in_order(self, calls):
-        block = sampling.SampleBlock(Ensemble.REAL_S3, DRAWN)
-        block.draw(sampling.stream_generator(SeedSpec(1)), DRAWN)
-        *done, wrong = calls
-        for tile in done:
-            block.values(*tile)
-        with pytest.raises(DomainError, match="next tile"):
-            block.values(*wrong)
+        # The fallback's whole-block buffer does not leak into the next block.
+        expected = sampling.sample_amplitudes(Ensemble.REAL_S3, seed, DRAWN)
+        assert np.array_equal(np.concatenate(later), expected)
 
 
 def _histogram_two_blocks(kind):
