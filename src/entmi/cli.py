@@ -22,10 +22,11 @@ from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec
 from .states import entanglement_from_concurrence
 from .verify import (
-    check_angle_oracle,
-    check_bound,
+    ANGLE_ORACLE_CHECK,
+    ZERO_MI_CHECK,
+    bound_check,
     check_ridge,
-    check_zero_mi_family,
+    run_checks,
     write_reports_jsonl,
 )
 
@@ -232,23 +233,29 @@ def _cmd_verify(args) -> int:
         if check not in selected:
             selected.append(check)
 
-    seed = SeedSpec(args.seed)
+    if args.hist is not None and ("ridge", None) not in selected:
+        raise DomainError("--hist applies only to --check ridge")
+
+    # The sampled checks run as one scan; their reports keep the selection's order.
+    sampled = {"zero-mi": ZERO_MI_CHECK, "mi-oracle": ANGLE_ORACLE_CHECK}
+    checks = [
+        bound_check(kind) if name == "bound" else sampled[name]
+        for name, kind in selected
+        if name != "ridge"
+    ]
+    scanned = iter(run_checks(checks, args.n, SeedSpec(args.seed), workers))
     reports = []
-    for name, kind in selected:
-        if name == "bound":
-            reports.append(check_bound(args.n, seed, kind, workers=workers))
-        elif name == "zero-mi":
-            reports.append(check_zero_mi_family(args.n, seed, workers=workers))
-        elif name == "mi-oracle":
-            reports.append(check_angle_oracle(args.n, seed, workers=workers))
-        elif name == "ridge":
-            if args.hist is not None:
-                hist = load_histogram(args.hist)
-            else:
-                hist = run_histogram_job(
-                    Ensemble.REAL_S3, args.n, args.seed, 0.01, 0.01, workers=workers
-                )
-            reports.append(check_ridge(hist))
+    for name, _ in selected:
+        if name != "ridge":
+            reports.append(next(scanned))
+            continue
+        if args.hist is not None:
+            hist = load_histogram(args.hist)
+        else:
+            hist = run_histogram_job(
+                Ensemble.REAL_S3, args.n, args.seed, 0.01, 0.01, workers=workers
+            )
+        reports.append(check_ridge(hist))
 
     _write_output(args.out, lambda out: write_reports_jsonl(reports, out))
     return _EXIT_OK if all(r.passed for r in reports) else _EXIT_CHECK_FAILED

@@ -1,8 +1,13 @@
 """Executable cross-checks tying the samplers, observables, and curves together.
 
-Each check draws its own streams, counts violations instead of aborting
-on the first one, and returns a :class:`VerificationReport`.  Reports are
-deterministic for a fixed (seed, n) and serialize to JSON lines.
+Each sampled check draws block ``j`` of its ``n`` samples from stream
+``seed.stream_id + j``, so checks of one seed read the same streams.
+:func:`run_checks` runs several as one scan, in which the Gaussian checks
+(``bound`` and ``zero-mi``) share each tile's draw; ``mi-oracle`` draws
+uniform angles from its streams alone.  Every check counts violations
+instead of aborting on the first one and returns a
+:class:`VerificationReport`; reports are deterministic for a fixed
+(seed, n), whatever the checks run with, and serialize to JSON lines.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 from .curves import _mi_from_trig, ridge_mi
 from .errors import InsufficientDataError
 from .histogram import JointHistogram
-from .pipeline import scan_excess, tile_excess
-from .sampling import _TILE_ROWS, Ensemble, SeedSpec, _tiles, stream_generator
+from .pipeline import StreamCheck, TileCheck, scan_checks
+from .sampling import Ensemble, SeedSpec
 from .states import _entanglement_into, _mutual_information_into, _probabilities_into
 
 # MI may exceed the entanglement bound by this much before a sample
@@ -65,10 +70,17 @@ def write_reports_jsonl(reports: Iterable[VerificationReport], stream: IO[str]) 
         stream.write("\n")
 
 
-def _scan_report(name, make_excess, n, seed, workers) -> VerificationReport:
-    """The report of a sampled check: :func:`scan_excess` over ``n`` samples."""
-    violations, worst = scan_excess(make_excess, n, seed, workers)
-    return VerificationReport(name, n, violations, worst)
+def run_checks(checks, n: int, seed: SeedSpec, workers=None) -> list[VerificationReport]:
+    """The reports of sampled checks, given as (name, check) pairs, from one scan.
+
+    Every check draws block ``j`` of its ``n`` samples from stream
+    ``seed.stream_id + j``; see :func:`scan_checks` for what they share.
+    """
+    results = scan_checks([(check, seed) for _, check in checks], n, workers)
+    return [
+        VerificationReport(name, n, violations, worst)
+        for (name, _), (violations, worst) in zip(checks, results)
+    ]
 
 
 def _bound_excess(tol, c, i, out, scratch, mask):
@@ -78,6 +90,12 @@ def _bound_excess(tol, c, i, out, scratch, mask):
     out -= tol
 
 
+def bound_check(kind: Ensemble) -> tuple[str, TileCheck]:
+    """(name, check) of the bound on ensemble ``kind``, for :func:`run_checks`."""
+    kind = Ensemble(kind)
+    return f"bound[{kind.value}]", TileCheck(kind.value, partial(_bound_excess, BOUND_TOL))
+
+
 def check_bound(
     n: int,
     seed: SeedSpec,
@@ -85,81 +103,69 @@ def check_bound(
     workers: int | None = None,
 ) -> VerificationReport:
     """MI never exceeds the entanglement bound E(C) + 1e-9."""
-    kind = Ensemble(kind)
-    return _scan_report(
-        f"bound[{kind.value}]",
-        partial(tile_excess, kind.value, partial(_bound_excess, BOUND_TOL)),
-        n,
-        seed,
-        workers,
-    )
+    return run_checks([bound_check(kind)], n, seed, workers)[0]
 
 
 def _zero_mi_excess(c, i, out, scratch, mask):
     np.subtract(i, ZERO_MI_TOL, out=out)
 
 
+ZERO_MI_CHECK = ("zero-mi", TileCheck(Ensemble.ZERO_MI.value, _zero_mi_excess))
+
+
 def check_zero_mi_family(
     n: int, seed: SeedSpec, workers: int | None = None
 ) -> VerificationReport:
     """States with |ad| = |bc| have mutual information below 1e-12."""
-    return _scan_report(
-        "zero-mi",
-        partial(tile_excess, Ensemble.ZERO_MI.value, _zero_mi_excess),
-        n,
-        seed,
-        workers,
-    )
+    return run_checks([ZERO_MI_CHECK], n, seed, workers)[0]
 
 
 # Both amplitude weights of the equal-weight family, sqrt(0.5) = sqrt(1 - 0.5).
 _HALF_ROOT = np.sqrt(0.5)
 
 
-def _angle_oracle_excess(capacity: int):
-    """A ``make_excess`` for :func:`scan_excess`: the oracle, one tile at a time.
+def _angle_oracle_tiles(rows: int, shared):
+    """The oracle as a :class:`StreamCheck` makes it: one tile at a time.
 
     Each tile's angles are drawn with one ``random((size, 2))`` call, which
     replays the block's stream as one ``random((count, 2))`` call would.
     Per tile, cos and sin of alpha and of beta = alpha - delta are
     evaluated once; the closed form squares them, and the pipeline scales
     them into the amplitudes ``params_to_amplitudes(0.5, alpha, beta)``
-    computes.  Every array is a buffer kept for the worker share: one tile
-    each, and the block's excess.
+    computes, in the rows that then hold their probabilities.  Every array
+    is a buffer kept for the worker share: the angles and cos/sin rows
+    here, and ``shared``'s probabilities, MI rows and mask.
     """
-    excess = np.empty(capacity)
-    tile = min(capacity, _TILE_ROWS)
-    angles = np.empty((tile, 2))
-    trig = np.empty((4, tile))
-    rows = np.empty((4, tile))
-    probs = np.empty((4, tile))
-    info = np.empty((4, tile))
-    mask = np.empty(tile, dtype=bool)
+    angles = np.empty((rows, 2))
+    trig = np.empty((4, rows))
+    probs, info, mask = shared.probs, shared.info, shared.mask
 
-    def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
-        gen = stream_generator(seed)
-        for start, stop in _tiles(count):
-            size = stop - start
-            drawn = gen.random(out=angles[:size])
-            drawn *= 2.0 * np.pi
-            alpha, delta = drawn[:, 0], drawn[:, 1]
-            beta = np.subtract(alpha, delta, out=info[0, :size])
-            cos_a, sin_a, cos_b, sin_b = trig[:, :size]
-            np.cos(alpha, out=cos_a)
-            np.sin(alpha, out=sin_a)
-            np.cos(beta, out=cos_b)
-            np.sin(beta, out=sin_b)
-            amplitudes = np.multiply(_HALF_ROOT, trig[:, :size], out=rows[:, :size])
-            outcomes = _probabilities_into(amplitudes.T, probs[:, :size], info[0, :size])
-            pipelined = _mutual_information_into(outcomes, info[:, :size], mask[:size])
-            squares = np.square(trig[:, :size], out=rows[:, :size])
-            direct = _mi_from_trig(squares, info[1:, :size], mask[:size])
-            gap = np.subtract(direct, pipelined, out=excess[start:stop])
-            np.abs(gap, out=gap)
-            gap -= ORACLE_TOL
-        return excess[:count]
+    def excess_of(gen, out: np.ndarray) -> np.ndarray:
+        size = len(out)
+        drawn = gen.random(out=angles[:size])
+        drawn *= 2.0 * np.pi
+        alpha, delta = drawn[:, 0], drawn[:, 1]
+        beta = np.subtract(alpha, delta, out=info[0, :size])
+        cos_a, sin_a, cos_b, sin_b = trig[:, :size]
+        np.cos(alpha, out=cos_a)
+        np.sin(alpha, out=sin_a)
+        np.cos(beta, out=cos_b)
+        np.sin(beta, out=sin_b)
+        amplitudes = np.multiply(_HALF_ROOT, trig[:, :size], out=probs[:, :size])
+        outcomes = _probabilities_into(amplitudes.T, amplitudes, info[0, :size])
+        pipelined = _mutual_information_into(outcomes, info[:, :size], mask[:size])
+        squares = np.square(trig[:, :size], out=probs[:, :size])
+        direct = _mi_from_trig(squares, info[1:, :size], mask[:size])
+        gap = np.subtract(direct, pipelined, out=out)
+        np.abs(gap, out=gap)
+        gap -= ORACLE_TOL
+        return gap
 
     return excess_of
+
+
+_angle_oracle_excess = StreamCheck(_angle_oracle_tiles)
+ANGLE_ORACLE_CHECK = ("mi-oracle", _angle_oracle_excess)
 
 
 def check_angle_oracle(
@@ -172,7 +178,7 @@ def check_angle_oracle(
     Both routes start from the same cos and sin values, evaluated once:
     they share elementary-function values, not formulas.
     """
-    return _scan_report("mi-oracle", _angle_oracle_excess, n, seed, workers)
+    return run_checks([ANGLE_ORACLE_CHECK], n, seed, workers)[0]
 
 
 def off_zero_peak_index(column: np.ndarray) -> int | None:

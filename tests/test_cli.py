@@ -286,6 +286,14 @@ class TestVerify:
     def test_no_selection_exit_2(self, run_cli):
         assert run_cli(["verify", "--n", "100"]) == 2
 
+    @pytest.mark.parametrize("checks", [["--check", "zero-mi"], ["--all"]])
+    def test_hist_without_ridge_exit_2(self, run_cli, capsys, checks):
+        argv = ["verify", *checks, "--n", "1000", "--hist", "/nonexistent.csv"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --hist applies only to --check ridge\n"
+
     def test_failed_check_exit_1(self, run_cli, tmp_path):
         # Peaks displaced well off the curve must fail the ridge check.
         from entmi import ridge_mi

@@ -1,5 +1,7 @@
 """Unit tests for the block-parallel sampling jobs."""
 
+import functools
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -418,13 +420,19 @@ def _excess_two_blocks(make_excess):
         excess_of(SeedSpec(7, stream_id), 250_000)
 
 
+def _suite_two_blocks():
+    checks = [(check, SeedSpec(7)) for _, check in _SUITE]
+    pipeline._scan_share((checks, [(0, 250_000), (1, 250_000)]))
+
+
 class TestShareMemory:
     # tracemalloc peaks of one share of two 250k blocks.  When each block
     # was drawn whole they were, in MiB: 13.4 and 21.4 for the real-s3 and
     # complex-s7 histograms, 13.4 and 21.3 for their bound checks, 15.3 for
     # zero-mi and 7.7 for mi-oracle.  Drawn one tile at a time, a share
     # holds one tile of each buffer plus one int64 or float64 array per
-    # block (2 MB), which stays under 6 MiB.
+    # block (2 MB), which stays under 6 MiB.  The suite's four checks scanned
+    # together share their tile buffers and keep no per-block array.
     @pytest.mark.parametrize(
         "run",
         [
@@ -437,9 +445,10 @@ class TestShareMemory:
                 partial(tile_excess, "zero-mi", verify._zero_mi_excess),
             ),
             partial(_excess_two_blocks, verify._angle_oracle_excess),
+            _suite_two_blocks,
         ],
         ids=["histogram-real-s3", "histogram-complex-s7", "bound-real-s3",
-             "bound-complex-s7", "zero-mi", "mi-oracle"],
+             "bound-complex-s7", "zero-mi", "mi-oracle", "suite"],
     )
     def test_peak_is_at_most_6_mib(self, run):
         tracemalloc.start()
@@ -449,3 +458,172 @@ class TestShareMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
+
+
+# -- several checks in one scan ------------------------------------------------
+#
+# A negative tolerance on the bound turns part of each block into violations,
+# so the counts and the worst excess compared below are not all zero.  The
+# bound's excess on zero-mi states depends on their concurrence, so it
+# checks the zero-mi rows read from a shared tile too.
+
+_SUITE = [
+    verify.bound_check(Ensemble.REAL_S3),
+    verify.bound_check(Ensemble.COMPLEX_S7),
+    verify.ZERO_MI_CHECK,
+    verify.ANGLE_ORACLE_CHECK,
+]
+
+_SHARP = {
+    "real-s3": pipeline.TileCheck("real-s3", partial(verify._bound_excess, -0.5)),
+    "complex-s7": pipeline.TileCheck("complex-s7", partial(verify._bound_excess, -0.5)),
+    "zero-mi": pipeline.TileCheck("zero-mi", partial(verify._bound_excess, -0.5)),
+    "mi-oracle": verify._angle_oracle_excess,
+}
+
+_SELECTIONS = [
+    names
+    for size in range(1, len(_SHARP) + 1)
+    for names in itertools.combinations(sorted(_SHARP), size)
+]
+
+
+def _alone(check, n, seed):
+    """(violations, worst) of ``check`` from its own make_excess, block by block."""
+    violations, worst = 0, 0.0
+    for index, count in block_plan(n):
+        excess = check(count)(SeedSpec(seed.master_seed, seed.stream_id + index), count)
+        violations += int(np.count_nonzero(~(excess <= 0.0)))
+        worst = max(worst, float(excess.max()))
+    return violations, worst
+
+
+@functools.lru_cache(maxsize=None)
+def _sharp_alone(name, n):
+    return _alone(_SHARP[name], n, SeedSpec(21, 5))
+
+
+def _nan_excess(capacity):
+    return _nan_excess_of
+
+
+def _nan_excess_of(seed, count):
+    excess = np.full(count, np.nan)
+    excess[::3] = -1.0
+    excess[1] = 0.25
+    return excess
+
+
+class TestScanChecks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, TILE, TILE + 1])
+    @pytest.mark.parametrize("names", _SELECTIONS, ids="+".join)
+    def test_each_selection_matches_each_check_alone(self, names, n, workers):
+        self._check(names, n, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [250_001, 600_000])
+    @pytest.mark.parametrize(
+        "names",
+        [("complex-s7", "mi-oracle", "real-s3", "zero-mi"), ("real-s3", "zero-mi"),
+         ("complex-s7", "zero-mi")],
+        ids="+".join,
+    )
+    def test_large_selections_match_each_check_alone(self, names, n, workers):
+        self._check(names, n, workers)
+
+    @staticmethod
+    def _check(names, n, workers):
+        results = pipeline.scan_checks(
+            [(_SHARP[name], SeedSpec(21, 5)) for name in names], n, workers
+        )
+        assert results == [_sharp_alone(name, n) for name in names]
+
+    @pytest.mark.parametrize("name", ["complex-s7", "real-s3", "zero-mi"])
+    def test_the_sharp_checks_are_not_vacuous(self, name):
+        violations, worst = _sharp_alone(name, TILE + 1)
+        assert 0 < violations < TILE + 1
+        assert worst > 0.0
+
+    def test_checks_of_other_seeds_keep_their_streams(self):
+        checks = [(_SHARP["real-s3"], SeedSpec(21, 5)), (_SHARP["real-s3"], SeedSpec(21, 6)),
+                  (_SHARP["complex-s7"], SeedSpec(22, 5))]
+        expected = [_alone(check, 300_000, seed) for check, seed in checks]
+        assert pipeline.scan_checks(checks, 300_000, workers=1) == expected
+
+    def test_checks_of_one_ensemble_and_seed_share_a_tile(self):
+        # Two real-s3 checks read one 4-column fill; param draws uniforms.
+        param = pipeline.TileCheck("param", partial(verify._bound_excess, -0.5))
+        checks = [(_SHARP["real-s3"], SeedSpec(21, 5)), (param, SeedSpec(21, 5)),
+                  (dict(_SUITE)["bound[real-s3]"], SeedSpec(21, 5))]
+        expected = [_alone(check, 300_000, seed) for check, seed in checks]
+        assert pipeline.scan_checks(checks, 300_000, workers=2) == expected
+        assert expected[1][0] > 0
+
+    def test_the_suite_matches_each_check_alone(self):
+        checks = [(check, SeedSpec(11)) for _, check in _SUITE]
+        expected = [_alone(check, 300_000, SeedSpec(11)) for check, _ in checks]
+        assert pipeline.scan_checks(checks, 300_000, workers=2) == expected
+
+    def test_a_flagged_tile_recomputes_that_block_alone(self, monkeypatch):
+        # A screen that flags a row of every tile from the third on: the
+        # exact test then finds nothing to redraw, so the values stay those
+        # of the unpatched checks, but each block of zero-mi is recomputed.
+        expected = [_sharp_alone(name, 600_000) for name in sorted(_SHARP)]
+        fill, screen, *rest = sampling._LAYOUTS[Ensemble.ZERO_MI]
+        calls = []
+
+        def flag_later_tiles(draws, norms, scratch):
+            rows = screen(draws, norms, scratch)
+            calls.append(len(draws))
+            return np.array([len(draws) - 1]) if len(calls) > 2 else rows
+
+        alone = []
+        real_tile_excess = pipeline.tile_excess
+
+        def counted_tile_excess(kind, *args):
+            alone.append(kind)
+            return real_tile_excess(kind, *args)
+
+        monkeypatch.setitem(
+            sampling._LAYOUTS, Ensemble.ZERO_MI, (fill, flag_later_tiles, *rest)
+        )
+        monkeypatch.setattr(pipeline, "tile_excess", counted_tile_excess)
+        checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]
+        assert pipeline.scan_checks(checks, 600_000, workers=1) == expected
+        assert alone == ["zero-mi"] * 3
+
+    @pytest.mark.parametrize("row", [0, 3 * TILE + 5, 125_000 - 1])
+    def test_degenerate_rows_are_redrawn_as_each_check_alone_redraws_them(
+        self, monkeypatch, row
+    ):
+        # Zeroed rows of every block's stream are degenerate states: each
+        # Gaussian check then redraws its block as it does alone.
+        monkeypatch.setattr(
+            pipeline, "stream_generator",
+            lambda s: ZeroedRow(sampling.stream_generator(s), row),
+        )
+        checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]
+        expected = [_alone(check, 250_001, seed) for check, seed in checks]
+        alone = []
+        real_tile_excess = pipeline.tile_excess
+
+        def counted_tile_excess(kind, *args):
+            alone.append(kind)
+            return real_tile_excess(kind, *args)
+
+        monkeypatch.setattr(pipeline, "tile_excess", counted_tile_excess)
+        assert pipeline.scan_checks(checks, 250_001, workers=1) == expected
+        assert {"complex-s7", "real-s3", "zero-mi"} == set(alone)
+
+    def test_nan_excess_is_a_violation(self):
+        # Every excess that is not <= 0 counts; the worst stays finite.
+        assert scan_excess(_nan_excess, 1000, SeedSpec(1), workers=1) == (666, 0.25)
+        report = verify.run_checks([("nan", _nan_excess)], 1000, SeedSpec(1))[0]
+        assert not report.passed
+
+    def test_infinite_excess_is_a_violation_but_not_the_worst(self):
+        excess = np.array([-np.inf, -1.0, np.inf, 0.5, np.nan])
+        total = [0, 0.0]
+        pipeline._tally(total, excess)
+        assert total == [3, 0.5]
