@@ -6,8 +6,9 @@ Each sampled check draws block ``j`` of its ``n`` samples from stream
 (``bound`` and ``zero-mi``) share each tile's draw; ``mi-oracle`` draws
 uniform angles from its streams alone.  Every check counts violations
 instead of aborting on the first one and returns a
-:class:`VerificationReport`; reports are deterministic for a fixed
-(seed, n), whatever the checks run with, and serialize to JSON lines.
+:class:`VerificationReport`.  Reports are deterministic for a fixed
+(seed, n), whichever checks share the scan and however many workers run
+it, and serialize to JSON lines.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ def write_reports_jsonl(reports: Iterable[VerificationReport], stream: IO[str]) 
         stream.write("\n")
 
 
-def run_checks(checks, n: int, seed: SeedSpec, workers=None) -> list[VerificationReport]:
+def run_checks(
+    checks, n: int, seed: SeedSpec, workers: int | None = None
+) -> list[VerificationReport]:
     """The reports of sampled checks, given as (name, check) pairs, from one scan.
 
     Every check draws block ``j`` of its ``n`` samples from stream
