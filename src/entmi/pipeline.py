@@ -293,15 +293,15 @@ class _ShareScan:
             if isinstance(check, TileCheck)
         }
         self.groups = {}
-        for k in sorted(self.layouts, key=lambda k: self.layouts[k][4]):
-            self.groups.setdefault((checks[k][1], self.layouts[k][0]), []).append(k)
-        widths = [layout[4] for layout in self.layouts.values()]
-        copied = [self.layouts[k][4] for group in self.groups.values() for k in group[:-1]]
-        self.fill = np.empty(self.rows * max(widths, default=0))
+        for k in sorted(self.layouts, key=lambda k: self.layouts[k].width):
+            self.groups.setdefault((checks[k][1], self.layouts[k].fill), []).append(k)
+        layouts = self.layouts.values()
+        copied = [self.layouts[k].width for group in self.groups.values() for k in group[:-1]]
+        self.fill = np.empty(self.rows * max((lay.width for lay in layouts), default=0))
         self.work = np.empty(self.rows * max(copied, default=0))
-        self.norms, self.scratch = np.empty((2, self.rows)), np.empty((3, self.rows))
-        self.excess = np.empty(self.rows)
-        dtypes = [layout[7] for layout in self.layouts.values()]
+        self.norms = np.empty((max((lay.norms for lay in layouts), default=0), self.rows))
+        self.scratch, self.excess = np.empty((3, self.rows)), np.empty(self.rows)
+        dtypes = [layout.dtype for layout in layouts]
         self.shared = _Observables(self.rows, np.result_type(np.float64, *dtypes))
         self.own = {
             k: check.make(self.rows, self.shared) if isinstance(check, StreamCheck)
@@ -326,14 +326,14 @@ class _ShareScan:
         _merge(self.totals, self.tallies)
 
     def _scan_group(self, draw, group: list, seed: SeedSpec, count: int) -> None:
-        wide = self.layouts[group[-1]][4]
+        wide = self.layouts[group[-1]].width
         gen = stream_generator(seed)
         live = list(group)
         for start, stop in _tiles(count):
             drawn = self.fill[: (stop - start) * wide].reshape(-1, wide)
             draw(gen, drawn)
             for k in list(live):
-                width = self.layouts[k][4]
+                width = self.layouts[k].width
                 rows = drawn.reshape(-1, width)[: max(count - start * wide // width, 0)]
                 for lo in range(0, len(rows), self.rows):
                     if not self._judge(k, rows[lo : lo + self.rows], k == group[-1]):
@@ -345,17 +345,16 @@ class _ShareScan:
 
     def _judge(self, k: int, drawn: np.ndarray, in_place: bool) -> bool:
         """Judge one tile of check ``k``'s drawn rows; False if one may be degenerate."""
-        check, size = self.checks[k][0], len(drawn)
-        _, screen, _, finish, _, _, _, dtype = self.layouts[k]
+        check, layout, size = self.checks[k][0], self.layouts[k], len(drawn)
         draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
         # The ensemble's screen and finish steps, as SampleBlock.tiles runs them.
         norms, scratch = self.norms[:, :size], self.scratch[:, :size]
-        if screen(draws, norms, scratch).size:
+        if layout.screen(draws, norms, scratch).size:
             return False
-        finish(draws, norms, scratch)
-        amplitudes = _as_amplitudes(Ensemble(check.kind), draws.view(dtype))
+        layout.finish(draws, norms, scratch)
+        amplitudes = _as_amplitudes(Ensemble(check.kind), draws.view(layout.dtype))
         c, i = self.shared.pairs(amplitudes)
         excess = self.excess[:size]
         check.excess_of_pairs(c, i, excess, scratch[0], self.shared.mask[:size])
@@ -383,11 +382,11 @@ def scan_checks(
     degenerate state is recomputed as the check alone computes it, so
     every result is that of :func:`scan_excess` on the check alone.
     """
-    plan = block_plan(n, block_size)
+    checks, plan = list(checks), block_plan(n, block_size)
     workers = resolve_workers(workers)
     totals = [[0, 0.0] for _ in checks]
     if checks:
-        for share in _run_tasks(_scan_share, (list(checks),), plan, workers):
+        for share in _run_tasks(_scan_share, (checks,), plan, workers):
             _merge(totals, share)
     return [tuple(total) for total in totals]
 

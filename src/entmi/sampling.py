@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -237,18 +238,33 @@ def _finish_zero_mi(rows, norms, scratch):
     r[...] = rq
 
 
-# ensemble: (fill, screen, renorm, finish, float64 columns drawn per
-# state, norm rows kept, column groups normalized separately (see
-# _degenerate_rows), dtype of the values).  complex-s7 draws (re, im)
-# pairs, so its float64 rows view as 4 complex128.
+class _Layout(NamedTuple):
+    """An ensemble's four steps, and the shape of its draws and values.
+
+    ``width`` float64 columns are drawn per state and ``norms`` rows of
+    norms kept; ``halves`` are the column groups normalized separately (see
+    :func:`_degenerate_rows`), and ``dtype`` is the values' dtype: complex-s7
+    draws (re, im) pairs, so its float64 rows view as 4 complex128.
+    """
+
+    fill: Callable
+    screen: Callable
+    renorm: Callable | None
+    finish: Callable
+    width: int
+    norms: int
+    halves: list
+    dtype: type
+
+
 _SPHERE = (_fill_normal, _screen_sphere, _renorm_sphere, _finish_sphere)
 _LAYOUTS = {
-    Ensemble.REAL_S3: (*_SPHERE, 4, 1, [[0, 1, 2, 3]], np.float64),
-    Ensemble.COMPLEX_S7: (*_SPHERE, 8, 1, [list(range(8))], np.complex128),
-    Ensemble.PARAM: (
+    Ensemble.REAL_S3: _Layout(*_SPHERE, 4, 1, [[0, 1, 2, 3]], np.float64),
+    Ensemble.COMPLEX_S7: _Layout(*_SPHERE, 8, 1, [list(range(8))], np.complex128),
+    Ensemble.PARAM: _Layout(
         _fill_uniform, _screen_params, None, _finish_params, 3, 0, [], np.float64
     ),
-    Ensemble.ZERO_MI: (
+    Ensemble.ZERO_MI: _Layout(
         _fill_normal, _screen_zero_mi, _renorm_zero_mi, _finish_zero_mi,
         4, 2, [[0, 2], [1, 3]], np.float64,
     ),

@@ -570,7 +570,8 @@ class TestScanChecks:
         # exact test then finds nothing to redraw, so the values stay those
         # of the unpatched checks, but each block of zero-mi is recomputed.
         expected = [_sharp_alone(name, 600_000) for name in sorted(_SHARP)]
-        fill, screen, *rest = sampling._LAYOUTS[Ensemble.ZERO_MI]
+        layout = sampling._LAYOUTS[Ensemble.ZERO_MI]
+        screen = layout.screen
         calls = []
 
         def flag_later_tiles(draws, norms, scratch):
@@ -586,7 +587,7 @@ class TestScanChecks:
             return real_tile_excess(kind, *args)
 
         monkeypatch.setitem(
-            sampling._LAYOUTS, Ensemble.ZERO_MI, (fill, flag_later_tiles, *rest)
+            sampling._LAYOUTS, Ensemble.ZERO_MI, layout._replace(screen=flag_later_tiles)
         )
         monkeypatch.setattr(pipeline, "tile_excess", counted_tile_excess)
         checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]

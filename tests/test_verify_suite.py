@@ -55,8 +55,8 @@ def test_each_normal_is_drawn_once(run_cli, tmp_path, monkeypatch):
         fill(gen, draws)
 
     for kind, layout in list(sampling._LAYOUTS.items()):
-        if layout[0] is fill:
-            monkeypatch.setitem(sampling._LAYOUTS, kind, (counted_fill, *layout[1:]))
+        if layout.fill is fill:
+            monkeypatch.setitem(sampling._LAYOUTS, kind, layout._replace(fill=counted_fill))
     out = tmp_path / "suite.jsonl"
     argv = ["verify", "--all", "--n", "250000", "--workers", "1", "--out", str(out)]
     assert run_cli(argv) == 0
