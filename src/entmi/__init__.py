@@ -38,11 +38,9 @@ from .states import (
     concurrence_polar,
     entanglement_entropy,
     entanglement_from_concurrence,
-    marginal_entropies,
     mutual_information,
     params_to_amplitudes,
     probabilities,
-    total_entropy,
 )
 from .verify import (
     BOUND_TOL,
@@ -88,7 +86,6 @@ __all__ = [
     "entanglement_entropy",
     "entanglement_from_concurrence",
     "load_histogram",
-    "marginal_entropies",
     "mi_extrema",
     "mi_from_angles",
     "mutual_information",
@@ -99,7 +96,6 @@ __all__ = [
     "run_histogram_job",
     "sample_amplitudes",
     "stream_generator",
-    "total_entropy",
     "write_density_csv",
     "write_reports_jsonl",
 ]

@@ -23,6 +23,7 @@ from .sampling import Ensemble, SeedSpec
 from .states import entanglement_from_concurrence
 from .verify import (
     ANGLE_ORACLE_CHECK,
+    RIDGE_CHECK,
     ZERO_MI_CHECK,
     bound_check,
     check_ridge,
@@ -236,26 +237,21 @@ def _cmd_verify(args) -> int:
     if args.hist is not None and ("ridge", None) not in selected:
         raise DomainError("--hist applies only to --check ridge")
 
-    # The sampled checks run as one scan; their reports keep the selection's order.
-    sampled = {"zero-mi": ZERO_MI_CHECK, "mi-oracle": ANGLE_ORACLE_CHECK}
+    # A --hist file is checked before any sampling; the sampled checks, the
+    # ridge histogram among them, run as one scan, reported in selection order.
+    ridge = check_ridge(load_histogram(args.hist)) if args.hist is not None else None
+    sampled = {"zero-mi": ZERO_MI_CHECK, "mi-oracle": ANGLE_ORACLE_CHECK,
+               "ridge": RIDGE_CHECK}
     checks = [
         bound_check(kind) if name == "bound" else sampled[name]
         for name, kind in selected
-        if name != "ridge"
+        if name != "ridge" or ridge is None
     ]
     scanned = iter(run_checks(checks, args.n, SeedSpec(args.seed), workers))
-    reports = []
-    for name, _ in selected:
-        if name != "ridge":
-            reports.append(next(scanned))
-            continue
-        if args.hist is not None:
-            hist = load_histogram(args.hist)
-        else:
-            hist = run_histogram_job(
-                Ensemble.REAL_S3, args.n, args.seed, 0.01, 0.01, workers=workers
-            )
-        reports.append(check_ridge(hist))
+    reports = [
+        ridge if name == "ridge" and ridge is not None else next(scanned)
+        for name, _ in selected
+    ]
 
     _write_output(args.out, lambda out: write_reports_jsonl(reports, out))
     return _EXIT_OK if all(r.passed for r in reports) else _EXIT_CHECK_FAILED

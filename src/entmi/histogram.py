@@ -88,11 +88,11 @@ def bin_widths(delta: float, nbins: int) -> np.ndarray:
     return widths
 
 
-def _bin_indices_into(values: np.ndarray, delta: float, nbins: int, out) -> None:
-    """Bin index of each of ``values`` into ``out``; ``values`` is overwritten."""
-    np.clip(values, 0.0, 1.0, out=values)
-    np.divide(values, delta, out=values)
-    np.copyto(out, values, casting="unsafe")  # truncates, as astype(np.int64)
+def _bin_indices_into(values: np.ndarray, delta: float, nbins: int, out, work) -> None:
+    """Bin index of each of ``values`` into ``out``, through the float64 ``work``."""
+    np.clip(values, 0.0, 1.0, out=work)
+    np.divide(work, delta, out=work)
+    np.copyto(out, work, casting="unsafe")  # truncates, as astype(np.int64)
     np.minimum(out, nbins - 1, out=out)
 
 
@@ -175,22 +175,22 @@ class JointHistogram:
             raise ShapeMismatchError("c and i batches must have the same length")
         if c.size == 0:
             return
-        # Binning works in place, so it runs on copies of the batch.
         flat = np.empty(c.size, dtype=np.int64)
-        self._flat_bins(c.copy(), i.copy(), flat, np.empty_like(flat))
+        self._flat_bins(c, i, flat, np.empty_like(flat), np.empty(c.size))
         self._add_flat(flat)
 
-    def _flat_bins(self, c, i, out, scratch) -> np.ndarray:
+    def _flat_bins(self, c, i, out, scratch, work) -> np.ndarray:
         """Row-major flat bin index of each (c, i) pair into ``out``.
 
-        ``c`` and ``i`` are float64 arrays and are overwritten; ``scratch``
-        is an int64 array as long as ``out``.  Values outside [0, 1] by
-        more than round-off raise ``OutOfRangeError``.
+        ``c`` and ``i`` are float64 arrays and are left as they are;
+        ``scratch`` is an int64 and ``work`` a float64 array as long as
+        ``out``.  Values outside [0, 1] by more than round-off raise
+        ``OutOfRangeError``.
         """
         _check_unit_interval(c, "concurrence")
         _check_unit_interval(i, "mutual information")
-        _bin_indices_into(c, self.delta_c, self.nbins_c, out)
-        _bin_indices_into(i, self.delta_i, self.nbins_i, scratch)
+        _bin_indices_into(c, self.delta_c, self.nbins_c, out, work)
+        _bin_indices_into(i, self.delta_i, self.nbins_i, scratch, work)
         out *= self.nbins_i
         out += scratch
         return out

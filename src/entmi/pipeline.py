@@ -3,25 +3,23 @@
 Work is split into blocks of ``BLOCK_SIZE`` samples; block ``j`` of a
 job is always drawn from stream ``base_stream + j`` of the job's master
 seed.  The blocks are dealt round-robin into one share per worker, and
-each worker reduces its whole share to one partial result (a histogram,
-or a violation count and the worst excess per check) before sending it
-back, so the parent receives ``workers`` results however many blocks the
-job has.  Partials combine by integer sums and by maxima, which do not
-depend on how blocks are grouped or ordered.  Because the block
-decomposition depends only on the sample count, results are bit-identical
-for any worker count, and a shorter run is a prefix of a longer one with
-the same seed.  Within a block, every step (draw, normalize, concurrence,
-MI, binning or excess) runs on one cache-sized row tile at a time, on
-buffers kept for the worker's share; a histogram also keeps one int64
-array of bin indices per block.
+each worker reduces its share to one partial result per consumer before
+sending it back.  Partials combine by integer sums and by maxima, which
+do not depend on how blocks are grouped or ordered, so results are
+bit-identical for any worker count, and a shorter run is a prefix of a
+longer one with the same seed.
 
-:func:`scan_checks` runs several sampled checks as one job: one pool, one
-pass over the block plan.  Checks whose blocks come from the same stream
-share its draws: each tile is drawn once, as wide as the widest of their
-ensembles, and every check reads its rows from it and reduces them to a
-violation count and the worst excess.  A check whose rows may hold a
-degenerate state gets that block recomputed alone, so every result is the
-one the check gives alone.
+Every sampled job is one :func:`scan_checks`: one pool, one pass over the
+block plan.  Each block is drawn, normalized and reduced one cache-sized
+row tile at a time, on buffers kept for the worker's share, and each
+tile's (C, I) pairs go to the scan's consumers.  A histogram bins them
+into an int64 array of bin indices for its block and counts it once per
+block; a check reduces them to a violation count and the worst excess.
+Consumers whose blocks come from the same stream share each tile's draw,
+as wide as the widest of their ensembles, and the consumers of one
+ensemble share its normalization and (C, I) pairs.  A block whose rows
+may hold a degenerate state is recomputed alone for the consumers of that
+ensemble, so every result is the one the consumer gives alone.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 from .errors import DomainError
 from .histogram import JointHistogram
 from .sampling import _LAYOUTS, _TILE_ROWS, Ensemble, SampleBlock, SeedSpec
-from .sampling import _as_amplitudes, _tiles, stream_generator
+from .sampling import _Layout, _as_amplitudes, _tiles, stream_generator
 from .states import _concurrence_into, _mutual_information_into, _probabilities_into
 
 BLOCK_SIZE = 250_000
@@ -48,15 +46,8 @@ def block_plan(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
         raise DomainError("sample count must be at least 1")
     if block_size < 1:
         raise DomainError("block size must be at least 1")
-    plan = []
-    done = 0
-    index = 0
-    while done < n:
-        take = min(block_size, n - done)
-        plan.append((index, take))
-        done += take
-        index += 1
-    return plan
+    starts = range(0, n, block_size)
+    return [(index, min(block_size, n - start)) for index, start in enumerate(starts)]
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -72,21 +63,19 @@ def _block_seed(seed: SeedSpec, index: int) -> SeedSpec:
     return SeedSpec(seed.master_seed, seed.stream_id + index)
 
 
-def _run_tasks(task, head: tuple, plan: list[tuple[int, int]], workers: int):
-    """Yield ``task((*head, share))`` for each worker's share of a job's blocks.
+def _run_shares(checks: list, plan: list[tuple[int, int]], workers: int):
+    """Yield the partial results of each worker's share of a scan's blocks.
 
-    A share is a list of (block_index, count) blocks from ``plan``; block
-    j goes to share j mod shares, so shares differ by at most one block.
-    Callers reduce the partials with commutative operations, in whatever
-    order they arrive.
+    Block j of ``plan`` goes to share j mod shares, so shares differ by at
+    most one block.  The partials arrive in any order.
     """
     parts = min(workers, len(plan))
-    args_list = [(*head, plan[w::parts]) for w in range(parts)]
+    shares = [(checks, plan[w::parts]) for w in range(parts)]
     if parts == 1:
-        yield task(args_list[0])
+        yield _scan_share(shares[0])
         return
     with multiprocessing.Pool(processes=parts) as pool:
-        yield from pool.imap_unordered(task, args_list)
+        yield from pool.imap_unordered(_scan_share, shares)
 
 
 class _Observables:
@@ -119,104 +108,15 @@ class _Observables:
         return c, _mutual_information_into(probs, self.info[:, :size], self.mask[:size])
 
 
-class _BlockKernel:
-    """The (C, I) pairs of one ensemble's blocks, one tile at a time.
-
-    Holds one worker share's buffers, one tile each: a :class:`SampleBlock`
-    for the share's blocks and its :class:`_Observables`.  The block's tile
-    generator draws and finishes each tile in turn, consuming the generator
-    exactly as one ``sample_amplitudes`` call would.
-    """
-
-    def __init__(self, kind: Ensemble, capacity: int):
-        self.block = SampleBlock(kind, capacity)
-        self.observables = _Observables(self.block.tile_rows, self.block.dtype)
-
-    def pairs(self, seed: SeedSpec, count: int):
-        """Yield (start, stop, c, i) per tile of a block of ``count`` states.
-
-        ``c`` and ``i`` hold the tile's rows [start, stop) of the block
-        drawn from ``seed``; their buffers are reused by the next tile.
-        """
-        for start, stop, values in self.block.tiles(stream_generator(seed), count):
-            amplitudes = _as_amplitudes(self.block.kind, values)
-            yield start, stop, *self.observables.pairs(amplitudes)
-
-
-def _histogram_share(args) -> np.ndarray:
-    kind, master_seed, delta_c, delta_i, blocks = args
-    local = JointHistogram(delta_c, delta_i)
-    capacity = max(count for _, count in blocks)
-    kernel = _BlockKernel(Ensemble(kind), capacity)
-    flat = np.empty(capacity, dtype=np.int64)
-    scratch = np.empty(kernel.block.tile_rows, dtype=np.int64)
-    for stream_id, count in blocks:
-        for start, stop, c, i in kernel.pairs(SeedSpec(master_seed, stream_id), count):
-            local._flat_bins(c, i, flat[start:stop], scratch[: stop - start])
-        local._add_flat(flat[:count])
-    return local.counts
-
-
-def run_histogram_job(
-    kind: Ensemble,
-    n: int,
-    master_seed: int,
-    delta_c: float,
-    delta_i: float,
-    workers: int | None = None,
-    base_stream: int = 0,
-    block_size: int = BLOCK_SIZE,
-) -> JointHistogram:
-    """Sample ``n`` states and histogram their (C, I) pairs.
-
-    Deterministic in (kind, n, master_seed, deltas, base_stream,
-    block_size); the worker count only affects wall time.  The sample
-    count and the seed are checked before the grid or a pool exists.
-    """
-    seed = SeedSpec(master_seed, base_stream)
-    plan = [(seed.stream_id + j, count) for j, count in block_plan(n, block_size)]
-    workers = resolve_workers(workers)
-    kind = Ensemble(kind)
-    out = JointHistogram(delta_c, delta_i)
-    head = (kind.value, master_seed, delta_c, delta_i)
-    # The first partial becomes the grid, so a fine grid is not held twice;
-    # integer sums do not depend on the order.
-    partials = _run_tasks(_histogram_share, head, plan, workers)
-    out.counts = next(partials)
-    for counts in partials:
-        out.counts += counts
-    out.total = n
-    return out
-
-
-def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
-    """A ``make_excess`` for :func:`scan_excess` over ensemble ``kind``.
+class TileCheck(NamedTuple):
+    """A check on the (C, I) pairs of ensemble ``kind``, one tile at a time.
 
     ``excess_of_pairs(c, i, out, scratch, mask)`` writes the excess of
-    each (C, I) pair of a tile into ``out``; it may overwrite ``c``, and
-    ``scratch`` and ``mask`` are a float64 and a boolean array of the
-    tile's length.  All of them are buffers kept for the worker share.
-    Bind ``kind`` and ``excess_of_pairs`` with ``functools.partial``, or
-    use :class:`TileCheck`.
-    """
-    kernel = _BlockKernel(Ensemble(kind), capacity)
-    excess = np.empty(capacity)
-    scratch = np.empty(kernel.block.tile_rows)
-
-    def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
-        for start, stop, c, i in kernel.pairs(seed, count):
-            size = stop - start
-            mask = kernel.observables.mask[:size]
-            excess_of_pairs(c, i, excess[start:stop], scratch[:size], mask)
-        return excess[:count]
-
-    return excess_of
-
-
-class TileCheck(NamedTuple):
-    """A check on the (C, I) pairs of ensemble ``kind``; see :func:`tile_excess`.
-
-    Called with a capacity, it is the check's ``make_excess`` run alone.
+    each (C, I) pair of a tile into ``out``; it may overwrite ``c`` but not
+    ``i``, and ``scratch`` and ``mask`` are a float64 and a boolean array
+    of the tile's length.  All of them are buffers kept for the worker
+    share.  Called with a capacity, it is the check's ``make_excess`` run
+    alone; see :func:`tile_excess`.
     """
 
     kind: str
@@ -224,6 +124,14 @@ class TileCheck(NamedTuple):
 
     def __call__(self, capacity: int):
         return tile_excess(self.kind, self.excess_of_pairs, capacity)
+
+
+class TileHistogram(NamedTuple):
+    """The joint histogram of ensemble ``kind``'s (C, I) pairs, for :func:`scan_checks`."""
+
+    kind: str
+    delta_c: float
+    delta_i: float
 
 
 class StreamCheck(NamedTuple):
@@ -252,13 +160,6 @@ class StreamCheck(NamedTuple):
         return excess_of
 
 
-def _merge(totals: list, tallies) -> None:
-    """Add (violations, worst) pairs to running [violations, worst] totals."""
-    for total, (violations, worst) in zip(totals, tallies):
-        total[0] += violations
-        total[1] = max(total[1], worst)
-
-
 def _tally(total: list, excess: np.ndarray) -> None:
     """Add the samples' ``excess`` to a check's [violations, worst].
 
@@ -272,80 +173,186 @@ def _tally(total: list, excess: np.ndarray) -> None:
     total[1] = max(total[1], worst)
 
 
-class _ShareScan:
-    """The (check, seed) pairs of one scan, on one worker share's tile buffers.
+def _combine(total, part):
+    """Two partial results of one consumer, combined: counts add, worst excesses max."""
+    if not isinstance(total, JointHistogram):
+        return total[0] + part[0], max(total[1], part[1])
+    if not total.total:
+        # The first partial becomes the grid, so a fine grid is not held twice.
+        return part
+    total.counts += part.counts
+    total.total += part.total
+    return total
 
-    The :class:`TileCheck` s whose blocks come from equal seeds and the same
-    fill step share one fill per tile, as wide as their widest ensemble (4
-    or 8 normals): a (rows, 8) tile holds the rows of two (rows, 4) tiles
-    of the same stream.  Each check copies its rows into one work tile, but
-    the widest, last, uses the filled tile.  All use the same buffers in turn.
+
+# A consumer's share of a scan: ``start(count)`` (re)starts a block of
+# ``count`` states; ``tile(start, c, i, spare, mask)`` takes the pairs of its
+# rows from ``start`` on, with three spare float64 rows and a mask, and may
+# overwrite ``c``; ``end()`` adds the block to ``result``.
+
+
+class _Excess:
+    """A check's (violations, worst) over the share, and on one block.
+
+    :meth:`tile` reduces a :class:`TileCheck`'s tiles, keeping their excess
+    in ``record`` if given; a :class:`StreamCheck` tallies ``block`` itself.
+    """
+
+    def __init__(self, excess_of_pairs=None, record=None):
+        self.excess_of_pairs, self.record = excess_of_pairs, record
+        self.result, self.block = (0, 0.0), [0, 0.0]
+
+    def start(self, count: int) -> None:
+        self.block = [0, 0.0]
+
+    def tile(self, start, c, i, spare, mask) -> None:
+        out = spare[0] if self.record is None else self.record[start : start + len(c)]
+        self.excess_of_pairs(c, i, out, spare[1], mask)
+        _tally(self.block, out)
+
+    def end(self) -> None:
+        self.result = _combine(self.result, self.block)
+
+
+class _Bins:
+    """A :class:`TileHistogram`'s share: its histogram, and one block's flat bin indices.
+
+    A block's indices are counted with one ``bincount``: on a fine grid,
+    each call allocates an int64 array of the grid's size.
+    """
+
+    def __init__(self, spec: TileHistogram, capacity: int, rows: int):
+        self.result = JointHistogram(spec.delta_c, spec.delta_i)
+        self.flat = np.empty(capacity, dtype=np.int64)
+        self.scratch = np.empty(rows, dtype=np.int64)
+
+    def start(self, count: int) -> None:
+        self.count = count
+
+    def tile(self, start, c, i, spare, mask) -> None:
+        flat = self.flat[start : start + len(c)]
+        self.result._flat_bins(c, i, flat, self.scratch[: len(c)], spare[0])
+
+    def end(self) -> None:
+        self.result._add_flat(self.flat[: self.count])
+
+
+def _feed(shared: _Observables, parts: list, start: int, amplitudes) -> None:
+    """Compute a tile's (C, I) pairs once and hand them to each of ``parts``.
+
+    Every part but the last gets a copy of ``c``.  The spare rows are those
+    of ``shared.probs``, free once the pairs are computed.
+    """
+    c, i = shared.pairs(amplitudes)
+    spare, mask = shared.probs[:, : len(c)], shared.mask[: len(c)]
+    for part in parts[:-1]:
+        spare[3] = c
+        part.tile(start, spare[3], i, spare[:3], mask)
+    parts[-1].tile(start, c, i, spare[:3], mask)
+
+
+def _block_alone(block: SampleBlock, seed: SeedSpec, count: int, shared, parts) -> None:
+    """Feed ``parts`` a block of ``count`` states drawn from ``seed`` alone."""
+    for start, _, values in block.tiles(stream_generator(seed), count):
+        _feed(shared, parts, start, _as_amplitudes(block.kind, values))
+
+
+def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
+    """A :class:`TileCheck` run alone, as ``excess_of(seed, count)``.
+
+    That returns the excess of each state of the block of ``count <=
+    capacity`` drawn from ``seed``, in a buffer that the next block reuses.
+    """
+    block = SampleBlock(Ensemble(kind), capacity)
+    shared = _Observables(block.tile_rows, block.dtype)
+    part = _Excess(excess_of_pairs, np.empty(capacity))
+
+    def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
+        _block_alone(block, seed, count, shared, [part])
+        return part.record[:count]
+
+    return excess_of
+
+
+class _Kind(NamedTuple):
+    """The consumers of one ensemble on one stream."""
+
+    kind: Ensemble
+    layout: _Layout
+    parts: list
+
+
+class _ShareScan:
+    """The consumers of one scan, on one worker share's tile buffers.
+
+    Consumers of equal seeds and fill steps share a fill: a (rows, 8) fill
+    holds the rows of two (rows, 4) tiles of the same stream.  Each
+    ensemble but the widest, last, copies its rows into one work tile.
     """
 
     def __init__(self, checks, capacity: int):
-        self.checks, self.rows = checks, min(capacity, _TILE_ROWS)
-        # [violations, worst] of each check: over the share, and on one block.
-        self.totals = [[0, 0.0] for _ in checks]
-        self.tallies = [[0, 0.0] for _ in checks]
-        self.layouts = {
-            k: _LAYOUTS[Ensemble(check.kind)]
-            for k, (check, _) in enumerate(checks)
-            if isinstance(check, TileCheck)
-        }
-        self.groups = {}
-        for k in sorted(self.layouts, key=lambda k: self.layouts[k].width):
-            self.groups.setdefault((checks[k][1], self.layouts[k].fill), []).append(k)
-        layouts = self.layouts.values()
-        copied = [self.layouts[k].width for group in self.groups.values() for k in group[:-1]]
+        self.rows = min(capacity, _TILE_ROWS)
+        tiled = [c for c, _ in checks if not isinstance(c, StreamCheck)]
+        dtypes = [_LAYOUTS[Ensemble(check.kind)].dtype for check in tiled]
+        self.shared = _Observables(self.rows, np.result_type(np.float64, *dtypes))
+        self.seeds, self.parts, self.own, groups = [seed for _, seed in checks], [], {}, {}
+        for check, seed in checks:
+            if isinstance(check, StreamCheck):
+                self.own[len(self.parts)] = check.make(self.rows, self.shared)
+                self.parts.append(_Excess())
+                continue
+            kind = Ensemble(check.kind)
+            part = (_Bins(check, capacity, self.rows) if isinstance(check, TileHistogram)
+                    else _Excess(check.excess_of_pairs))
+            self.parts.append(part)
+            kinds = groups.setdefault((seed, _LAYOUTS[kind].fill), {})
+            kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append(part)
+        self.groups = {key: sorted(kinds.values(), key=lambda sub: sub.layout.width)
+                       for key, kinds in groups.items()}
+        layouts = [sub.layout for kinds in self.groups.values() for sub in kinds]
+        copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
         self.fill = np.empty(self.rows * max((lay.width for lay in layouts), default=0))
         self.work = np.empty(self.rows * max(copied, default=0))
         self.norms = np.empty((max((lay.norms for lay in layouts), default=0), self.rows))
         self.scratch, self.excess = np.empty((3, self.rows)), np.empty(self.rows)
-        dtypes = [layout.dtype for layout in layouts]
-        self.shared = _Observables(self.rows, np.result_type(np.float64, *dtypes))
-        self.own = {
-            k: check.make(self.rows, self.shared) if isinstance(check, StreamCheck)
-            else check(capacity)
-            for k, (check, _) in enumerate(checks)
-            if k not in self.layouts
-        }
 
     def block(self, index: int, count: int) -> None:
-        """Add each check's block ``index`` of ``count`` samples to its total."""
-        self.tallies = [[0, 0.0] for _ in self.checks]
-        for (seed, draw), group in self.groups.items():
-            self._scan_group(draw, group, _block_seed(seed, index), count)
-        for k, own in self.own.items():
-            seed = _block_seed(self.checks[k][1], index)
-            if not isinstance(self.checks[k][0], StreamCheck):
-                _tally(self.tallies[k], own(seed, count))
-                continue
-            gen = stream_generator(seed)
+        """Add block ``index`` of ``count`` samples to each consumer's result."""
+        for part in self.parts:
+            part.start(count)
+        for (seed, fill), kinds in self.groups.items():
+            self._scan_group(fill, kinds, _block_seed(seed, index), count)
+        for k, excess_of in self.own.items():
+            gen = stream_generator(_block_seed(self.seeds[k], index))
             for start, stop in _tiles(count):
-                _tally(self.tallies[k], own(gen, self.excess[: stop - start]))
-        _merge(self.totals, self.tallies)
+                _tally(self.parts[k].block, excess_of(gen, self.excess[: stop - start]))
+        for part in self.parts:
+            part.end()
 
-    def _scan_group(self, draw, group: list, seed: SeedSpec, count: int) -> None:
-        wide = self.layouts[group[-1]].width
+    def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
+        wide = kinds[-1].layout.width
         gen = stream_generator(seed)
-        live = list(group)
+        live = list(kinds)
         for start, stop in _tiles(count):
             drawn = self.fill[: (stop - start) * wide].reshape(-1, wide)
-            draw(gen, drawn)
-            for k in list(live):
-                width = self.layouts[k].width
-                rows = drawn.reshape(-1, width)[: max(count - start * wide // width, 0)]
+            fill(gen, drawn)
+            for sub in list(live):
+                first = start * wide // sub.layout.width
+                rows = drawn.reshape(-1, sub.layout.width)[: max(count - first, 0)]
                 for lo in range(0, len(rows), self.rows):
-                    if not self._judge(k, rows[lo : lo + self.rows], k == group[-1]):
-                        # Recompute the block as the check alone computes it.
-                        live.remove(k)
-                        self.tallies[k] = [0, 0.0]
-                        _tally(self.tallies[k], self.checks[k][0](count)(seed, count))
+                    tile = rows[lo : lo + self.rows]
+                    if not self._tile(sub, first + lo, tile, sub is kinds[-1]):
+                        # Recompute the block as its consumers alone compute it.
+                        live.remove(sub)
+                        for part in sub.parts:
+                            part.start(count)
+                        block = SampleBlock(sub.kind, count)
+                        _block_alone(block, seed, count, self.shared, sub.parts)
                         break
 
-    def _judge(self, k: int, drawn: np.ndarray, in_place: bool) -> bool:
-        """Judge one tile of check ``k``'s drawn rows; False if one may be degenerate."""
-        check, layout, size = self.checks[k][0], self.layouts[k], len(drawn)
+    def _tile(self, sub: _Kind, start: int, drawn: np.ndarray, in_place: bool) -> bool:
+        """Feed one tile of drawn rows to ``sub``; False if one may be degenerate."""
+        layout, size = sub.layout, len(drawn)
         draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
@@ -354,61 +361,61 @@ class _ShareScan:
         if layout.screen(draws, norms, scratch).size:
             return False
         layout.finish(draws, norms, scratch)
-        amplitudes = _as_amplitudes(Ensemble(check.kind), draws.view(layout.dtype))
-        c, i = self.shared.pairs(amplitudes)
-        excess = self.excess[:size]
-        check.excess_of_pairs(c, i, excess, scratch[0], self.shared.mask[:size])
-        _tally(self.tallies[k], excess)
+        amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype))
+        _feed(self.shared, sub.parts, start, amplitudes)
         return True
 
 
-def _scan_share(args) -> list[list]:
+def _scan_share(args) -> list:
     checks, blocks = args
     scan = _ShareScan(checks, max(count for _, count in blocks))
     for index, count in blocks:
         scan.block(index, count)
-    return scan.totals
+    return [part.result for part in scan.parts]
 
 
-def scan_checks(
-    checks, n: int, workers: int | None = None, block_size: int = BLOCK_SIZE
-) -> list[tuple[int, float]]:
-    """Scan several ``n``-sample checks in one pass over one block plan.
+def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BLOCK_SIZE):
+    """Run several ``n``-sample consumers in one pass over one block plan.
 
-    ``checks`` are (check, seed) pairs, a check being a :class:`TileCheck`,
-    a :class:`StreamCheck` or a ``make_excess`` (see :func:`scan_excess`);
-    block ``j`` of a check uses stream ``seed.stream_id + j``.  Tile checks
+    ``checks`` are (consumer, seed) pairs, a consumer being a
+    :class:`TileCheck`, a :class:`StreamCheck` or a :class:`TileHistogram`;
+    block ``j`` of a consumer uses stream ``seed.stream_id + j``.  Consumers
     of equal seeds share their draws, and a block whose rows may hold a
-    degenerate state is recomputed as the check alone computes it, so
-    every result is that of :func:`scan_excess` on the check alone.
+    degenerate state is recomputed as its consumers alone compute it, so
+    every result is the one the consumer gives alone.  With more than one
+    worker, consumers are pickled: their functions must be module-level
+    functions or ``functools.partial`` s of them.
+
+    A check's result is (violations, max_excess): every excess that is not
+    ``<= 0``, NaN included, is a violation, and max_excess is the largest
+    finite excess, clipped at zero.  A histogram's is a
+    :class:`JointHistogram`, whose grid is allocated before any pool starts.
     """
     checks, plan = list(checks), block_plan(n, block_size)
     workers = resolve_workers(workers)
-    totals = [[0, 0.0] for _ in checks]
-    if checks:
-        for share in _run_tasks(_scan_share, (checks,), plan, workers):
-            _merge(totals, share)
-    return [tuple(total) for total in totals]
+    results = [JointHistogram(check.delta_c, check.delta_i) if isinstance(check, TileHistogram)
+               else (0, 0.0) for check, _ in checks]
+    for share in _run_shares(checks, plan, workers) if checks else ():
+        results = [_combine(total, part) for total, part in zip(results, share)]
+    return results
 
 
-def scan_excess(
-    make_excess,
+def run_histogram_job(
+    kind: Ensemble,
     n: int,
-    seed: SeedSpec,
+    master_seed: int,
+    delta_c: float,
+    delta_i: float,
     workers: int | None = None,
+    base_stream: int = 0,
     block_size: int = BLOCK_SIZE,
-) -> tuple[int, float]:
-    """Count the samples of an ``n``-sample check whose excess is positive.
+) -> JointHistogram:
+    """Sample ``n`` states and histogram their (C, I) pairs: a scan of one histogram.
 
-    ``make_excess(capacity)`` is called once per worker share and returns
-    ``excess_of(seed, count)``, which draws one block of ``count <=
-    capacity`` samples from ``seed`` and returns each sample's excess over
-    the check's tolerance.  Block ``j`` uses stream ``seed.stream_id + j``.
-    With more than one worker ``make_excess`` is pickled, so it must be a
-    module-level function or a ``functools.partial`` of one.
-
-    Returns (violations, max_excess): every excess that is not ``<= 0``,
-    NaN included, is a violation, and max_excess is the largest finite
-    excess of any sample, clipped at zero.
+    Deterministic in (kind, n, master_seed, deltas, base_stream,
+    block_size); the worker count only affects wall time.  The sample
+    count and the seed are checked before the grid or a pool exists.
     """
-    return scan_checks([(make_excess, seed)], n, workers, block_size)[0]
+    histogram = TileHistogram(Ensemble(kind).value, delta_c, delta_i)
+    seed = SeedSpec(master_seed, base_stream)
+    return scan_checks([(histogram, seed)], n, workers, block_size)[0]

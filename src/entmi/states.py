@@ -3,10 +3,10 @@
 A pure state is held as four complex amplitudes (a, b, c, d) over the
 product basis |00>, |01>, |10>, |11>, normalized so the squared moduli
 sum to 1.  Measuring both qubits in that basis yields the classical
-outcome distribution (|a|^2, |b|^2, |c|^2, |d|^2); the information
-quantities below (total/marginal Shannon entropies, mutual information)
-are computed from it in bits.  Concurrence 2|ad - bc| and the von Neumann
-entropy of either reduced qubit quantify the quantum correlation.
+outcome distribution (|a|^2, |b|^2, |c|^2, |d|^2), whose mutual
+information (in bits) is computed below.  Concurrence 2|ad - bc| and the
+von Neumann entropy of either reduced qubit quantify the quantum
+correlation.
 
 All observable functions take an array whose last axis holds the four
 amplitudes, so one call processes a single state or a whole batch.
@@ -98,23 +98,6 @@ def probabilities(state) -> np.ndarray:
     probs = np.empty((4, len(rows)))
     _probabilities_into(rows, probs, np.empty(len(rows)))
     return probs.T.reshape(amps.shape)
-
-
-def total_entropy(probs):
-    """Shannon entropy (bits) of the four-outcome distribution."""
-    p = np.asarray(probs, dtype=np.float64)
-    return _scalarize(np.maximum(-xlog2(p).sum(axis=-1), 0.0))
-
-
-def marginal_entropies(probs):
-    """Entropies (bits) of the left and right qubit outcome marginals.
-
-    Left groups outcomes (1,2) vs (3,4); right groups (1,3) vs (2,4).
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    left = -xlog2(p[..., 0] + p[..., 1]) - xlog2(p[..., 2] + p[..., 3])
-    right = -xlog2(p[..., 0] + p[..., 2]) - xlog2(p[..., 1] + p[..., 3])
-    return _scalarize(np.maximum(left, 0.0)), _scalarize(np.maximum(right, 0.0))
 
 
 def _xlog2_into(v, logs, mask):

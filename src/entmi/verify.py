@@ -3,10 +3,11 @@
 Each sampled check draws block ``j`` of its ``n`` samples from stream
 ``seed.stream_id + j``, so checks of one seed read the same streams.
 :func:`run_checks` runs several as one scan, in which the Gaussian checks
-(``bound`` and ``zero-mi``) share each tile's draw; ``mi-oracle`` draws
-uniform angles from its streams alone.  Every check counts violations
-instead of aborting on the first one and returns a
-:class:`VerificationReport`.  Reports are deterministic for a fixed
+(``bound``, ``zero-mi`` and the real-s3 histogram of ``ridge``) share each
+tile's draw, and ``ridge`` and ``bound[real-s3]`` share its (C, I) pairs
+too; ``mi-oracle`` draws uniform angles from its streams alone.  Every
+check counts violations instead of aborting on the first one and returns
+a :class:`VerificationReport`.  Reports are deterministic for a fixed
 (seed, n), whichever checks share the scan and however many workers run
 it, and serialize to JSON lines.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .curves import _mi_from_trig, ridge_mi
 from .errors import InsufficientDataError
 from .histogram import JointHistogram
-from .pipeline import StreamCheck, TileCheck, scan_checks
+from .pipeline import StreamCheck, TileCheck, TileHistogram, scan_checks
 from .sampling import Ensemble, SeedSpec
 from .states import _entanglement_into, _mutual_information_into, _probabilities_into
 
@@ -78,11 +79,16 @@ def run_checks(
 
     Every check draws block ``j`` of its ``n`` samples from stream
     ``seed.stream_id + j``; see :func:`scan_checks` for what they share.
+    A :class:`TileHistogram` is the ridge check of its histogram; its ``n``
+    is checked against ``RIDGE_MIN_TOTAL`` before any sampling.
     """
+    if any(isinstance(check, TileHistogram) for _, check in checks):
+        _require_ridge_total(n)
     results = scan_checks([(check, seed) for _, check in checks], n, workers)
     return [
-        VerificationReport(name, n, violations, worst)
-        for (name, _), (violations, worst) in zip(checks, results)
+        check_ridge(result) if isinstance(result, JointHistogram)
+        else VerificationReport(name, n, *result)
+        for (name, _), result in zip(checks, results)
     ]
 
 
@@ -184,6 +190,17 @@ def check_angle_oracle(
     return run_checks([ANGLE_ORACLE_CHECK], n, seed, workers)[0]
 
 
+# The ridge check's histogram, sampled in the scan: real-s3 on a 0.01 grid.
+RIDGE_CHECK = ("ridge", TileHistogram(Ensemble.REAL_S3.value, 0.01, 0.01))
+
+
+def _require_ridge_total(total: int) -> None:
+    if total < RIDGE_MIN_TOTAL:
+        raise InsufficientDataError(
+            f"ridge check needs at least {RIDGE_MIN_TOTAL} samples, got {total}"
+        )
+
+
 def off_zero_peak_index(column: np.ndarray) -> int | None:
     """Index of the largest interior local maximum, skipping the first bin.
 
@@ -210,10 +227,7 @@ def check_ridge(hist: JointHistogram) -> VerificationReport:
     histogram of at least ``RIDGE_MIN_TOTAL`` samples (from the uniform
     real-amplitude ensemble for the prediction to apply).
     """
-    if hist.total < RIDGE_MIN_TOTAL:
-        raise InsufficientDataError(
-            f"ridge check needs at least {RIDGE_MIN_TOTAL} samples, got {hist.total}"
-        )
+    _require_ridge_total(hist.total)
     centers_c = hist.centers("c")
     centers_i = hist.centers("i")
     slack = 2.0 * hist.delta_i

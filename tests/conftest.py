@@ -1,5 +1,8 @@
+import multiprocessing
+
 import pytest
 
+from entmi import pipeline
 from entmi.cli import main as cli_main
 
 
@@ -14,3 +17,17 @@ def _run_cli(argv):
 @pytest.fixture
 def run_cli():
     return _run_cli
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``processes`` of every worker pool the pipeline starts, in order."""
+    started = []
+    pool = multiprocessing.Pool
+
+    def counted_pool(*args, **kwargs):
+        started.append(kwargs.get("processes"))
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.multiprocessing, "Pool", counted_pool)
+    return started

@@ -17,11 +17,10 @@ PUBLIC = {
     "SliceStats", "VerificationReport", "bin_count", "binary_entropy",
     "check_angle_oracle", "check_bound", "check_ridge", "check_zero_mi_family",
     "concurrence", "concurrence_polar", "entanglement_entropy",
-    "entanglement_from_concurrence", "load_histogram", "marginal_entropies",
-    "mi_extrema", "mi_from_angles", "mutual_information", "params_to_amplitudes",
-    "probabilities", "ridge_concurrence", "ridge_mi", "run_histogram_job",
-    "sample_amplitudes", "stream_generator", "total_entropy", "write_density_csv",
-    "write_reports_jsonl",
+    "entanglement_from_concurrence", "load_histogram", "mi_extrema", "mi_from_angles",
+    "mutual_information", "params_to_amplitudes", "probabilities", "ridge_concurrence",
+    "ridge_mi", "run_histogram_job", "sample_amplitudes", "stream_generator",
+    "write_density_csv", "write_reports_jsonl",
 }
 
 

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from entmi import JointHistogram, load_histogram, ridge_concurrence
+from entmi import JointHistogram, load_histogram, pipeline, ridge_concurrence
+
+# sha256 of the ``verify --check bound --check ridge --n 10000000 --seed 11``
+# jsonl, taken when the ridge histogram was sampled by a job of its own.
+BOUND_RIDGE_DIGEST = "591b6291a29a94b98b1d9b9147c151bcaa5dca224d8d4091f57487f61de959b6"
 
 
 def _read(path):
@@ -279,6 +284,42 @@ class TestVerify:
 
     def test_ridge_without_enough_samples_exit_2(self, run_cli, tmp_path):
         assert run_cli(["verify", "--check", "ridge", "--n", "1000"]) == 2
+
+    def test_ridge_checks_n_before_any_pool(self, run_cli, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(pipeline.multiprocessing, "Pool", no_pool)
+        argv = ["verify", "--check", "bound", "--check", "ridge", "--n", "300000",
+                "--workers", "2"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ridge check needs at least 10000000 samples, got 300000\n"
+
+    def test_ridge_checks_its_hist_before_any_pool(self, run_cli, capsys, tmp_path, pools):
+        small = tmp_path / "small.csv"
+        hist = JointHistogram(0.01, 0.01)
+        hist.accumulate(0.5, 0.5)
+        with open(small, "w") as fh:
+            hist.write_csv(fh)
+        argv = ["verify", "--check", "bound", "--check", "ridge", "--hist", str(small),
+                "--n", "300000", "--workers", "2"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: ridge check needs at least 10000000 samples, got 1\n"
+        )
+        assert pools == []
+
+    def test_bound_and_ridge_run_as_one_scan(self, run_cli, tmp_path, pools):
+        # One pool; the jsonl is the one the ridge check gave when its
+        # histogram was sampled by a job of its own.
+        out = tmp_path / "report.jsonl"
+        argv = ["verify", "--check", "bound", "--check", "ridge", "--n", "10000000",
+                "--seed", "11", "--workers", "2", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUND_RIDGE_DIGEST
+        assert pools == [2]
 
     def test_invalid_n_exit_2(self, run_cli):
         assert run_cli(["verify", "--check", "zero-mi", "--n", "0"]) == 2

@@ -6,8 +6,8 @@ import pytest
 from entmi import (
     ConvergenceError,
     DomainError,
+    binary_entropy,
     entanglement_from_concurrence,
-    marginal_entropies,
     mi_extrema,
     mi_from_angles,
     mutual_information,
@@ -101,6 +101,11 @@ class TestInverse:
         monkeypatch.setattr(curves, "_BISECT_MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
             ridge_concurrence(0.5)
+
+
+def _marginal_entropies(probs):
+    """Entropies (bits) of the left outcome pair (0, 1 | 2, 3) and the right (0, 2 | 1, 3)."""
+    return binary_entropy(probs[0] + probs[1]), binary_entropy(probs[0] + probs[2])
 
 
 def _pipeline_mi(alpha, delta):
@@ -207,7 +212,7 @@ class TestAngleFamily:
                         0.5, extrema.alpha_max, extrema.alpha_max - delta
                     )
                 )
-                left, right = marginal_entropies(probs)
+                left, right = _marginal_entropies(probs)
                 assert left == pytest.approx(1.0, abs=1e-12)
                 assert right == pytest.approx(1.0, abs=1e-12)
 
@@ -218,6 +223,6 @@ class TestAngleFamily:
             amps = params_to_amplitudes(
                 0.5, extrema.alpha_min, extrema.alpha_min - delta
             )
-            _, right = marginal_entropies(probabilities(amps))
+            _, right = _marginal_entropies(probabilities(amps))
             limit = entanglement_from_concurrence(abs(np.sin(delta)))
             assert right == pytest.approx(limit, abs=1e-10)

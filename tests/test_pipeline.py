@@ -26,7 +26,7 @@ from entmi import (
     sample_amplitudes,
 )
 from entmi import pipeline, sampling, verify
-from entmi.pipeline import block_plan, resolve_workers, scan_excess, tile_excess
+from entmi.pipeline import TileCheck, TileHistogram, block_plan, resolve_workers, tile_excess
 from entmi.states import xlog2
 
 
@@ -35,9 +35,14 @@ def _observables(amps):
     return concurrence(amps), mutual_information(probabilities(amps))
 
 
-def _bound_excess(kind, tol=verify.BOUND_TOL):
-    """The ``make_excess`` that ``check_bound`` scans, with its tolerance exposed."""
-    return partial(tile_excess, kind.value, partial(verify._bound_excess, tol))
+def _bound_check(kind, tol=verify.BOUND_TOL):
+    """The check that ``check_bound`` scans, with its tolerance exposed."""
+    return TileCheck(kind.value, partial(verify._bound_excess, tol))
+
+
+def _scan_one(check, n, seed, workers=1, block_size=pipeline.BLOCK_SIZE):
+    """(violations, worst) of ``check`` scanned alone."""
+    return pipeline.scan_checks([(check, seed)], n, workers, block_size)[0]
 
 
 class TestBlockPlan:
@@ -137,8 +142,8 @@ class TestHistogramJob:
 
 class TestBoundScan:
     def test_no_violations_on_real_ensemble(self):
-        violations, excess = scan_excess(
-            _bound_excess(Ensemble.REAL_S3), 100_000, SeedSpec(13),
+        violations, excess = _scan_one(
+            _bound_check(Ensemble.REAL_S3), 100_000, SeedSpec(13),
             workers=2, block_size=25_000,
         )
         assert violations == 0
@@ -151,8 +156,8 @@ class TestBoundScan:
 
     def test_deterministic_across_workers(self):
         first, second = (
-            scan_excess(
-                _bound_excess(Ensemble.REAL_S3), 50_000, SeedSpec(3),
+            _scan_one(
+                _bound_check(Ensemble.REAL_S3), 50_000, SeedSpec(3),
                 workers=workers, block_size=10_000,
             )
             for workers in (1, 2)
@@ -170,8 +175,8 @@ class TestBoundScan:
             excess = i - entanglement_from_concurrence(c) + 1.0
             expected = max(expected, float(excess.max()))
         for workers in (1, 2, 3):
-            assert scan_excess(
-                _bound_excess(Ensemble.COMPLEX_S7, tol=-1.0), n, SeedSpec(3),
+            assert _scan_one(
+                _bound_check(Ensemble.COMPLEX_S7, tol=-1.0), n, SeedSpec(3),
                 workers=workers, block_size=block,
             ) == (n, expected)
 
@@ -266,12 +271,15 @@ class ZeroedRow:
 
 
 def _tiled_observables(kind, seed, count):
-    kernel = pipeline._BlockKernel(kind, count)
-    c_all, i_all = np.full(count, np.nan), np.full(count, np.nan)
-    for start, stop, c, i in kernel.pairs(seed, count):
-        c_all[start:stop] = c
-        i_all[start:stop] = i
-    return c_all, i_all
+    """The (C, I) pairs that ``tile_excess`` hands a check, tile after tile."""
+    tiles = []
+
+    def record(c, i, out, scratch, mask):
+        tiles.append((c.copy(), i.copy()))
+        out[...] = 0.0
+
+    tile_excess(kind.value, record, count)(seed, count)
+    return tuple(np.concatenate(pairs) for pairs in zip(*tiles))
 
 
 class TestTiledKernel:
@@ -298,7 +306,8 @@ class TestTiledKernel:
     @pytest.mark.parametrize("delta", [0.01, 0.001, 0.3])
     def test_histogram_share_matches_whole_block_reference(self, kind, delta):
         blocks = [(5, 250_000), (6, TILE + 1)]
-        counts = pipeline._histogram_share((kind.value, 8, delta, delta, blocks))
+        n = sum(count for _, count in blocks)
+        counts = run_histogram_job(kind, n, 8, delta, delta, base_stream=5, workers=1).counts
         expected = 0
         public = JointHistogram(delta, delta)
         for stream_id, count in blocks:
@@ -322,16 +331,20 @@ class TestTiledKernel:
         ],
     )
     def test_bad_row_in_a_later_tile_raises(self, monkeypatch, row_values, error, message):
+        # The finish step of real-s3 writes a bad state into one row of the block.
         row = 3 * TILE + 7
-        tiles = sampling.SampleBlock.tiles
+        layout = sampling._LAYOUTS[Ensemble.REAL_S3]
+        finished = [0]
 
-        def corrupted(self, gen, count):
-            for start, stop, values in tiles(self, gen, count):
-                if start <= row < stop:
-                    values[row - start] = row_values
-                yield start, stop, values
+        def corrupted(rows, norms, scratch):
+            layout.finish(rows, norms, scratch)
+            if finished[0] <= row < finished[0] + len(rows):
+                rows[row - finished[0]] = row_values
+            finished[0] += len(rows)
 
-        monkeypatch.setattr(sampling.SampleBlock, "tiles", corrupted)
+        monkeypatch.setitem(
+            sampling._LAYOUTS, Ensemble.REAL_S3, layout._replace(finish=corrupted)
+        )
         with pytest.raises(error, match=message):
             run_histogram_job(Ensemble.REAL_S3, 250_000, 2, 0.01, 0.01, workers=1)
 
@@ -410,8 +423,17 @@ class TestTileDraws:
         assert np.array_equal(np.concatenate(later), expected)
 
 
+def _scan_two_blocks(checks):
+    checks = [(check, SeedSpec(7)) for check in checks]
+    pipeline._scan_share((checks, [(0, 250_000), (1, 250_000)]))
+
+
 def _histogram_two_blocks(kind):
-    pipeline._histogram_share((kind, 7, 0.01, 0.01, [(0, 250_000), (1, 250_000)]))
+    _scan_two_blocks([TileHistogram(kind, 0.01, 0.01)])
+
+
+def _bound_and_histogram_two_blocks():
+    _scan_two_blocks([TileHistogram("real-s3", 0.01, 0.01), _bound_check(Ensemble.REAL_S3)])
 
 
 def _excess_two_blocks(make_excess):
@@ -421,8 +443,7 @@ def _excess_two_blocks(make_excess):
 
 
 def _suite_two_blocks():
-    checks = [(check, SeedSpec(7)) for _, check in _SUITE]
-    pipeline._scan_share((checks, [(0, 250_000), (1, 250_000)]))
+    _scan_two_blocks([check for _, check in _SUITE])
 
 
 class TestShareMemory:
@@ -432,25 +453,31 @@ class TestShareMemory:
     # zero-mi and 7.7 for mi-oracle.  Drawn one tile at a time, a share
     # holds one tile of each buffer plus one int64 or float64 array per
     # block (2 MB), which stays under 6 MiB.  The suite's four checks scanned
-    # together share their tile buffers and keep no per-block array.
+    # together share their tile buffers and keep no per-block array; the
+    # bound check scanned with a histogram shares the histogram's buffers.
+    # What seeding Philox imports on first use (secrets, hmac: about 1 MiB)
+    # is imported before tracing, so the peak is the share's alone.
     @pytest.mark.parametrize(
         "run",
         [
             partial(_histogram_two_blocks, "real-s3"),
             partial(_histogram_two_blocks, "complex-s7"),
-            partial(_excess_two_blocks, _bound_excess(Ensemble.REAL_S3)),
-            partial(_excess_two_blocks, _bound_excess(Ensemble.COMPLEX_S7)),
+            partial(_excess_two_blocks, _bound_check(Ensemble.REAL_S3)),
+            partial(_excess_two_blocks, _bound_check(Ensemble.COMPLEX_S7)),
             partial(
                 _excess_two_blocks,
                 partial(tile_excess, "zero-mi", verify._zero_mi_excess),
             ),
             partial(_excess_two_blocks, verify._angle_oracle_excess),
             _suite_two_blocks,
+            _bound_and_histogram_two_blocks,
         ],
         ids=["histogram-real-s3", "histogram-complex-s7", "bound-real-s3",
-             "bound-complex-s7", "zero-mi", "mi-oracle", "suite"],
+             "bound-complex-s7", "zero-mi", "mi-oracle", "suite",
+             "bound-real-s3+histogram"],
     )
     def test_peak_is_at_most_6_mib(self, run):
+        sampling.stream_generator(SeedSpec(0))
         tracemalloc.start()
         try:
             run()
@@ -481,6 +508,8 @@ _SHARP = {
     "mi-oracle": verify._angle_oracle_excess,
 }
 
+_KINDS = [kind.value for kind in Ensemble]
+
 _SELECTIONS = [
     names
     for size in range(1, len(_SHARP) + 1)
@@ -503,15 +532,31 @@ def _sharp_alone(name, n):
     return _alone(_SHARP[name], n, SeedSpec(21, 5))
 
 
-def _nan_excess(capacity):
+def _nan_tiles(rows, shared):
     return _nan_excess_of
 
 
-def _nan_excess_of(seed, count):
-    excess = np.full(count, np.nan)
-    excess[::3] = -1.0
-    excess[1] = 0.25
-    return excess
+def _nan_excess_of(gen, out):
+    out[...] = np.nan
+    out[::3] = -1.0
+    out[1] = 0.25
+    return out
+
+
+_NAN_CHECK = pipeline.StreamCheck(_nan_tiles)
+
+
+def _count_blocks_drawn_alone(monkeypatch):
+    """The ensembles of the blocks the scan recomputes alone, as they start."""
+    alone = []
+    sample_block = pipeline.SampleBlock
+
+    def counted(kind, capacity):
+        alone.append(Ensemble(kind).value)
+        return sample_block(kind, capacity)
+
+    monkeypatch.setattr(pipeline, "SampleBlock", counted)
+    return alone
 
 
 class TestScanChecks:
@@ -579,17 +624,10 @@ class TestScanChecks:
             calls.append(len(draws))
             return np.array([len(draws) - 1]) if len(calls) > 2 else rows
 
-        alone = []
-        real_tile_excess = pipeline.tile_excess
-
-        def counted_tile_excess(kind, *args):
-            alone.append(kind)
-            return real_tile_excess(kind, *args)
-
+        alone = _count_blocks_drawn_alone(monkeypatch)
         monkeypatch.setitem(
             sampling._LAYOUTS, Ensemble.ZERO_MI, layout._replace(screen=flag_later_tiles)
         )
-        monkeypatch.setattr(pipeline, "tile_excess", counted_tile_excess)
         checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]
         assert pipeline.scan_checks(checks, 600_000, workers=1) == expected
         assert alone == ["zero-mi"] * 3
@@ -606,21 +644,79 @@ class TestScanChecks:
         )
         checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]
         expected = [_alone(check, 250_001, seed) for check, seed in checks]
-        alone = []
-        real_tile_excess = pipeline.tile_excess
-
-        def counted_tile_excess(kind, *args):
-            alone.append(kind)
-            return real_tile_excess(kind, *args)
-
-        monkeypatch.setattr(pipeline, "tile_excess", counted_tile_excess)
+        alone = _count_blocks_drawn_alone(monkeypatch)
         assert pipeline.scan_checks(checks, 250_001, workers=1) == expected
         assert {"complex-s7", "real-s3", "zero-mi"} == set(alone)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, TILE + 1, 250_001])
+    def test_histograms_in_a_scan_match_each_job_alone(self, n, workers):
+        # Histograms of each ensemble scanned with checks of the same seed.
+        seed = SeedSpec(21, 5)
+        hists = {kind: TileHistogram(kind, 0.02, 0.05) for kind in _KINDS}
+        checks = [(hists["real-s3"], seed), (_SHARP["real-s3"], seed),
+                  (hists["complex-s7"], seed), (_SHARP["zero-mi"], seed),
+                  (hists["zero-mi"], seed), (_SHARP["mi-oracle"], seed), (hists["param"], seed)]
+        results = pipeline.scan_checks(checks, n, workers)
+        for (check, _), result in zip(checks, results):
+            if isinstance(check, TileHistogram):
+                alone = run_histogram_job(check.kind, n, 21, 0.02, 0.05, 1, base_stream=5)
+                assert result == alone
+                assert result.total == n
+            else:
+                assert result == _alone(check, n, seed)
+
+    def test_a_histogram_and_the_bound_draw_each_normal_once(self, monkeypatch):
+        # The ridge check's histogram and bound[real-s3], as ``verify`` scans
+        # them: 4 normals per state, where running them apart draws 8.
+        n, seed = 300_000, SeedSpec(11)
+        checks = [(dict(_SUITE)["bound[real-s3]"], seed), (TileHistogram("real-s3", 0.01, 0.01), seed)]
+        expected = [_alone(checks[0][0], n, seed),
+                    run_histogram_job(Ensemble.REAL_S3, n, 11, 0.01, 0.01, workers=1)]
+        drawn = []
+        fill = sampling._fill_normal
+
+        def counted_fill(gen, draws):
+            drawn.append(draws.size)
+            fill(gen, draws)
+
+        for kind, layout in list(sampling._LAYOUTS.items()):
+            if layout.fill is fill:
+                monkeypatch.setitem(sampling._LAYOUTS, kind, layout._replace(fill=counted_fill))
+        assert pipeline.scan_checks(checks, n, workers=1) == expected
+        assert sum(drawn) == 4 * n
+
+    @pytest.mark.parametrize("row", [0, 3 * TILE + 5])
+    def test_degenerate_rows_are_redrawn_for_histograms_too(self, monkeypatch, row):
+        # A flagged block is recomputed alone for every consumer of its
+        # ensemble: the histograms match the whole-block reference.
+        monkeypatch.setattr(
+            pipeline, "stream_generator",
+            lambda s: ZeroedRow(sampling.stream_generator(s), row),
+        )
+        n, seed = 250_001, SeedSpec(21, 5)
+        checks = [(TileHistogram("real-s3", 0.01, 0.01), seed), (_SHARP["real-s3"], seed),
+                  (TileHistogram("complex-s7", 0.01, 0.01), seed)]
+        expected = {}
+        for kind in (Ensemble.REAL_S3, Ensemble.COMPLEX_S7):
+            expected[kind.value] = sum(
+                _reference_counts(*_reference_observables(_reference_amplitudes(
+                    kind, ZeroedRow(sampling.stream_generator(SeedSpec(21, 5 + j)), row), count
+                )), 0.01)
+                for j, count in block_plan(n)
+            )
+        check = _alone(_SHARP["real-s3"], n, seed)
+        alone = _count_blocks_drawn_alone(monkeypatch)
+        real, tally, complex_ = pipeline.scan_checks(checks, n, workers=1)
+        assert np.array_equal(real.counts, expected["real-s3"])
+        assert np.array_equal(complex_.counts, expected["complex-s7"])
+        assert tally == check
+        assert {"complex-s7", "real-s3"} == set(alone)
+
     def test_nan_excess_is_a_violation(self):
         # Every excess that is not <= 0 counts; the worst stays finite.
-        assert scan_excess(_nan_excess, 1000, SeedSpec(1), workers=1) == (666, 0.25)
-        report = verify.run_checks([("nan", _nan_excess)], 1000, SeedSpec(1))[0]
+        assert _scan_one(_NAN_CHECK, 1000, SeedSpec(1), workers=1) == (666, 0.25)
+        report = verify.run_checks([("nan", _NAN_CHECK)], 1000, SeedSpec(1))[0]
         assert not report.passed
 
     def test_infinite_excess_is_a_violation_but_not_the_worst(self):

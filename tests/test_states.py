@@ -14,11 +14,9 @@ from entmi import (
     concurrence_polar,
     entanglement_entropy,
     entanglement_from_concurrence,
-    marginal_entropies,
     mutual_information,
     params_to_amplitudes,
     probabilities,
-    total_entropy,
 )
 from entmi.states import xlog2
 
@@ -100,21 +98,6 @@ class TestMeasurement:
 
 
 class TestEntropies:
-    def test_total_entropy_examples(self):
-        assert total_entropy([0.5, 0, 0, 0.5]) == pytest.approx(1.0, abs=1e-12)
-        assert total_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
-        assert total_entropy([1, 0, 0, 0]) == 0.0
-
-    def test_marginals_examples(self):
-        assert marginal_entropies([0.5, 0, 0, 0.5]) == (
-            pytest.approx(1.0, abs=1e-12),
-            pytest.approx(1.0, abs=1e-12),
-        )
-        assert marginal_entropies([1, 0, 0, 0]) == (0.0, 0.0)
-        left, right = marginal_entropies([0.5, 0.5, 0, 0])
-        assert left == 0.0
-        assert right == pytest.approx(1.0, abs=1e-12)
-
     def test_mutual_information_examples(self):
         assert mutual_information(probabilities(BELL_PLUS)) == pytest.approx(
             1.0, abs=1e-12
@@ -350,7 +333,6 @@ class TestInvariants:
         probs = probabilities(amps)
         assert 0.0 <= mutual_information(probs) <= 1.0 + 1e-12
         assert 0.0 <= concurrence(amps) <= 1.0
-        assert 0.0 <= total_entropy(probs) <= 2.0 + 1e-12
 
     @given(random_amplitudes(), st.sampled_from([1j, -1.0, -1j]))
     @settings(max_examples=100, deadline=None)
