@@ -141,8 +141,8 @@ class SliceStats:
 class JointHistogram:
     """Mergeable 2D histogram over [0, 1] x [0, 1].
 
-    A histogram instance is single-writer; build one per worker and
-    combine with :meth:`merge`.  Reads on a finished histogram are safe
+    A histogram instance is single-writer; a scan builds one per worker
+    share and adds their counts.  Reads on a finished histogram are safe
     from any number of threads.
     """
 
@@ -203,15 +203,6 @@ class JointHistogram:
         self.counts += counts.view(np.uint64).reshape(self.counts.shape)
         self.total += int(flat.size)
 
-    def merge(self, other: "JointHistogram") -> "JointHistogram":
-        """Elementwise sum with an identically binned histogram."""
-        if (self.delta_c, self.delta_i) != (other.delta_c, other.delta_i):
-            raise ShapeMismatchError("histograms have different bin widths")
-        out = JointHistogram(self.delta_c, self.delta_i)
-        out.counts = self.counts + other.counts
-        out.total = self.total + other.total
-        return out
-
     def coarsen(self, factor_c: int, factor_i: int) -> "JointHistogram":
         """Exact rebinning by positive integer factors along each axis."""
         for factor in (factor_c, factor_i):
@@ -265,9 +256,23 @@ class JointHistogram:
         sums = self.counts.sum(axis=1 if axis.lower() == "c" else 0, dtype=np.float64)
         return Density1D(axis.upper(), delta, self._density(axis, sums, self.total))
 
-    def _slice_bins(self, axis: str, lo: float, hi: float) -> np.ndarray:
-        centers = self.centers(axis)
-        return np.flatnonzero((centers >= lo) & (centers <= hi))
+    def _slice_sums(self, sliced: str, lo: float, hi: float) -> np.ndarray:
+        """Counts along the other axis of the ``sliced`` bins centered in [lo, hi].
+
+        Raises ``EmptySliceError`` when no bin center lies there or those
+        bins hold no counts.
+        """
+        centers = self.centers(sliced)
+        picked = np.flatnonzero((centers >= lo) & (centers <= hi))
+        if picked.size == 0:
+            raise EmptySliceError(f"no {sliced}-bins with centers in [{lo}, {hi}]")
+        if sliced == "i":
+            sums = self.counts[:, picked].sum(axis=1, dtype=np.float64)
+        else:
+            sums = self.counts[picked, :].sum(axis=0, dtype=np.float64)
+        if float(sums.sum()) == 0.0:
+            raise EmptySliceError(f"slice [{lo}, {hi}] over {sliced} holds no counts")
+        return sums
 
     def concurrence_slice(self, i_lo: float, i_hi: float) -> Density1D:
         """Conditional density of concurrence given MI in [i_lo, i_hi].
@@ -287,20 +292,9 @@ class JointHistogram:
         return self._conditional("i", "c", c_lo, c_hi)
 
     def _conditional(self, keep: str, sliced: str, lo: float, hi: float) -> Density1D:
-        picked = self._slice_bins(sliced, lo, hi)
-        if picked.size == 0:
-            raise EmptySliceError(f"no {sliced}-bins with centers in [{lo}, {hi}]")
-        if sliced == "i":
-            block = self.counts[:, picked]
-            sums = block.sum(axis=1, dtype=np.float64)
-        else:
-            block = self.counts[picked, :]
-            sums = block.sum(axis=0, dtype=np.float64)
-        in_slice = float(sums.sum())
-        if in_slice == 0.0:
-            raise EmptySliceError(f"slice [{lo}, {hi}] over {sliced} holds no counts")
+        sums = self._slice_sums(sliced, lo, hi)
         delta, _ = self._axis(keep)
-        return Density1D(keep.upper(), delta, self._density(keep, sums, in_slice))
+        return Density1D(keep.upper(), delta, self._density(keep, sums, sums.sum()))
 
     def _density(self, axis: str, sums: np.ndarray, total) -> np.ndarray:
         """Density of the counts ``sums`` along ``axis``: each over total x width."""
@@ -315,15 +309,8 @@ class JointHistogram:
         """
         if i_halfwidth <= 0.0:
             raise DomainError("slice halfwidth must be positive")
-        lo = i_center - i_halfwidth
-        hi = i_center + i_halfwidth
-        picked = self._slice_bins("i", lo, hi)
-        if picked.size == 0:
-            raise EmptySliceError(f"no i-bins with centers in [{lo}, {hi}]")
-        sums = self.counts[:, picked].sum(axis=1, dtype=np.float64)
+        sums = self._slice_sums("i", i_center - i_halfwidth, i_center + i_halfwidth)
         count = int(sums.sum())
-        if count == 0:
-            raise EmptySliceError(f"slice around i={i_center} holds no counts")
         centers = self.centers("c")
         weights = sums / count
         mean = float(weights @ centers)

@@ -14,12 +14,11 @@ block plan.  Each block is drawn, normalized and reduced one cache-sized
 row tile at a time, on buffers kept for the worker's share, and each
 tile's (C, I) pairs go to the scan's consumers.  A histogram bins them
 into an int64 array of bin indices for its block and counts it once per
-block; a check reduces them to a violation count and the worst excess.
-Consumers whose blocks come from the same stream share each tile's draw,
-as wide as the widest of their ensembles, and the consumers of one
-ensemble share its normalization and (C, I) pairs.  A block whose rows
-may hold a degenerate state is recomputed alone for the consumers of that
-ensemble, so every result is the one the consumer gives alone.
+block; a check tallies each tile's violations and worst excess into its
+result.  Consumers whose blocks come from the same stream share each
+tile's draw, as wide as the widest of their ensembles, and the consumers
+of one ensemble share its normalization and (C, I) pairs.  A drawn state
+too close to zero to normalize raises ``ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ import numpy as np
 
 from .errors import DomainError
 from .histogram import JointHistogram
-from .sampling import _LAYOUTS, _TILE_ROWS, Ensemble, SampleBlock, SeedSpec
-from .sampling import _Layout, _as_amplitudes, _tiles, stream_generator
+from .sampling import _LAYOUTS, _TILE_ROWS, Ensemble, SeedSpec, _Layout, _as_amplitudes
+from .sampling import _screen_and_finish, _tiles, stream_generator
 from .states import _concurrence_into, _mutual_information_into, _probabilities_into
 
 BLOCK_SIZE = 250_000
@@ -185,40 +184,34 @@ def _combine(total, part):
     return total
 
 
-# A consumer's share of a scan: ``start(count)`` (re)starts a block of
-# ``count`` states; ``tile(start, c, i, spare, mask)`` takes the pairs of its
-# rows from ``start`` on, with three spare float64 rows and a mask, and may
-# overwrite ``c``; ``end()`` adds the block to ``result``.
+# A consumer's share of a scan: ``tile(start, c, i, spare, mask)`` takes the
+# pairs of a block's rows from ``start`` on, with three spare float64 rows
+# and a mask, and may overwrite ``c``; the share's partial is ``result``.
 
 
 class _Excess:
-    """A check's (violations, worst) over the share, and on one block.
+    """A check's [violations, worst] over the share.
 
-    :meth:`tile` reduces a :class:`TileCheck`'s tiles, keeping their excess
-    in ``record`` if given; a :class:`StreamCheck` tallies ``block`` itself.
+    :meth:`tile` tallies a :class:`TileCheck`'s tiles, keeping their excess
+    in ``record`` if given; a :class:`StreamCheck`'s tiles are tallied by
+    the scan.
     """
 
-    def __init__(self, excess_of_pairs=None, record=None):
-        self.excess_of_pairs, self.record = excess_of_pairs, record
-        self.result, self.block = (0, 0.0), [0, 0.0]
-
-    def start(self, count: int) -> None:
-        self.block = [0, 0.0]
+    def __init__(self, excess_of_pairs=None):
+        self.excess_of_pairs, self.record = excess_of_pairs, None
+        self.result = [0, 0.0]
 
     def tile(self, start, c, i, spare, mask) -> None:
         out = spare[0] if self.record is None else self.record[start : start + len(c)]
         self.excess_of_pairs(c, i, out, spare[1], mask)
-        _tally(self.block, out)
-
-    def end(self) -> None:
-        self.result = _combine(self.result, self.block)
+        _tally(self.result, out)
 
 
 class _Bins:
     """A :class:`TileHistogram`'s share: its histogram, and one block's flat bin indices.
 
-    A block's indices are counted with one ``bincount``: on a fine grid,
-    each call allocates an int64 array of the grid's size.
+    A block's indices are counted by :meth:`end` with one ``bincount``: on a
+    fine grid, each call allocates an int64 array of the grid's size.
     """
 
     def __init__(self, spec: TileHistogram, capacity: int, rows: int):
@@ -226,15 +219,12 @@ class _Bins:
         self.flat = np.empty(capacity, dtype=np.int64)
         self.scratch = np.empty(rows, dtype=np.int64)
 
-    def start(self, count: int) -> None:
-        self.count = count
-
     def tile(self, start, c, i, spare, mask) -> None:
         flat = self.flat[start : start + len(c)]
         self.result._flat_bins(c, i, flat, self.scratch[: len(c)], spare[0])
 
-    def end(self) -> None:
-        self.result._add_flat(self.flat[: self.count])
+    def end(self, count: int) -> None:
+        self.result._add_flat(self.flat[:count])
 
 
 def _feed(shared: _Observables, parts: list, start: int, amplitudes) -> None:
@@ -251,24 +241,22 @@ def _feed(shared: _Observables, parts: list, start: int, amplitudes) -> None:
     parts[-1].tile(start, c, i, spare[:3], mask)
 
 
-def _block_alone(block: SampleBlock, seed: SeedSpec, count: int, shared, parts) -> None:
-    """Feed ``parts`` a block of ``count`` states drawn from ``seed`` alone."""
-    for start, _, values in block.tiles(stream_generator(seed), count):
-        _feed(shared, parts, start, _as_amplitudes(block.kind, values))
-
-
 def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
     """A :class:`TileCheck` run alone, as ``excess_of(seed, count)``.
 
     That returns the excess of each state of the block of ``count <=
     capacity`` drawn from ``seed``, in a buffer that the next block reuses.
+    It scans the block as :func:`scan_checks` does, with this one consumer.
     """
-    block = SampleBlock(Ensemble(kind), capacity)
-    shared = _Observables(block.tile_rows, block.dtype)
-    part = _Excess(excess_of_pairs, np.empty(capacity))
+    scan = _ShareScan([(TileCheck(kind, excess_of_pairs), None)], capacity)
+    [((_, fill), kinds)] = scan.groups.items()
+    part = scan.parts[0]
+    part.record = np.empty(capacity)
 
     def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
-        _block_alone(block, seed, count, shared, [part])
+        if not 1 <= count <= capacity:
+            raise DomainError(f"block of {count} states outside [1, {capacity}]")
+        scan._scan_group(fill, kinds, seed, count)
         return part.record[:count]
 
     return excess_of
@@ -318,52 +306,37 @@ class _ShareScan:
 
     def block(self, index: int, count: int) -> None:
         """Add block ``index`` of ``count`` samples to each consumer's result."""
-        for part in self.parts:
-            part.start(count)
         for (seed, fill), kinds in self.groups.items():
             self._scan_group(fill, kinds, _block_seed(seed, index), count)
         for k, excess_of in self.own.items():
             gen = stream_generator(_block_seed(self.seeds[k], index))
             for start, stop in _tiles(count):
-                _tally(self.parts[k].block, excess_of(gen, self.excess[: stop - start]))
+                _tally(self.parts[k].result, excess_of(gen, self.excess[: stop - start]))
         for part in self.parts:
-            part.end()
+            if isinstance(part, _Bins):
+                part.end(count)
 
     def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
         wide = kinds[-1].layout.width
         gen = stream_generator(seed)
-        live = list(kinds)
         for start, stop in _tiles(count):
             drawn = self.fill[: (stop - start) * wide].reshape(-1, wide)
             fill(gen, drawn)
-            for sub in list(live):
+            for sub in kinds:
                 first = start * wide // sub.layout.width
                 rows = drawn.reshape(-1, sub.layout.width)[: max(count - first, 0)]
                 for lo in range(0, len(rows), self.rows):
-                    tile = rows[lo : lo + self.rows]
-                    if not self._tile(sub, first + lo, tile, sub is kinds[-1]):
-                        # Recompute the block as its consumers alone compute it.
-                        live.remove(sub)
-                        for part in sub.parts:
-                            part.start(count)
-                        block = SampleBlock(sub.kind, count)
-                        _block_alone(block, seed, count, self.shared, sub.parts)
-                        break
+                    self._tile(sub, first + lo, rows[lo : lo + self.rows], sub is kinds[-1])
 
-    def _tile(self, sub: _Kind, start: int, drawn: np.ndarray, in_place: bool) -> bool:
-        """Feed one tile of drawn rows to ``sub``; False if one may be degenerate."""
+    def _tile(self, sub: _Kind, start: int, drawn: np.ndarray, in_place: bool) -> None:
+        """Normalize one tile of drawn rows and feed its (C, I) pairs to ``sub``."""
         layout, size = sub.layout, len(drawn)
         draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
-        # The ensemble's screen and finish steps, as SampleBlock.tiles runs them.
-        norms, scratch = self.norms[:, :size], self.scratch[:, :size]
-        if layout.screen(draws, norms, scratch).size:
-            return False
-        layout.finish(draws, norms, scratch)
+        _screen_and_finish(layout, draws, self.norms[:, :size], self.scratch[:, :size])
         amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype))
         _feed(self.shared, sub.parts, start, amplitudes)
-        return True
 
 
 def _scan_share(args) -> list:
@@ -380,11 +353,11 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
     ``checks`` are (consumer, seed) pairs, a consumer being a
     :class:`TileCheck`, a :class:`StreamCheck` or a :class:`TileHistogram`;
     block ``j`` of a consumer uses stream ``seed.stream_id + j``.  Consumers
-    of equal seeds share their draws, and a block whose rows may hold a
-    degenerate state is recomputed as its consumers alone compute it, so
-    every result is the one the consumer gives alone.  With more than one
-    worker, consumers are pickled: their functions must be module-level
-    functions or ``functools.partial`` s of them.
+    of equal seeds share their draws, and every result is the one the
+    consumer gives alone.  A drawn state that may lie within about 1e-12 of
+    zero raises ``ConsistencyError``.  With more than one worker, consumers
+    are pickled: their functions must be module-level functions or
+    ``functools.partial`` s of them.
 
     A check's result is (violations, max_excess): every excess that is not
     ``<= 0``, NaN included, is a violation, and max_excess is the largest

@@ -29,12 +29,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .states import params_to_amplitudes
 
-# A draw counts as degenerate when every component is below this; the
-# probability at double precision is effectively zero, but redrawing
-# keeps the API total.
+# A drawn row counts as degenerate when every component of a group it
+# normalizes is below this: it is too close to zero to normalize.  The
+# screen flags about 8e-48 of real-s3 states, 2e-94 of complex-s7 states
+# and 4e-24 of zero-mi states, so a flagged row is an error, not redrawn.
 _DEGENERATE_TOL = 1e-12
 
 _UINT64_LIMIT = 2**64
@@ -124,49 +125,16 @@ def _may_be_degenerate(norm: np.ndarray, width: int) -> np.ndarray:
     Every |x| < tol forces norm < sqrt(width) * tol; the extra factor
     sqrt(2) covers the rounding of the squares, their sum and the root.
     This is a superset of the degenerate rows, cheap because the norm is
-    needed anyway; :func:`_degenerate_rows` then applies the exact rule.
+    needed anyway.
     """
     return np.flatnonzero(norm < np.sqrt(2.0 * width) * _DEGENERATE_TOL)
 
 
-def _degenerate_rows(draws: np.ndarray, rows: np.ndarray, halves) -> np.ndarray:
-    """Those of ``rows`` with every component of some half below tolerance.
-
-    ``halves`` lists the column groups normalized separately: the whole
-    row for the spheres, (p, r) and (q, s) for zero-mi.
-    """
-    bad = np.zeros(rows.size, dtype=bool)
-    for cols in halves:
-        bad |= np.abs(draws[np.ix_(rows, cols)]).max(axis=1) < _DEGENERATE_TOL
-    return rows[bad]
-
-
-def _redraw_degenerate(
-    gen: np.random.Generator, draws: np.ndarray, rows: np.ndarray, halves
-) -> np.ndarray:
-    """Redraw degenerate rows until none is left; return the rows redrawn.
-
-    Only ``rows`` (ascending, from :func:`_may_be_degenerate`) are tested,
-    so they must include every degenerate row.  Each pass redraws the
-    degenerate ones with one ``standard_normal((count, width))`` call and
-    tests only those again, which consumes the generator exactly as a
-    scan of every row per pass does.  Later passes redraw a subset of the
-    first, so the first pass's rows are the ones whose norms are now
-    stale.
-    """
-    redrawn = rows = _degenerate_rows(draws, rows, halves)
-    while rows.size:
-        draws[rows] = gen.standard_normal((rows.size, draws.shape[1]))
-        rows = _degenerate_rows(draws, rows, halves)
-    return redrawn
-
-
-# Each ensemble is four row-wise steps, run on one tile at a time:
+# Each ensemble is three row-wise steps, run on one tile at a time:
 # ``fill(gen, draws)`` draws the rows with one generator call;
 # ``screen(draws, norms, scratch)`` leaves in ``norms`` what ``finish``
-# needs and returns the rows that may be degenerate; ``renorm(draws, norms,
-# rows)`` recomputes the norms of redrawn rows; and ``finish(rows, norms,
-# scratch)`` turns drawn rows into the stream's values in place.
+# needs and returns the rows that may be degenerate; and ``finish(rows,
+# norms, scratch)`` turns drawn rows into the stream's values in place.
 # ``scratch`` holds three rows of one tile.  Every step computes each row
 # on its own, so the values do not depend on the tiling.
 
@@ -184,10 +152,6 @@ def _screen_sphere(draws, norms, scratch):
     _squared_norm(draws, norm, scratch)
     np.sqrt(norm, out=norm)
     return _may_be_degenerate(norm, draws.shape[1])
-
-
-def _renorm_sphere(draws, norms, rows):
-    norms[0, rows] = np.sqrt(_squared_norm(draws[rows]))
 
 
 def _finish_sphere(rows, norms, scratch):
@@ -216,11 +180,6 @@ def _screen_zero_mi(draws, norms, scratch):
     return _may_be_degenerate(np.minimum(left, right, out=scratch[0]), 2)
 
 
-def _renorm_zero_mi(draws, norms, rows):
-    norms[0, rows] = np.hypot(draws[rows, 0], draws[rows, 2])
-    norms[1, rows] = np.hypot(draws[rows, 1], draws[rows, 3])
-
-
 def _finish_zero_mi(rows, norms, scratch):
     # Normalize (p, r) and (q, s), then overwrite the row with
     # (pq, ps, rq, -rs); the two cross products go through scratch.
@@ -239,105 +198,42 @@ def _finish_zero_mi(rows, norms, scratch):
 
 
 class _Layout(NamedTuple):
-    """An ensemble's four steps, and the shape of its draws and values.
+    """An ensemble's three steps, and the shape of its draws and values.
 
     ``width`` float64 columns are drawn per state and ``norms`` rows of
-    norms kept; ``halves`` are the column groups normalized separately (see
-    :func:`_degenerate_rows`), and ``dtype`` is the values' dtype: complex-s7
-    draws (re, im) pairs, so its float64 rows view as 4 complex128.
+    norms kept; ``dtype`` is the values' dtype: complex-s7 draws (re, im)
+    pairs, so its float64 rows view as 4 complex128.
     """
 
     fill: Callable
     screen: Callable
-    renorm: Callable | None
     finish: Callable
     width: int
     norms: int
-    halves: list
     dtype: type
 
 
-_SPHERE = (_fill_normal, _screen_sphere, _renorm_sphere, _finish_sphere)
+_SPHERE = (_fill_normal, _screen_sphere, _finish_sphere)
 _LAYOUTS = {
-    Ensemble.REAL_S3: _Layout(*_SPHERE, 4, 1, [[0, 1, 2, 3]], np.float64),
-    Ensemble.COMPLEX_S7: _Layout(*_SPHERE, 8, 1, [list(range(8))], np.complex128),
+    Ensemble.REAL_S3: _Layout(*_SPHERE, 4, 1, np.float64),
+    Ensemble.COMPLEX_S7: _Layout(*_SPHERE, 8, 1, np.complex128),
     Ensemble.PARAM: _Layout(
-        _fill_uniform, _screen_params, None, _finish_params, 3, 0, [], np.float64
+        _fill_uniform, _screen_params, _finish_params, 3, 0, np.float64
     ),
     Ensemble.ZERO_MI: _Layout(
-        _fill_normal, _screen_zero_mi, _renorm_zero_mi, _finish_zero_mi,
-        4, 2, [[0, 2], [1, 3]], np.float64,
+        _fill_normal, _screen_zero_mi, _finish_zero_mi, 4, 2, np.float64
     ),
 }
 
 
-class SampleBlock:
-    """Reusable one-tile buffers for drawing blocks of one ensemble.
-
-    :meth:`tiles` draws a block of ``count <= capacity`` states from a
-    generator and yields its rows one finished tile at a time.  The
-    generator is consumed exactly as by one ``standard_normal`` (or
-    ``random``) call of the block's shape followed by the degenerate-row
-    redraws: chunked draws of a Philox stream replay one whole draw, and
-    the redraws follow the whole block.  So when a tile holds a row that
-    may be degenerate, the rest of the block is drawn at once, screened and
-    redrawn as a whole, and the block's later tiles are yielded from that
-    buffer; this is the only time more than one tile of draws is held.
-    ``dtype`` is the dtype of the values, and ``tile_rows`` the most rows a
-    tile has.
-    """
-
-    def __init__(self, kind: Ensemble, capacity: int):
-        self.kind = Ensemble(kind)
-        (self._fill, self._screen, self._renorm, self._finish,
-         width, norms, self._halves, self.dtype) = _LAYOUTS[self.kind]
-        self.capacity = capacity
-        self.tile_rows = min(capacity, _TILE_ROWS)
-        self._draws = np.empty((self.tile_rows, width))
-        self._norms = np.empty((norms, self.tile_rows))
-        self._scratch = np.empty((3, self.tile_rows))
-
-    def tiles(self, gen: np.random.Generator, count: int):
-        """Yield (start, stop, values) per tile of a block of ``count`` states.
-
-        ``values`` holds the finished stream values of rows [start, stop):
-        amplitudes for the sphere and zero-mi ensembles, (y, alpha, beta)
-        triples for ``param``; it is a view of a buffer that later tiles reuse.
-        """
-        if not 1 <= count <= self.capacity:
-            raise DomainError(f"block of {count} states outside [1, {self.capacity}]")
-        for start, stop in _tiles(count):
-            size = stop - start
-            draws, norms = self._draws[:size], self._norms[:, :size]
-            scratch = self._scratch[:, :size]
-            self._fill(gen, draws)
-            if self._screen(draws, norms, scratch).size:
-                yield from self._draw_rest(gen, start, count, draws)
-                return
-            self._finish(draws, norms, scratch)
-            yield start, stop, draws.view(self.dtype)
-
-    def _draw_rest(self, gen: np.random.Generator, start: int, count: int, tile):
-        """Yield rows [start, count) by tile: ``tile``, then the rest drawn at once.
-
-        Rows before ``start`` had no candidate, so the redraws are those
-        of the whole block.
-        """
-        draws = np.empty((count - start, tile.shape[1]))
-        norms = np.empty((len(self._norms), len(draws)))
-        draws[: len(tile)] = tile
-        if len(tile) < len(draws):
-            self._fill(gen, draws[len(tile) :])
-        scratch = self._scratch
-        screened = [
-            lo + self._screen(draws[lo:hi], norms[:, lo:hi], scratch[:, : hi - lo])
-            for lo, hi in _tiles(len(draws))
-        ]
-        redrawn = _redraw_degenerate(gen, draws, np.concatenate(screened), self._halves)
-        self._renorm(draws, norms, redrawn)
-        for lo, hi in _tiles(len(draws)):
-            self._finish(draws[lo:hi], norms[:, lo:hi], scratch[:, : hi - lo])
-            yield start + lo, start + hi, draws[lo:hi].view(self.dtype)
+def _screen_and_finish(layout: _Layout, draws, norms, scratch) -> None:
+    """Turn one tile of drawn rows into values; a row that may be degenerate is an error."""
+    if layout.screen(draws, norms, scratch).size:
+        raise ConsistencyError(
+            f"a drawn state lies within about {_DEGENERATE_TOL:g} of zero and "
+            "cannot be normalized; use another seed"
+        )
+    layout.finish(draws, norms, scratch)
 
 
 def _as_amplitudes(kind: Ensemble, values: np.ndarray) -> np.ndarray:
@@ -348,12 +244,21 @@ def _as_amplitudes(kind: Ensemble, values: np.ndarray) -> np.ndarray:
 
 
 def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
-    """The next ``n`` values of ``gen`` as ensemble ``kind``, filled tile by tile."""
-    block = SampleBlock(kind, n)
-    out = np.empty((n, block._draws.shape[1])).view(block.dtype)
-    for start, stop, values in block.tiles(gen, n):
-        out[start:stop] = values
-    return out
+    """The next ``n`` values of ``gen`` as ensemble ``kind``, filled tile by tile.
+
+    ``gen`` is consumed exactly as by one ``standard_normal`` (or
+    ``random``) call of shape (n, width): chunked draws of a Philox
+    stream replay one whole draw.
+    """
+    layout = _LAYOUTS[kind]
+    out = np.empty((n, layout.width))
+    rows = min(n, _TILE_ROWS)
+    norms, scratch = np.empty((layout.norms, rows)), np.empty((3, rows))
+    for start, stop in _tiles(n):
+        draws, size = out[start:stop], stop - start
+        layout.fill(gen, draws)
+        _screen_and_finish(layout, draws, norms[:, :size], scratch[:, :size])
+    return out.view(layout.dtype)
 
 
 def sample_amplitudes(kind: Ensemble, seed: SeedSpec, n: int) -> np.ndarray:

@@ -130,7 +130,7 @@ class TestHistogramJob:
             Ensemble.REAL_S3, 1_000, 5, 0.1, 0.1, workers=1,
             block_size=1000, base_stream=2,
         )
-        assert short.merge(tail) == longer
+        assert pipeline._combine(short, tail) == longer
 
     def test_total_matches_request(self):
         job = run_histogram_job(
@@ -185,11 +185,11 @@ class TestBoundScan:
 #
 # The kernel draws, normalizes, computes C and I and bins a block one tile at
 # a time.  The references below are the whole-block path as it was first
-# written: one generator call per block, a scan of every row per redraw
-# pass, row-wise norms, and C, I and bin indices over the whole block.
+# written: one generator call per block, row-wise norms, and C, I and bin
+# indices over the whole block.
 
 TILE = sampling._TILE_ROWS
-DEGENERATE_TOL = 1e-12
+DEGENERATE = "within about 1e-12 of zero"
 
 
 def _reference_amplitudes(kind, gen, n):
@@ -199,16 +199,7 @@ def _reference_amplitudes(kind, gen, n):
         u[:, 2] *= 2.0 * np.pi
         return params_to_amplitudes(u[:, 0], u[:, 1], u[:, 2])
     width = 8 if kind is Ensemble.COMPLEX_S7 else 4
-    halves = [[0, 2], [1, 3]] if kind is Ensemble.ZERO_MI else [list(range(width))]
     draws = gen.standard_normal((n, width))
-    while True:
-        bad = np.unique(np.concatenate([
-            np.flatnonzero(np.abs(draws[:, cols]).max(axis=1) < DEGENERATE_TOL)
-            for cols in halves
-        ]))
-        if bad.size == 0:
-            break
-        draws[bad] = gen.standard_normal((bad.size, width))
     if kind is Ensemble.ZERO_MI:
         p, q, r, s = draws.T
         left, right = np.hypot(p, r), np.hypot(q, s)
@@ -241,9 +232,8 @@ class ZeroedRow:
     """A generator whose drawn rows ``rows`` are zeroed: degenerate rows.
 
     Rows are counted across every draw, however the block is chunked, so
-    row ``k < count`` is row ``k`` of a block of ``count`` and row
-    ``count + j`` is row ``j`` of the redraws that follow it.  ``cols``
-    picks the columns zeroed, the whole row by default.
+    row ``k`` is row ``k`` of the block.  ``cols`` picks the columns
+    zeroed, the whole row by default.
     """
 
     def __init__(self, gen, row, cols=slice(None)):
@@ -295,12 +285,23 @@ class TestTiledKernel:
             pipeline, "stream_generator",
             lambda s: ZeroedRow(sampling.stream_generator(s), zeroed),
         )
+        if zeroed is not None and kind is not Ensemble.PARAM:
+            # A zeroed row of normals is a degenerate state: an error.
+            with pytest.raises(ConsistencyError, match=DEGENERATE):
+                _tiled_observables(kind, seed, count)
+            return
         c, i = _tiled_observables(kind, seed, count)
         amps = _reference_amplitudes(
             kind, ZeroedRow(sampling.stream_generator(seed), zeroed), count
         )
         ref_c, ref_i = _reference_observables(amps)
         assert np.array_equal(c, ref_c) and np.array_equal(i, ref_i)
+
+    @pytest.mark.parametrize("count", [0, 1_001])
+    def test_a_block_outside_the_capacity_raises(self, count):
+        excess_of = tile_excess("real-s3", partial(verify._bound_excess, 0.0), 1_000)
+        with pytest.raises(DomainError, match="outside"):
+            excess_of(SeedSpec(1), count)
 
     @pytest.mark.parametrize("kind", list(Ensemble))
     @pytest.mark.parametrize("delta", [0.01, 0.001, 0.3])
@@ -363,64 +364,79 @@ DRAWN = 5 * TILE + 9
 
 
 class TestTileDraws:
-    """A block drawn tile by tile consumes its generator as the whole-block reference.
-
-    Zeroed rows make the block's first flagged tile draw the rest of the
-    block at once and redraw over it; ``DRAWN`` and later rows belong to
-    the redraws, so zeroing them makes a redraw degenerate again.
-    """
-
-    @staticmethod
-    def _tiled(kind, gen, count):
-        """The block's amplitudes, and whether it drew the rest of the block at once."""
-        block = sampling.SampleBlock(kind, count)
-        draw_rest = block._draw_rest
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return draw_rest(*args)
-
-        block._draw_rest = counted
-        tiles = [values.copy() for _, _, values in block.tiles(gen, count)]
-        return sampling._as_amplitudes(block.kind, np.concatenate(tiles)), bool(calls)
+    """A block drawn tile by tile consumes its generator as one whole-block draw."""
 
     @pytest.mark.parametrize("kind", list(Ensemble))
-    @pytest.mark.parametrize(
-        "rows",
-        [[], [0], [2 * TILE], [DRAWN - 1], [TILE + 5, 3 * TILE + 1],
-         [TILE, TILE + 1, DRAWN], [4 * TILE + 2, DRAWN, DRAWN + 1]],
-    )
-    def test_generator_state_matches_whole_block_reference(self, kind, rows):
-        self._check(kind, rows, slice(None), kind is not Ensemble.PARAM and rows)
-
-    @pytest.mark.parametrize("cols", [[0, 2], [1, 3]])
-    @pytest.mark.parametrize("rows", [[3 * TILE + 7], [TILE - 1, 4 * TILE]])
-    def test_zero_mi_half_degenerate(self, cols, rows):
-        self._check(Ensemble.ZERO_MI, rows, cols, True)
-
-    def _check(self, kind, rows, cols, falls_back):
+    def test_generator_state_matches_whole_block_reference(self, kind):
         seed = SeedSpec(19, 3)
-        tiled_gen = ZeroedRow(sampling.stream_generator(seed), rows, cols)
-        amps, held = self._tiled(kind, tiled_gen, DRAWN)
-        ref_gen = ZeroedRow(sampling.stream_generator(seed), rows, cols)
+        tiled_gen, ref_gen = sampling.stream_generator(seed), sampling.stream_generator(seed)
+        amps = sampling._as_amplitudes(kind, sampling._take(kind, tiled_gen, DRAWN))
         ref = _reference_amplitudes(kind, ref_gen, DRAWN)
-        assert held == bool(falls_back)
         assert np.array_equal(amps, ref)
         assert _state(tiled_gen) == _state(ref_gen)
         assert _state(tiled_gen) != _state(sampling.stream_generator(seed))
 
-    def test_later_blocks_reuse_one_tile(self):
-        block = sampling.SampleBlock(Ensemble.REAL_S3, DRAWN)
-        gen = ZeroedRow(sampling.stream_generator(SeedSpec(19, 3)), [2 * TILE])
-        for _ in block.tiles(gen, DRAWN):
-            pass
-        seed = SeedSpec(19, 4)
-        later = [v.copy() for _, _, v in block.tiles(sampling.stream_generator(seed), DRAWN)]
-        assert block._draws.shape == (TILE, 4)
-        # The fallback's whole-block buffer does not leak into the next block.
-        expected = sampling.sample_amplitudes(Ensemble.REAL_S3, seed, DRAWN)
-        assert np.array_equal(np.concatenate(later), expected)
+
+# -- degenerate draws ----------------------------------------------------------
+#
+# A drawn state too close to zero to normalize is an error, not a redraw.  The
+# zeroed row lies in a later tile, and in a scan in block 2 of 3; a sample
+# also has one in its first and in the last row of its ragged last tile.
+
+ROW = 3 * TILE + 7
+_ZEROED = [(Ensemble.REAL_S3, slice(None)), (Ensemble.COMPLEX_S7, slice(None)),
+           (Ensemble.ZERO_MI, [0, 2]), (Ensemble.ZERO_MI, [1, 3])]
+_ZEROED_IDS = ["real-s3", "complex-s7", "zero-mi-pr", "zero-mi-qs"]
+
+
+def _zero_block_2(monkeypatch, cols=slice(None)):
+    """Zero row ``ROW`` (columns ``cols``) of the stream of every scan's block 2."""
+    philox = sampling.stream_generator
+    monkeypatch.setattr(
+        pipeline, "stream_generator",
+        lambda s: ZeroedRow(philox(s), ROW if s.stream_id == 2 else None, cols),
+    )
+
+
+class TestDegenerateDraws:
+    @pytest.mark.parametrize("row", [0, ROW, DRAWN - 1])
+    @pytest.mark.parametrize("kind,cols", _ZEROED, ids=_ZEROED_IDS)
+    def test_sample_amplitudes_raises(self, monkeypatch, kind, cols, row):
+        philox = sampling.stream_generator
+        monkeypatch.setattr(
+            sampling, "stream_generator", lambda s: ZeroedRow(philox(s), row, cols)
+        )
+        with pytest.raises(ConsistencyError, match=DEGENERATE):
+            sample_amplitudes(kind, SeedSpec(19, 3), DRAWN)
+
+    @pytest.mark.parametrize("kind,cols", _ZEROED, ids=_ZEROED_IDS)
+    def test_run_histogram_job_raises(self, monkeypatch, kind, cols):
+        _zero_block_2(monkeypatch, cols)
+        with pytest.raises(ConsistencyError, match=DEGENERATE):
+            run_histogram_job(kind, 600_000, 19, 0.01, 0.01, workers=1)
+
+    @pytest.mark.parametrize("kind,cols", _ZEROED, ids=_ZEROED_IDS)
+    def test_a_scan_of_a_check_and_a_histogram_raises(self, monkeypatch, kind, cols):
+        _zero_block_2(monkeypatch, cols)
+        checks = [(TileHistogram(kind.value, 0.01, 0.01), SeedSpec(19)),
+                  (_bound_check(kind), SeedSpec(19))]
+        with pytest.raises(ConsistencyError, match=DEGENERATE):
+            pipeline.scan_checks(checks, 600_000, workers=1)
+
+    @pytest.mark.parametrize(
+        "command", [["sample", "--ensemble", "real-s3"], ["verify", "--all"]],
+        ids=["sample", "verify"],
+    )
+    def test_cli_exits_2_with_one_line(self, monkeypatch, run_cli, capsys, tmp_path, command):
+        _zero_block_2(monkeypatch)
+        out = tmp_path / "out"
+        argv = [*command, "--n", "600000", "--workers", "1", "--out", str(out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert DEGENERATE in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
 
 
 def _scan_two_blocks(checks):
@@ -546,19 +562,6 @@ def _nan_excess_of(gen, out):
 _NAN_CHECK = pipeline.StreamCheck(_nan_tiles)
 
 
-def _count_blocks_drawn_alone(monkeypatch):
-    """The ensembles of the blocks the scan recomputes alone, as they start."""
-    alone = []
-    sample_block = pipeline.SampleBlock
-
-    def counted(kind, capacity):
-        alone.append(Ensemble(kind).value)
-        return sample_block(kind, capacity)
-
-    monkeypatch.setattr(pipeline, "SampleBlock", counted)
-    return alone
-
-
 class TestScanChecks:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [1, TILE, TILE + 1])
@@ -610,44 +613,6 @@ class TestScanChecks:
         expected = [_alone(check, 300_000, SeedSpec(11)) for check, _ in checks]
         assert pipeline.scan_checks(checks, 300_000, workers=2) == expected
 
-    def test_a_flagged_tile_recomputes_that_block_alone(self, monkeypatch):
-        # A screen that flags a row of every tile from the third on: the
-        # exact test then finds nothing to redraw, so the values stay those
-        # of the unpatched checks, but each block of zero-mi is recomputed.
-        expected = [_sharp_alone(name, 600_000) for name in sorted(_SHARP)]
-        layout = sampling._LAYOUTS[Ensemble.ZERO_MI]
-        screen = layout.screen
-        calls = []
-
-        def flag_later_tiles(draws, norms, scratch):
-            rows = screen(draws, norms, scratch)
-            calls.append(len(draws))
-            return np.array([len(draws) - 1]) if len(calls) > 2 else rows
-
-        alone = _count_blocks_drawn_alone(monkeypatch)
-        monkeypatch.setitem(
-            sampling._LAYOUTS, Ensemble.ZERO_MI, layout._replace(screen=flag_later_tiles)
-        )
-        checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]
-        assert pipeline.scan_checks(checks, 600_000, workers=1) == expected
-        assert alone == ["zero-mi"] * 3
-
-    @pytest.mark.parametrize("row", [0, 3 * TILE + 5, 125_000 - 1])
-    def test_degenerate_rows_are_redrawn_as_each_check_alone_redraws_them(
-        self, monkeypatch, row
-    ):
-        # Zeroed rows of every block's stream are degenerate states: each
-        # Gaussian check then redraws its block as it does alone.
-        monkeypatch.setattr(
-            pipeline, "stream_generator",
-            lambda s: ZeroedRow(sampling.stream_generator(s), row),
-        )
-        checks = [(_SHARP[name], SeedSpec(21, 5)) for name in sorted(_SHARP)]
-        expected = [_alone(check, 250_001, seed) for check, seed in checks]
-        alone = _count_blocks_drawn_alone(monkeypatch)
-        assert pipeline.scan_checks(checks, 250_001, workers=1) == expected
-        assert {"complex-s7", "real-s3", "zero-mi"} == set(alone)
-
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [1, TILE + 1, 250_001])
     def test_histograms_in_a_scan_match_each_job_alone(self, n, workers):
@@ -685,33 +650,6 @@ class TestScanChecks:
                 monkeypatch.setitem(sampling._LAYOUTS, kind, layout._replace(fill=counted_fill))
         assert pipeline.scan_checks(checks, n, workers=1) == expected
         assert sum(drawn) == 4 * n
-
-    @pytest.mark.parametrize("row", [0, 3 * TILE + 5])
-    def test_degenerate_rows_are_redrawn_for_histograms_too(self, monkeypatch, row):
-        # A flagged block is recomputed alone for every consumer of its
-        # ensemble: the histograms match the whole-block reference.
-        monkeypatch.setattr(
-            pipeline, "stream_generator",
-            lambda s: ZeroedRow(sampling.stream_generator(s), row),
-        )
-        n, seed = 250_001, SeedSpec(21, 5)
-        checks = [(TileHistogram("real-s3", 0.01, 0.01), seed), (_SHARP["real-s3"], seed),
-                  (TileHistogram("complex-s7", 0.01, 0.01), seed)]
-        expected = {}
-        for kind in (Ensemble.REAL_S3, Ensemble.COMPLEX_S7):
-            expected[kind.value] = sum(
-                _reference_counts(*_reference_observables(_reference_amplitudes(
-                    kind, ZeroedRow(sampling.stream_generator(SeedSpec(21, 5 + j)), row), count
-                )), 0.01)
-                for j, count in block_plan(n)
-            )
-        check = _alone(_SHARP["real-s3"], n, seed)
-        alone = _count_blocks_drawn_alone(monkeypatch)
-        real, tally, complex_ = pipeline.scan_checks(checks, n, workers=1)
-        assert np.array_equal(real.counts, expected["real-s3"])
-        assert np.array_equal(complex_.counts, expected["complex-s7"])
-        assert tally == check
-        assert {"complex-s7", "real-s3"} == set(alone)
 
     def test_nan_excess_is_a_violation(self):
         # Every excess that is not <= 0 counts; the worst stays finite.

@@ -202,49 +202,14 @@ class TestDispatch:
 
 # -- degenerate draws --------------------------------------------------------
 #
-# The drawers screen rows by the norm they compute anyway and apply the
-# exact "every |x| below 1e-12" rule to the screened rows only.  The
-# references below are the rule and the drawers as first written: a scan
-# of every row per pass, and the row-wise sums numpy reduces.
+# The drawers screen rows by the norm they compute anyway, and a flagged row
+# is an error.  The reference below is the exact rule: every |x| below 1e-12.
 
 DEGENERATE_TOL = 1e-12
 
 
 def _reference_degenerate(rows):
     return np.flatnonzero(np.abs(rows).max(axis=1) < DEGENERATE_TOL)
-
-
-def _reference_redraw(gen, draws, halves):
-    while True:
-        bad = np.unique(
-            np.concatenate([_reference_degenerate(draws[:, cols]) for cols in halves])
-        )
-        if bad.size == 0:
-            return
-        draws[bad] = gen.standard_normal((bad.size, draws.shape[1]))
-
-
-def _reference_sphere(gen, n, width):
-    draws = gen.standard_normal((n, width))
-    _reference_redraw(gen, draws, [list(range(width))])
-    draws /= np.sqrt((draws * draws).sum(axis=1))[:, None]
-    return draws
-
-
-def _reference_complex_sphere(gen, n):
-    draws = _reference_sphere(gen, n, 8)
-    return draws[:, 0::2] + 1j * draws[:, 1::2]
-
-
-def _reference_zero_mi(gen, n):
-    draws = gen.standard_normal((n, 4))
-    _reference_redraw(gen, draws, [[0, 2], [1, 3]])
-    p, q, r, s = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3]
-    left_norm = np.hypot(p, r)
-    right_norm = np.hypot(q, s)
-    p, r = p / left_norm, r / left_norm
-    q, s = q / right_norm, s / right_norm
-    return np.stack([p * q, p * s, r * q, -(r * s)], axis=1)
 
 
 def _hand_built_rows(width, rng):
@@ -271,46 +236,21 @@ def _hand_built_rows(width, rng):
     return np.array(rows)
 
 
-def _draw_real_sphere(gen, n):
-    return sampling._take(Ensemble.REAL_S3, gen, n)
-
-
-def _draw_complex_sphere(gen, n):
-    return sampling._take(Ensemble.COMPLEX_S7, gen, n)
-
-
-def _draw_zero_mi(gen, n):
-    return sampling._take(Ensemble.ZERO_MI, gen, n)
-
-
-class ScriptedGenerator:
-    """Stands in for a Generator: ``standard_normal`` returns scripted blocks."""
-
-    def __init__(self, blocks):
-        self._blocks = [np.array(b, dtype=np.float64) for b in blocks]
-        self.shapes = []
-
-    def standard_normal(self, shape=None, out=None):
-        shape = out.shape if out is not None else tuple(shape)
-        self.shapes.append(shape)
-        block = self._blocks.pop(0)
-        assert block.shape == shape, "drawer asked for an unscripted shape"
-        if out is None:
-            return block.copy()
-        out[...] = block
-        return out
+def _screened(kind, rows):
+    """The rows that ``kind``'s screen step flags."""
+    layout = sampling._LAYOUTS[kind]
+    norms, scratch = np.empty((layout.norms, len(rows))), np.empty((3, len(rows)))
+    return layout.screen(rows, norms, scratch)
 
 
 class TestDegenerateScreen:
     @pytest.mark.parametrize("width", [4, 8])
     def test_sphere_screen_flags_reference_rows(self, width):
+        kind = Ensemble.REAL_S3 if width == 4 else Ensemble.COMPLEX_S7
         rows = _hand_built_rows(width, np.random.default_rng(width))
-        norm = np.sqrt(sampling._squared_norm(rows))
-        screened = sampling._may_be_degenerate(norm, width)
-        flagged = sampling._degenerate_rows(rows, screened, [list(range(width))])
         expected = _reference_degenerate(rows)
         assert expected.tolist() == [0, 1, 2, 3]
-        assert flagged.tolist() == expected.tolist()
+        assert np.isin(expected, _screened(kind, rows)).all()
 
     @pytest.mark.parametrize("kind", ["left", "right"])
     def test_zero_mi_screen_flags_reference_rows(self, kind):
@@ -321,11 +261,9 @@ class TestDegenerateScreen:
         rows = np.empty((len(halves), 4))
         rows[:, mine] = halves
         rows[:, theirs] = other
-        norm = np.hypot(rows[:, mine[0]], rows[:, mine[1]])
-        screened = sampling._may_be_degenerate(norm, 2)
-        flagged = sampling._degenerate_rows(rows, screened, [[0, 2], [1, 3]])
         expected = _reference_degenerate(halves)
-        assert flagged.tolist() == expected.tolist() == [0, 1, 2, 3]
+        assert expected.tolist() == [0, 1, 2, 3]
+        assert np.isin(expected, _screened(Ensemble.ZERO_MI, rows)).all()
 
     def test_squared_norm_matches_row_sums(self):
         rng = np.random.default_rng(3)
@@ -335,44 +273,3 @@ class TestDegenerateScreen:
             assert np.array_equal(
                 sampling._squared_norm(draws), (draws * draws).sum(axis=1)
             )
-
-    @staticmethod
-    def _script(width):
-        """The hand-built rows, then redraws of which two are degenerate again."""
-        rng = np.random.default_rng(0)
-        first = _hand_built_rows(width, rng)
-        again = rng.standard_normal((4, width))
-        again[1] = 0.0
-        again[3] = _hand_built_rows(width, rng)[1]
-        return [first, again, rng.standard_normal((2, width))]
-
-    @pytest.mark.parametrize(
-        "drawer,reference,width",
-        [
-            (_draw_real_sphere, lambda g, n: _reference_sphere(g, n, 4), 4),
-            (_draw_complex_sphere, _reference_complex_sphere, 8),
-        ],
-    )
-    def test_sphere_redraw_matches_reference(self, drawer, reference, width):
-        script = self._script(width)
-        new_gen, old_gen = ScriptedGenerator(script), ScriptedGenerator(script)
-        new = drawer(new_gen, 7)
-        old = reference(old_gen, 7)
-        assert new_gen.shapes == old_gen.shapes == [(7, width), (4, width), (2, width)]
-        assert new.dtype == old.dtype and np.array_equal(new, old)
-
-    def test_zero_mi_redraw_matches_reference(self):
-        rng = np.random.default_rng(5)
-        halves = _hand_built_rows(2, rng)
-        first = rng.standard_normal((2 * len(halves), 4))
-        first[: len(halves), [0, 2]] = halves
-        first[len(halves):, [1, 3]] = halves
-        again = rng.standard_normal((8, 4))
-        again[2, [1, 3]] = 0.0
-        again[5, [0, 2]] = 1e-13
-        script = [first, again, rng.standard_normal((2, 4))]
-        new_gen, old_gen = ScriptedGenerator(script), ScriptedGenerator(script)
-        new = _draw_zero_mi(new_gen, len(first))
-        old = _reference_zero_mi(old_gen, len(first))
-        assert new_gen.shapes == old_gen.shapes == [(14, 4), (8, 4), (2, 4)]
-        assert np.array_equal(new, old)
