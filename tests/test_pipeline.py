@@ -364,15 +364,40 @@ DRAWN = 5 * TILE + 9
 
 
 class TestTileDraws:
-    """A block drawn tile by tile consumes its generator as one whole-block draw."""
+    """A block drawn tile by tile consumes its generator as one whole-block draw.
+
+    Zeroed rows of a Gaussian ensemble are degenerate states: the draw
+    raises after the tile that holds the first of them, having consumed its
+    generator as one whole draw of the rows up to that tile's end.  Rows
+    from ``DRAWN`` on lie past the block and are never drawn.
+    """
 
     @pytest.mark.parametrize("kind", list(Ensemble))
-    def test_generator_state_matches_whole_block_reference(self, kind):
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [0], [2 * TILE], [DRAWN - 1], [TILE + 5, 3 * TILE + 1],
+         [TILE, TILE + 1, DRAWN], [4 * TILE + 2, DRAWN, DRAWN + 1]],
+    )
+    def test_generator_state_matches_whole_block_reference(self, kind, rows):
+        self._check(kind, rows, slice(None), kind is not Ensemble.PARAM and rows)
+
+    @pytest.mark.parametrize("cols", [[0, 2], [1, 3]])
+    @pytest.mark.parametrize("rows", [[3 * TILE + 7], [TILE - 1, 4 * TILE]])
+    def test_zero_mi_half_degenerate(self, cols, rows):
+        self._check(Ensemble.ZERO_MI, rows, cols, True)
+
+    def _check(self, kind, rows, cols, degenerate):
         seed = SeedSpec(19, 3)
-        tiled_gen, ref_gen = sampling.stream_generator(seed), sampling.stream_generator(seed)
-        amps = sampling._as_amplitudes(kind, sampling._take(kind, tiled_gen, DRAWN))
-        ref = _reference_amplitudes(kind, ref_gen, DRAWN)
-        assert np.array_equal(amps, ref)
+        tiled_gen = ZeroedRow(sampling.stream_generator(seed), rows, cols)
+        ref_gen = ZeroedRow(sampling.stream_generator(seed), rows, cols)
+        if degenerate:
+            stop = min(DRAWN, (min(rows) // TILE + 1) * TILE)
+            with pytest.raises(ConsistencyError, match=DEGENERATE):
+                sampling._take(kind, tiled_gen, DRAWN)
+            ref_gen.standard_normal((stop, sampling._LAYOUTS[kind].width))
+        else:
+            amps = sampling._as_amplitudes(kind, sampling._take(kind, tiled_gen, DRAWN))
+            assert np.array_equal(amps, _reference_amplitudes(kind, ref_gen, DRAWN))
         assert _state(tiled_gen) == _state(ref_gen)
         assert _state(tiled_gen) != _state(sampling.stream_generator(seed))
 
