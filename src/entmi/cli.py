@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--delta-i", type=float, default=None, help="override I bin width")
     p_sample.add_argument("--workers", type=int, default=None)
     p_sample.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sample.add_argument("--out", required=True, help="output histogram path")
+    p_sample.add_argument("--out", required=True, help="output histogram path ('-' = stdout)")
 
     p_table = sub.add_parser(
         "table", help="per-MI-slice concurrence statistics from a histogram"
@@ -178,7 +178,8 @@ def _cmd_sample(args) -> int:
     meta = {"ensemble": args.ensemble, "n": args.n, "master_seed": args.seed}
     writer = hist.write_json if args.format == "json" else hist.write_csv
     _write_output(args.out, lambda out: writer(out, meta=meta))
-    print(f"wrote {args.out} (ensemble={args.ensemble} total={hist.total})")
+    if args.out != "-":
+        print(f"wrote {args.out} (ensemble={args.ensemble} total={hist.total})")
     return _EXIT_OK
 
 

@@ -114,15 +114,11 @@ class TileCheck(NamedTuple):
     each (C, I) pair of a tile into ``out``; it may overwrite ``c`` but not
     ``i``, and ``scratch`` and ``mask`` are a float64 and a boolean array
     of the tile's length.  All of them are buffers kept for the worker
-    share.  Called with a capacity, it is the check's ``make_excess`` run
-    alone; see :func:`tile_excess`.
+    share.  A consumer of :func:`scan_checks`, the only way to run it.
     """
 
     kind: str
     excess_of_pairs: Callable
-
-    def __call__(self, capacity: int):
-        return tile_excess(self.kind, self.excess_of_pairs, capacity)
 
 
 class TileHistogram(NamedTuple):
@@ -136,27 +132,14 @@ class TileHistogram(NamedTuple):
 class StreamCheck(NamedTuple):
     """A check that draws its own samples, one tile at a time.
 
-    ``make(rows, shared)`` returns ``excess_of(gen, out)``, which draws the
-    next ``len(out) <= rows`` samples from ``gen`` and writes their excess
-    into ``out``; it may use the ``probs``, ``info`` and ``mask`` of
-    ``shared``, the share's :class:`_Observables`.  Called with a capacity,
-    it is the check's ``make_excess`` run alone.
+    ``make(rows, shared)`` is called once per worker share and returns
+    ``excess_of(gen, out)``, which draws the next ``len(out) <= rows``
+    samples from ``gen``, writes their excess into ``out`` and returns it;
+    it may use the ``probs``, ``info`` and ``mask`` of ``shared``, the
+    share's :class:`_Observables`.  A consumer of :func:`scan_checks`.
     """
 
     make: Callable
-
-    def __call__(self, capacity: int):
-        rows = min(capacity, _TILE_ROWS)
-        excess_of_tile = self.make(rows, _Observables(rows, np.float64))
-        excess = np.empty(capacity)
-
-        def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
-            gen = stream_generator(seed)
-            for start, stop in _tiles(count):
-                excess_of_tile(gen, excess[start:stop])
-            return excess[:count]
-
-        return excess_of
 
 
 def _tally(total: list, excess: np.ndarray) -> None:
@@ -192,19 +175,17 @@ def _combine(total, part):
 class _Excess:
     """A check's [violations, worst] over the share.
 
-    :meth:`tile` tallies a :class:`TileCheck`'s tiles, keeping their excess
-    in ``record`` if given; a :class:`StreamCheck`'s tiles are tallied by
-    the scan.
+    :meth:`tile` tallies a :class:`TileCheck`'s tiles; a
+    :class:`StreamCheck`'s tiles are tallied by the scan.
     """
 
     def __init__(self, excess_of_pairs=None):
-        self.excess_of_pairs, self.record = excess_of_pairs, None
+        self.excess_of_pairs = excess_of_pairs
         self.result = [0, 0.0]
 
     def tile(self, start, c, i, spare, mask) -> None:
-        out = spare[0] if self.record is None else self.record[start : start + len(c)]
-        self.excess_of_pairs(c, i, out, spare[1], mask)
-        _tally(self.result, out)
+        self.excess_of_pairs(c, i, spare[0], spare[1], mask)
+        _tally(self.result, spare[0])
 
 
 class _Bins:
@@ -239,27 +220,6 @@ def _feed(shared: _Observables, parts: list, start: int, amplitudes) -> None:
         spare[3] = c
         part.tile(start, spare[3], i, spare[:3], mask)
     parts[-1].tile(start, c, i, spare[:3], mask)
-
-
-def tile_excess(kind: Ensemble, excess_of_pairs, capacity: int):
-    """A :class:`TileCheck` run alone, as ``excess_of(seed, count)``.
-
-    That returns the excess of each state of the block of ``count <=
-    capacity`` drawn from ``seed``, in a buffer that the next block reuses.
-    It scans the block as :func:`scan_checks` does, with this one consumer.
-    """
-    scan = _ShareScan([(TileCheck(kind, excess_of_pairs), None)], capacity)
-    [((_, fill), kinds)] = scan.groups.items()
-    part = scan.parts[0]
-    part.record = np.empty(capacity)
-
-    def excess_of(seed: SeedSpec, count: int) -> np.ndarray:
-        if not 1 <= count <= capacity:
-            raise DomainError(f"block of {count} states outside [1, {capacity}]")
-        scan._scan_group(fill, kinds, seed, count)
-        return part.record[:count]
-
-    return excess_of
 
 
 class _Kind(NamedTuple):
@@ -352,12 +312,13 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
 
     ``checks`` are (consumer, seed) pairs, a consumer being a
     :class:`TileCheck`, a :class:`StreamCheck` or a :class:`TileHistogram`;
-    block ``j`` of a consumer uses stream ``seed.stream_id + j``.  Consumers
-    of equal seeds share their draws, and every result is the one the
-    consumer gives alone.  A drawn state that may lie within about 1e-12 of
-    zero raises ``ConsistencyError``.  With more than one worker, consumers
-    are pickled: their functions must be module-level functions or
-    ``functools.partial`` s of them.
+    block ``j`` of a consumer uses stream ``seed.stream_id + j``.  A scan is
+    the only way to run a consumer; to run one alone, scan it alone.
+    Consumers of equal seeds share their draws, and every result is the one
+    a scan of its consumer alone gives.  A drawn state that may lie within
+    about 1e-12 of zero raises ``ConsistencyError``.  With more than one
+    worker, consumers are pickled: their functions must be module-level
+    functions or ``functools.partial`` s of them.
 
     A check's result is (violations, max_excess): every excess that is not
     ``<= 0``, NaN included, is a violation, and max_excess is the largest

@@ -45,9 +45,10 @@ _UINT64_LIMIT = 2**64
 class SeedSpec:
     """Identity of one reproducible stream.
 
-    Multi-block operations (the parallel pipeline, the verification
-    scans) treat ``stream_id`` as a base and use consecutive ids for
-    consecutive blocks.
+    Both fields are integers in [0, 2**64): an ``int`` or ``np.integer``,
+    not a ``bool``.  Multi-block operations (the parallel pipeline, the
+    verification scans) treat ``stream_id`` as a base and use consecutive
+    ids for consecutive blocks.
     """
 
     master_seed: int
@@ -56,6 +57,8 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} {value!r} is not an integer")
             if not 0 <= int(value) < _UINT64_LIMIT:
                 raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
 

@@ -1,5 +1,6 @@
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from entmi import pipeline
@@ -12,6 +13,35 @@ def _run_cli(argv):
         return cli_main(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+
+
+def recorded_excess(check, n, seed):
+    """The excess of each of ``n`` states, in order, from a scan of ``check`` alone.
+
+    The scan runs with one worker, in this process, and visits blocks and
+    tiles in order; a recording copy of ``check`` copies each tile's excess.
+    """
+    tiles = []
+    if isinstance(check, pipeline.StreamCheck):
+        def make(rows, shared):
+            excess_of = check.make(rows, shared)
+
+            def recorded(gen, out):
+                excess = excess_of(gen, out)
+                tiles.append(excess.copy())
+                return excess
+
+            return recorded
+
+        recording = pipeline.StreamCheck(make)
+    else:
+        def excess_of_pairs(c, i, out, scratch, mask):
+            check.excess_of_pairs(c, i, out, scratch, mask)
+            tiles.append(out.copy())
+
+        recording = pipeline.TileCheck(check.kind, excess_of_pairs)
+    pipeline.scan_checks([(recording, seed)], n, workers=1)
+    return np.concatenate(tiles)
 
 
 @pytest.fixture

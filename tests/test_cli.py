@@ -34,6 +34,19 @@ class TestSample:
         hist = load_histogram(out)
         assert hist.total == 20000
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_is_the_file_bytes(self, run_cli, tmp_path, capsys, fmt):
+        argv = ["sample", "--n", "1000", "--bins", "0.5", "--format", fmt, "--out"]
+        path = tmp_path / f"h.{fmt}"
+        assert run_cli(argv + [str(path)]) == 0
+        capsys.readouterr()
+        assert run_cli(argv + ["-"]) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert printed == path.read_bytes()
+        captured = tmp_path / f"stdout.{fmt}"
+        captured.write_bytes(printed)
+        assert load_histogram(captured) == load_histogram(path)
+
     def test_repeat_runs_byte_identical(self, run_cli, tmp_path):
         argv = [
             "sample", "--n", "20000", "--seed", "7", "--bins", "0.02",

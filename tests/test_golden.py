@@ -5,17 +5,17 @@ writers that moves a single output byte fails here.  n = 600 000 is three
 250k blocks with a ragged tail, so the block plan and the stream keying
 are covered too.  Each case runs with one and with two workers, which must
 give the same bytes.  The verify reports read ``max_violation: 0.0`` for any
-passing check, so the raw excess arrays of each check are pinned as well.
+passing check, so the excess of every state, as the scan computes it for
+each check, is pinned as well.
 """
 
 import hashlib
-from functools import partial
 
 import numpy as np
 import pytest
 
-from entmi import SeedSpec, verify
-from entmi.pipeline import BLOCK_SIZE, block_plan, tile_excess
+from conftest import recorded_excess
+from entmi import Ensemble, SeedSpec, verify
 
 N = 600_000
 SEED = 11
@@ -35,8 +35,10 @@ VERIFY_DIGESTS = {
     "complex-s7": "540434b7803799ffc4362c40c0f8ff6e6937ebda3d9c651acdfc1b808befa0a5",
 }
 
-# sha256 of the float64 excess of every block of the N-sample, SEED plan,
-# concatenated in block order, for each check's ``make_excess``.
+SAMPLE_JSON_DIGEST = "f8fce05fb2acdb183c818c2c95cec4346e750ecd5f4c6b11e6e10b9eed20c0ee"
+
+# sha256 of the float64 excess of every state of the N-sample, SEED scan of
+# each check alone, with one worker, concatenated in block and tile order.
 EXCESS_DIGESTS = {
     "bound[real-s3]": "c7dde8b0dfb49c0379030869bcfda95e3fb097b3843f95b08a75f70cb07d7e86",
     "bound[complex-s7]": "2164871b56ca7d2cdd8876a90fe8d0be0041e11648fe688c2c9223093234b333",
@@ -44,16 +46,14 @@ EXCESS_DIGESTS = {
     "mi-oracle": "2aabe75f1f283ba87493f2b86d4edc7f71c34515fb8c7bf453f47623c3dc70d2",
 }
 
-MAKE_EXCESS = {
-    "bound[real-s3]": partial(
-        tile_excess, "real-s3", partial(verify._bound_excess, verify.BOUND_TOL)
-    ),
-    "bound[complex-s7]": partial(
-        tile_excess, "complex-s7", partial(verify._bound_excess, verify.BOUND_TOL)
-    ),
-    "zero-mi": partial(tile_excess, "zero-mi", verify._zero_mi_excess),
-    "mi-oracle": verify._angle_oracle_excess,
-}
+CHECKS = dict(
+    [
+        verify.bound_check(Ensemble.REAL_S3),
+        verify.bound_check(Ensemble.COMPLEX_S7),
+        verify.ZERO_MI_CHECK,
+        verify.ANGLE_ORACLE_CHECK,
+    ]
+)
 
 
 def _sha256(path):
@@ -89,6 +89,19 @@ def test_verify_jsonl_digest(run_cli, tmp_path, ensemble, workers):
     assert _sha256(out) == VERIFY_DIGESTS[ensemble]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sample_json_digest(run_cli, tmp_path, workers):
+    out = tmp_path / "h.json"
+    code = run_cli(
+        [
+            "sample", "--ensemble", "real-s3", "--n", str(N), "--seed", str(SEED),
+            "--bins", "0.01", "--workers", workers, "--format", "json", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert _sha256(out) == SAMPLE_JSON_DIGEST
+
+
 def test_curve_csv_digest(run_cli, tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli(["curve", "--points", "101", "--out", str(out)]) == 0
@@ -97,9 +110,7 @@ def test_curve_csv_digest(run_cli, tmp_path):
 
 @pytest.mark.parametrize("check", sorted(EXCESS_DIGESTS))
 def test_excess_digest(check):
-    excess_of = MAKE_EXCESS[check](BLOCK_SIZE)
-    digest = hashlib.sha256()
-    for stream_id, count in block_plan(N):
-        excess = excess_of(SeedSpec(SEED, stream_id), count)
-        digest.update(np.asarray(excess, dtype="<f8").tobytes())
+    excess = recorded_excess(CHECKS[check], N, SeedSpec(SEED))
+    assert excess.size == N
+    digest = hashlib.sha256(np.asarray(excess, dtype="<f8").tobytes())
     assert digest.hexdigest() == EXCESS_DIGESTS[check]

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import recorded_excess
 from entmi import (
     ConsistencyError,
     DomainError,
@@ -26,7 +27,7 @@ from entmi import (
     sample_amplitudes,
 )
 from entmi import pipeline, sampling, verify
-from entmi.pipeline import TileCheck, TileHistogram, block_plan, resolve_workers, tile_excess
+from entmi.pipeline import TileCheck, TileHistogram, block_plan, resolve_workers
 from entmi.states import xlog2
 
 
@@ -59,7 +60,7 @@ class TestBlockPlan:
         with pytest.raises(DomainError):
             block_plan(0)
 
-    @pytest.mark.parametrize("seed,n", [(-1, 100), (2**64, 100), (0, 0)])
+    @pytest.mark.parametrize("seed,n", [(-1, 100), (2**64, 100), (0, 0), (1.9, 100)])
     def test_job_rejects_bad_input_before_any_pool(self, monkeypatch, seed, n):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
@@ -261,14 +262,15 @@ class ZeroedRow:
 
 
 def _tiled_observables(kind, seed, count):
-    """The (C, I) pairs that ``tile_excess`` hands a check, tile after tile."""
+    """The (C, I) pairs that a one-block scan hands a check, tile after tile."""
     tiles = []
 
     def record(c, i, out, scratch, mask):
         tiles.append((c.copy(), i.copy()))
         out[...] = 0.0
 
-    tile_excess(kind.value, record, count)(seed, count)
+    check = TileCheck(kind.value, record)
+    pipeline.scan_checks([(check, seed)], count, workers=1, block_size=count)
     return tuple(np.concatenate(pairs) for pairs in zip(*tiles))
 
 
@@ -296,12 +298,6 @@ class TestTiledKernel:
         )
         ref_c, ref_i = _reference_observables(amps)
         assert np.array_equal(c, ref_c) and np.array_equal(i, ref_i)
-
-    @pytest.mark.parametrize("count", [0, 1_001])
-    def test_a_block_outside_the_capacity_raises(self, count):
-        excess_of = tile_excess("real-s3", partial(verify._bound_excess, 0.0), 1_000)
-        with pytest.raises(DomainError, match="outside"):
-            excess_of(SeedSpec(1), count)
 
     @pytest.mark.parametrize("kind", list(Ensemble))
     @pytest.mark.parametrize("delta", [0.01, 0.001, 0.3])
@@ -477,12 +473,6 @@ def _bound_and_histogram_two_blocks():
     _scan_two_blocks([TileHistogram("real-s3", 0.01, 0.01), _bound_check(Ensemble.REAL_S3)])
 
 
-def _excess_two_blocks(make_excess):
-    excess_of = make_excess(250_000)
-    for stream_id in (0, 1):
-        excess_of(SeedSpec(7, stream_id), 250_000)
-
-
 def _suite_two_blocks():
     _scan_two_blocks([check for _, check in _SUITE])
 
@@ -492,10 +482,11 @@ class TestShareMemory:
     # was drawn whole they were, in MiB: 13.4 and 21.4 for the real-s3 and
     # complex-s7 histograms, 13.4 and 21.3 for their bound checks, 15.3 for
     # zero-mi and 7.7 for mi-oracle.  Drawn one tile at a time, a share
-    # holds one tile of each buffer plus one int64 or float64 array per
-    # block (2 MB), which stays under 6 MiB.  The suite's four checks scanned
-    # together share their tile buffers and keep no per-block array; the
-    # bound check scanned with a histogram shares the histogram's buffers.
+    # holds one tile of each buffer, and a histogram one int64 array of bin
+    # indices per block (2 MB), which stays under 6 MiB.  A check keeps no
+    # per-block array; the suite's four checks scanned together share their
+    # tile buffers, and the bound check scanned with a histogram shares the
+    # histogram's buffers.
     # What seeding Philox imports on first use (secrets, hmac: about 1 MiB)
     # is imported before tracing, so the peak is the share's alone.
     @pytest.mark.parametrize(
@@ -503,13 +494,10 @@ class TestShareMemory:
         [
             partial(_histogram_two_blocks, "real-s3"),
             partial(_histogram_two_blocks, "complex-s7"),
-            partial(_excess_two_blocks, _bound_check(Ensemble.REAL_S3)),
-            partial(_excess_two_blocks, _bound_check(Ensemble.COMPLEX_S7)),
-            partial(
-                _excess_two_blocks,
-                partial(tile_excess, "zero-mi", verify._zero_mi_excess),
-            ),
-            partial(_excess_two_blocks, verify._angle_oracle_excess),
+            partial(_scan_two_blocks, [_bound_check(Ensemble.REAL_S3)]),
+            partial(_scan_two_blocks, [_bound_check(Ensemble.COMPLEX_S7)]),
+            partial(_scan_two_blocks, [verify.ZERO_MI_CHECK[1]]),
+            partial(_scan_two_blocks, [verify.ANGLE_ORACLE_CHECK[1]]),
             _suite_two_blocks,
             _bound_and_histogram_two_blocks,
         ],
@@ -559,13 +547,9 @@ _SELECTIONS = [
 
 
 def _alone(check, n, seed):
-    """(violations, worst) of ``check`` from its own make_excess, block by block."""
-    violations, worst = 0, 0.0
-    for index, count in block_plan(n):
-        excess = check(count)(SeedSpec(seed.master_seed, seed.stream_id + index), count)
-        violations += int(np.count_nonzero(~(excess <= 0.0)))
-        worst = max(worst, float(excess.max()))
-    return violations, worst
+    """(violations, worst) of ``check``, tallied from the excess of its scan alone."""
+    excess = recorded_excess(check, n, seed)
+    return int(np.count_nonzero(~(excess <= 0.0))), max(0.0, float(excess.max()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -45,6 +45,21 @@ class TestSeeding:
         with pytest.raises(DomainError):
             SeedSpec(0, 2**64)
 
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.7), 1.0, "5", True, None])
+    def test_seed_spec_rejects_what_is_not_an_integer(self, value):
+        # A float would key Philox as its truncation while comparing unequal to it.
+        with pytest.raises(DomainError, match="master_seed .* is not an integer"):
+            SeedSpec(value)
+        with pytest.raises(DomainError, match="stream_id .* is not an integer"):
+            SeedSpec(1, value)
+
+    def test_seed_spec_takes_numpy_integers(self):
+        seed = SeedSpec(np.int64(3), np.uint64(4))
+        assert seed == SeedSpec(3, 4)
+        assert np.array_equal(
+            stream_generator(seed).random(8), stream_generator(SeedSpec(3, 4)).random(8)
+        )
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_repeat_runs_are_bit_identical(self, kind):
         seed = SeedSpec(123, 5)
