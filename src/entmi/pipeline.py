@@ -12,13 +12,13 @@ longer one with the same seed.
 Every sampled job is one :func:`scan_checks`: one pool, one pass over the
 block plan.  Each block is drawn, normalized and reduced one cache-sized
 row tile at a time, on buffers kept for the worker's share, and each
-tile's (C, I) pairs go to the scan's consumers.  A histogram bins them
-into an int64 array of bin indices for its block and counts it once per
-block; a check tallies each tile's violations and worst excess into its
-result.  Consumers whose blocks come from the same stream share each
-tile's draw, as wide as the widest of their ensembles, and the consumers
-of one ensemble share its normalization and (C, I) pairs.  A drawn state
-too close to zero to normalize raises ``ConsistencyError``.
+tile's (C, I) pairs go to the scan's consumers.  A histogram bins each
+tile and counts its bins straight into its grid; a check tallies each
+tile's violations and worst excess into its result.  Consumers whose
+blocks come from the same stream share each tile's draw, as wide as the
+widest of their ensembles, and the consumers of one ensemble share its
+normalization and (C, I) pairs.  A drawn state too close to zero to
+normalize raises ``ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def _combine(total, part):
     return total
 
 
-# A consumer's share of a scan: ``tile(start, c, i, spare, mask)`` takes the
-# pairs of a block's rows from ``start`` on, with three spare float64 rows
-# and a mask, and may overwrite ``c``; the share's partial is ``result``.
+# A consumer's share of a scan: ``tile(c, i, spare, mask)`` takes a tile's
+# pairs, with three spare float64 rows and a mask, and may overwrite ``c``;
+# the share's partial is ``result``.
 
 
 class _Excess:
@@ -183,32 +183,27 @@ class _Excess:
         self.excess_of_pairs = excess_of_pairs
         self.result = [0, 0.0]
 
-    def tile(self, start, c, i, spare, mask) -> None:
+    def tile(self, c, i, spare, mask) -> None:
         self.excess_of_pairs(c, i, spare[0], spare[1], mask)
         _tally(self.result, spare[0])
 
 
 class _Bins:
-    """A :class:`TileHistogram`'s share: its histogram, and one block's flat bin indices.
+    """A :class:`TileHistogram`'s share: its histogram, counted one tile at a time.
 
-    A block's indices are counted by :meth:`end` with one ``bincount``: on a
-    fine grid, each call allocates an int64 array of the grid's size.
+    A tile's flat bin indices are int64 views of two spare rows, counted
+    straight into the grid, so the grid is the share's only histogram memory.
     """
 
-    def __init__(self, spec: TileHistogram, capacity: int, rows: int):
+    def __init__(self, spec: TileHistogram):
         self.result = JointHistogram(spec.delta_c, spec.delta_i)
-        self.flat = np.empty(capacity, dtype=np.int64)
-        self.scratch = np.empty(rows, dtype=np.int64)
 
-    def tile(self, start, c, i, spare, mask) -> None:
-        flat = self.flat[start : start + len(c)]
-        self.result._flat_bins(c, i, flat, self.scratch[: len(c)], spare[0])
-
-    def end(self, count: int) -> None:
-        self.result._add_flat(self.flat[:count])
+    def tile(self, c, i, spare, mask) -> None:
+        flat, scratch = spare[1].view(np.int64), spare[2].view(np.int64)
+        self.result._add_flat(self.result._flat_bins(c, i, flat, scratch, spare[0]))
 
 
-def _feed(shared: _Observables, parts: list, start: int, amplitudes) -> None:
+def _feed(shared: _Observables, parts: list, amplitudes) -> None:
     """Compute a tile's (C, I) pairs once and hand them to each of ``parts``.
 
     Every part but the last gets a copy of ``c``.  The spare rows are those
@@ -218,8 +213,8 @@ def _feed(shared: _Observables, parts: list, start: int, amplitudes) -> None:
     spare, mask = shared.probs[:, : len(c)], shared.mask[: len(c)]
     for part in parts[:-1]:
         spare[3] = c
-        part.tile(start, spare[3], i, spare[:3], mask)
-    parts[-1].tile(start, c, i, spare[:3], mask)
+        part.tile(spare[3], i, spare[:3], mask)
+    parts[-1].tile(c, i, spare[:3], mask)
 
 
 class _Kind(NamedTuple):
@@ -250,7 +245,7 @@ class _ShareScan:
                 self.parts.append(_Excess())
                 continue
             kind = Ensemble(check.kind)
-            part = (_Bins(check, capacity, self.rows) if isinstance(check, TileHistogram)
+            part = (_Bins(check) if isinstance(check, TileHistogram)
                     else _Excess(check.excess_of_pairs))
             self.parts.append(part)
             kinds = groups.setdefault((seed, _LAYOUTS[kind].fill), {})
@@ -272,9 +267,6 @@ class _ShareScan:
             gen = stream_generator(_block_seed(self.seeds[k], index))
             for start, stop in _tiles(count):
                 _tally(self.parts[k].result, excess_of(gen, self.excess[: stop - start]))
-        for part in self.parts:
-            if isinstance(part, _Bins):
-                part.end(count)
 
     def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
         wide = kinds[-1].layout.width
@@ -286,9 +278,9 @@ class _ShareScan:
                 first = start * wide // sub.layout.width
                 rows = drawn.reshape(-1, sub.layout.width)[: max(count - first, 0)]
                 for lo in range(0, len(rows), self.rows):
-                    self._tile(sub, first + lo, rows[lo : lo + self.rows], sub is kinds[-1])
+                    self._tile(sub, rows[lo : lo + self.rows], sub is kinds[-1])
 
-    def _tile(self, sub: _Kind, start: int, drawn: np.ndarray, in_place: bool) -> None:
+    def _tile(self, sub: _Kind, drawn: np.ndarray, in_place: bool) -> None:
         """Normalize one tile of drawn rows and feed its (C, I) pairs to ``sub``."""
         layout, size = sub.layout, len(drawn)
         draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
@@ -296,7 +288,7 @@ class _ShareScan:
             draws[...] = drawn
         _screen_and_finish(layout, draws, self.norms[:, :size], self.scratch[:, :size])
         amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype))
-        _feed(self.shared, sub.parts, start, amplitudes)
+        _feed(self.shared, sub.parts, amplitudes)
 
 
 def _scan_share(args) -> list:
@@ -327,6 +319,8 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
     """
     checks, plan = list(checks), block_plan(n, block_size)
     workers = resolve_workers(workers)
+    for _, seed in checks:
+        _block_seed(seed, len(plan) - 1)  # the last block's stream must exist too
     results = [JointHistogram(check.delta_c, check.delta_i) if isinstance(check, TileHistogram)
                else (0, 0.0) for check, _ in checks]
     for share in _run_shares(checks, plan, workers) if checks else ():
@@ -348,7 +342,8 @@ def run_histogram_job(
 
     Deterministic in (kind, n, master_seed, deltas, base_stream,
     block_size); the worker count only affects wall time.  The sample
-    count and the seed are checked before the grid or a pool exists.
+    count and every block's stream are checked before the grid or a pool
+    exists.
     """
     histogram = TileHistogram(Ensemble(kind).value, delta_c, delta_i)
     seed = SeedSpec(master_seed, base_stream)

@@ -47,6 +47,19 @@ class TestSample:
         captured.write_bytes(printed)
         assert load_histogram(captured) == load_histogram(path)
 
+    def test_separate_bin_widths(self, run_cli, tmp_path):
+        # A non-square grid: the flat bin index is c_bin * nbins_i + i_bin.
+        out, n = tmp_path / "h.csv", 300_000
+        argv = ["sample", "--n", str(n), "--seed", "5", "--delta-c", "0.02",
+                "--delta-i", "0.05", "--workers", "2", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert out.read_text().startswith("# joint_histogram delta_c=0.02 delta_i=0.05 ")
+        hist = load_histogram(out)
+        assert hist.counts.shape == (50, 20)
+        assert hist.total == n and int(hist.counts.sum()) == n
+        job = pipeline.run_histogram_job("real-s3", n, 5, 0.02, 0.05, workers=1)
+        assert np.array_equal(hist.counts, job.counts)
+
     def test_repeat_runs_byte_identical(self, run_cli, tmp_path):
         argv = [
             "sample", "--n", "20000", "--seed", "7", "--bins", "0.02",
