@@ -30,10 +30,14 @@ def mi_from_angles(alpha, delta):
     """Mutual information (bits) of the state (cos a, sin a, cos(a-d), sin(a-d))/sqrt(2).
 
     Evaluated directly from the closed form; periodic in ``alpha`` with
-    period pi and accepts unrestricted angles.  Result lies in [0, 1].
+    period pi and accepts unrestricted finite angles.  Result lies in
+    [0, 1].  An angle that is not finite raises ``DomainError``.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    beta = alpha - np.asarray(delta, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    if not (np.isfinite(alpha).all() and np.isfinite(delta).all()):
+        raise DomainError("angles must be finite")
+    beta = alpha - delta
     squares = np.stack(
         np.broadcast_arrays(
             np.cos(alpha) ** 2, np.sin(alpha) ** 2, np.cos(beta) ** 2, np.sin(beta) ** 2

@@ -78,16 +78,23 @@ def _run_shares(checks: list, plan: list[tuple[int, int]], workers: int):
 
 
 class _Observables:
-    """One tile's buffers for the (C, I) pairs of amplitude rows.
+    """A worker share's tile memory, allocated once: every step of a tile works in it.
 
-    ``dtype`` is that of the widest amplitudes taken: real rows use a
-    float64 view of complex buffers.  ``probs``, ``info`` and ``mask`` are
-    free again once :meth:`pairs` has returned its ``i``.
+    ``fill`` takes a tile's draws and ``work`` a copy of the rows of an
+    ensemble narrower than the fill's widest; ``c``, ``probs``, ``info``
+    and ``mask`` take the tile's (C, I) pairs.  The other buffers of a tile
+    borrow rows that are idle at their step: screen and finish keep their
+    norms in ``probs`` and their three scratch rows in ``info``, both
+    written only after finish; the concurrence's products are a (2, rows)
+    view of ``info`` in the amplitudes' dtype, free until the MI.
+    ``probs``, ``info`` and ``mask`` are free again once :meth:`pairs` has
+    returned its ``i``, and every buffer is once a block's tiles have been
+    fed: the scan then lends them to its :class:`StreamCheck` s.
     """
 
-    def __init__(self, rows: int, dtype):
-        self._products = np.empty((2, rows), dtype=dtype)
-        self._c = np.empty(rows)
+    def __init__(self, rows: int, fill: int, work: int):
+        self.fill, self.work = np.empty(rows * fill), np.empty(rows * work)
+        self.c = np.empty(rows)
         self.probs = np.empty((4, rows))
         self.info = np.empty((4, rows))
         self.mask = np.empty(rows, dtype=bool)
@@ -98,11 +105,9 @@ class _Observables:
         Computes, element for element, what the public ``concurrence``,
         ``probabilities`` and ``mutual_information`` compute.
         """
-        size = len(amplitudes)
-        products = self._products
-        if products.dtype != amplitudes.dtype:
-            products = products.view(amplitudes.dtype)
-        c = _concurrence_into(amplitudes, self._c[:size], products[:, :size])
+        size, rows = len(amplitudes), len(self.c)
+        products = self.info.reshape(-1).view(amplitudes.dtype)[: 2 * rows].reshape(2, rows)
+        c = _concurrence_into(amplitudes, self.c[:size], products[:, :size])
         probs = _probabilities_into(amplitudes, self.probs[:, :size], self.info[0, :size])
         return c, _mutual_information_into(probs, self.info[:, :size], self.mask[:size])
 
@@ -129,14 +134,20 @@ class TileHistogram(NamedTuple):
     delta_i: float
 
 
+# Floats per row of the fill and of the work tile that a StreamCheck may use.
+_STREAM_WIDTH = 4
+
+
 class StreamCheck(NamedTuple):
     """A check that draws its own samples, one tile at a time.
 
     ``make(rows, shared)`` is called once per worker share and returns
     ``excess_of(gen, out)``, which draws the next ``len(out) <= rows``
-    samples from ``gen``, writes their excess into ``out`` and returns it;
-    it may use the ``probs``, ``info`` and ``mask`` of ``shared``, the
-    share's :class:`_Observables`.  A consumer of :func:`scan_checks`.
+    samples from ``gen``, writes their excess into ``out`` and returns it.
+    It may use any row of ``shared``, the share's :class:`_Observables`,
+    all idle while the scan runs a block's stream checks: ``out`` is a
+    view of its ``c``, and its ``fill`` and ``work`` hold at least
+    ``_STREAM_WIDTH * rows`` floats each.  A consumer of :func:`scan_checks`.
     """
 
     make: Callable
@@ -226,22 +237,21 @@ class _Kind(NamedTuple):
 
 
 class _ShareScan:
-    """The consumers of one scan, on one worker share's tile buffers.
+    """The consumers of one scan, on one worker share's :class:`_Observables`.
 
     Consumers of equal seeds and fill steps share a fill: a (rows, 8) fill
     holds the rows of two (rows, 4) tiles of the same stream.  Each
-    ensemble but the widest, last, copies its rows into one work tile.
+    ensemble but the widest, last, copies its rows into the work tile.  The
+    fill and the work tile are as wide as the widest of these, and at least
+    ``_STREAM_WIDTH`` when a :class:`StreamCheck` borrows them.
     """
 
     def __init__(self, checks, capacity: int):
         self.rows = min(capacity, _TILE_ROWS)
-        tiled = [c for c, _ in checks if not isinstance(c, StreamCheck)]
-        dtypes = [_LAYOUTS[Ensemble(check.kind)].dtype for check in tiled]
-        self.shared = _Observables(self.rows, np.result_type(np.float64, *dtypes))
-        self.seeds, self.parts, self.own, groups = [seed for _, seed in checks], [], {}, {}
+        self.seeds, self.parts, own, groups = [seed for _, seed in checks], [], {}, {}
         for check, seed in checks:
             if isinstance(check, StreamCheck):
-                self.own[len(self.parts)] = check.make(self.rows, self.shared)
+                own[len(self.parts)] = check
                 self.parts.append(_Excess())
                 continue
             kind = Ensemble(check.kind)
@@ -252,12 +262,12 @@ class _ShareScan:
             kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append(part)
         self.groups = {key: sorted(kinds.values(), key=lambda sub: sub.layout.width)
                        for key, kinds in groups.items()}
-        layouts = [sub.layout for kinds in self.groups.values() for sub in kinds]
+        borrowed = [_STREAM_WIDTH] if own else []
+        widths = [sub.layout.width for kinds in self.groups.values() for sub in kinds]
         copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
-        self.fill = np.empty(self.rows * max((lay.width for lay in layouts), default=0))
-        self.work = np.empty(self.rows * max(copied, default=0))
-        self.norms = np.empty((max((lay.norms for lay in layouts), default=0), self.rows))
-        self.scratch, self.excess = np.empty((3, self.rows)), np.empty(self.rows)
+        self.shared = _Observables(self.rows, max(widths + borrowed, default=0),
+                                   max(copied + borrowed, default=0))
+        self.own = {k: check.make(self.rows, self.shared) for k, check in own.items()}
 
     def block(self, index: int, count: int) -> None:
         """Add block ``index`` of ``count`` samples to each consumer's result."""
@@ -266,13 +276,13 @@ class _ShareScan:
         for k, excess_of in self.own.items():
             gen = stream_generator(_block_seed(self.seeds[k], index))
             for start, stop in _tiles(count):
-                _tally(self.parts[k].result, excess_of(gen, self.excess[: stop - start]))
+                _tally(self.parts[k].result, excess_of(gen, self.shared.c[: stop - start]))
 
     def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
         wide = kinds[-1].layout.width
         gen = stream_generator(seed)
         for start, stop in _tiles(count):
-            drawn = self.fill[: (stop - start) * wide].reshape(-1, wide)
+            drawn = self.shared.fill[: (stop - start) * wide].reshape(-1, wide)
             fill(gen, drawn)
             for sub in kinds:
                 first = start * wide // sub.layout.width
@@ -282,13 +292,14 @@ class _ShareScan:
 
     def _tile(self, sub: _Kind, drawn: np.ndarray, in_place: bool) -> None:
         """Normalize one tile of drawn rows and feed its (C, I) pairs to ``sub``."""
-        layout, size = sub.layout, len(drawn)
-        draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
+        layout, size, shared = sub.layout, len(drawn), self.shared
+        draws = drawn if in_place else shared.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
-        _screen_and_finish(layout, draws, self.norms[:, :size], self.scratch[:, :size])
+        norms, scratch = shared.probs[: layout.norms, :size], shared.info[:3, :size]
+        _screen_and_finish(layout, draws, norms, scratch)
         amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype))
-        _feed(self.shared, sub.parts, amplitudes)
+        _feed(shared, sub.parts, amplitudes)
 
 
 def _scan_share(args) -> list:

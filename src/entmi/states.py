@@ -25,7 +25,8 @@ NORM_TOL = 1e-12
 # indicates a real bug rather than round-off.
 _MI_ROUNDOFF_TOL = 1e-12
 
-# Concurrence may exceed 1 by round-off only within this margin.
+# A concurrence or a probability may leave [0, 1] by round-off only
+# within this margin.
 _UNIT_CLAMP_TOL = 1e-12
 
 
@@ -37,8 +38,15 @@ def xlog2(v):
 
 
 def binary_entropy(p):
-    """Base-2 entropy of a two-outcome distribution (p, 1-p)."""
+    """Base-2 entropy of a two-outcome distribution (p, 1-p).
+
+    A ``p`` off [0, 1] by at most 1e-12 of round-off is clipped into it;
+    one further off, or NaN, raises ``DomainError``.
+    """
     p = np.asarray(p, dtype=np.float64)
+    if not _within(p, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
+        raise DomainError("probability outside [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
     return _scalarize(np.maximum(-xlog2(p) - xlog2(1.0 - p), 0.0))
 
 
@@ -77,6 +85,12 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def _require_unit_norm(norm2) -> None:
+    """Raise ``NotNormalizedError`` unless every squared norm is 1 within ``NORM_TOL``."""
+    if not np.max(np.abs(norm2 - 1.0), initial=0.0) <= NORM_TOL:
+        raise NotNormalizedError("squared moduli do not sum to 1 within tolerance")
 
 
 def _amplitudes_of(state) -> np.ndarray:
@@ -152,13 +166,16 @@ def mutual_information(probs):
     Computed as H_left + H_right - H_total.  Round-off can produce values
     a few ulp below zero; those are clamped to 0.  Anything below
     -1e-12 means the input was not a distribution and raises
-    ``ConsistencyError``.
+    ``ConsistencyError``.  A probability that is not finite, or is below
+    -1e-12, raises ``DomainError``.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] != 4:
         raise ValueError("expected four probabilities on the last axis")
-    if np.isnan(np.min(p, initial=0.0)):
-        raise DomainError("probabilities must not be NaN")
+    if not np.isfinite(p).all():
+        raise DomainError("probabilities must be finite")
+    if np.min(p, initial=0.0) < -_UNIT_CLAMP_TOL:
+        raise DomainError("probabilities must not be negative")
     rows = p.reshape(-1, 4).T.copy()
     info = _mutual_information_into(
         rows, np.empty_like(rows), np.empty(rows.shape[1], dtype=bool)
@@ -231,9 +248,7 @@ def concurrence_polar(mod_a, mod_b, mod_c, mod_d, theta):
     for moduli in (mod_a, mod_b, mod_c, mod_d):
         if np.any(moduli < 0.0):
             raise DomainError("moduli must be non-negative")
-    norm2 = mod_a**2 + mod_b**2 + mod_c**2 + mod_d**2
-    if not np.max(np.abs(norm2 - 1.0)) <= NORM_TOL:
-        raise NotNormalizedError("squared moduli do not sum to 1 within tolerance")
+    _require_unit_norm(mod_a**2 + mod_b**2 + mod_c**2 + mod_d**2)
     ad = mod_a * mod_d
     bc = mod_b * mod_c
     radicand = ad**2 + bc**2 - 2.0 * ad * bc * np.cos(theta)
@@ -283,12 +298,17 @@ def entanglement_entropy(state):
     resulting 2x2 Hermitian matrix in closed form (trace/determinant
     quadratic, no iterative solver), and returns their base-2 entropy.
     The small eigenvalue is recovered as det/lambda_max so near-product
-    states do not lose precision to cancellation.
+    states do not lose precision to cancellation.  Amplitudes that are
+    not finite raise ``DomainError``, and squared moduli that do not sum
+    to 1 within ``NORM_TOL`` raise ``NotNormalizedError``.
     """
     amps = np.asarray(_amplitudes_of(state), dtype=np.complex128)
+    if not np.isfinite(amps).all():
+        raise DomainError("amplitudes must be finite")
     a, b, c, d = (amps[..., k] for k in range(4))
     top = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
     bottom = c.real**2 + c.imag**2 + d.real**2 + d.imag**2
+    _require_unit_norm(top + bottom)
     off = a * np.conj(c) + b * np.conj(d)
     det = np.maximum(top * bottom - (off.real**2 + off.imag**2), 0.0)
     half_trace = 0.5 * (top + bottom)

@@ -142,11 +142,12 @@ def _angle_oracle_tiles(rows: int, shared):
     evaluated once; the closed form squares them, and the pipeline scales
     them into the amplitudes ``params_to_amplitudes(0.5, alpha, beta)``
     computes, in the rows that then hold their probabilities.  Every array
-    is a buffer kept for the worker share: the angles and cos/sin rows
-    here, and ``shared``'s probabilities, MI rows and mask.
+    is a row of ``shared``, the worker share's tile memory, idle while the
+    scan runs its stream checks: the angles in its fill, the cos/sin rows
+    in its work tile, and its probabilities, MI rows and mask.
     """
-    angles = np.empty((rows, 2))
-    trig = np.empty((4, rows))
+    angles = shared.fill[: 2 * rows].reshape(rows, 2)
+    trig = shared.work[: 4 * rows].reshape(4, rows)
     probs, info, mask = shared.probs, shared.info, shared.mask
 
     def excess_of(gen, out: np.ndarray) -> np.ndarray:

@@ -114,6 +114,18 @@ def _pipeline_mi(alpha, delta):
 
 
 class TestAngleFamily:
+    @pytest.mark.parametrize(
+        "alpha,delta",
+        [(np.nan, 0.3), (0.3, np.inf), (-np.inf, 0.3), (0.3, np.nan),
+         ([0.1, np.nan], 0.3), (0.3, [0.2, np.inf])],
+        ids=["nan-alpha", "inf-delta", "minus-inf-alpha", "nan-delta",
+             "nan-in-alpha-array", "inf-in-delta-array"],
+    )
+    def test_rejects_an_angle_that_is_not_finite(self, alpha, delta):
+        # The closed form's xlog2 maps a NaN square to 0, which read as 0 bits.
+        with pytest.raises(DomainError, match="finite"):
+            mi_from_angles(alpha, delta)
+
     def test_zero_at_half_offset(self):
         for delta in np.linspace(0, 2 * np.pi, 17):
             assert mi_from_angles(delta / 2, delta) <= 1e-12

@@ -167,6 +167,46 @@ class TestEntropies:
         with pytest.raises(ValueError):
             mutual_information(np.full((2, 8), 0.125))
 
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: entanglement_entropy([np.nan, 0.0, 0.0, 1.0]), DomainError),
+            (lambda: entanglement_entropy([np.inf, 0.0, 0.0, 1.0]), DomainError),
+            (lambda: entanglement_entropy([0.0, 1j * np.nan, 0.0, 1.0]), DomainError),
+            (lambda: entanglement_entropy([1.0, 0.0, 0.0, 1.0]), NotNormalizedError),
+            (lambda: entanglement_entropy([[1.0, 0, 0, 0], [0.5, 0, 0, 0.5]]),
+             NotNormalizedError),
+            (lambda: mutual_information([2.0, -1.0, 0.0, 0.0]), DomainError),
+            (lambda: mutual_information([1.0, 0.0, 0.0, -1e-11]), DomainError),
+            (lambda: mutual_information([np.inf, 0.0, 0.0, 0.0]), DomainError),
+        ],
+        ids=["entropy-nan", "entropy-inf", "entropy-complex-nan", "entropy-unnormalized",
+             "entropy-unnormalized-row", "mi-negative", "mi-slightly-negative", "mi-inf"],
+    )
+    def test_invalid_input_raises_instead_of_reading_zero(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_entanglement_entropy_takes_round_off_in_the_norm(self):
+        off = np.sqrt(1.0 + 1e-13)
+        assert entanglement_entropy([off, 0.0, 0.0, 0.0]) == 0.0
+        assert entanglement_entropy(SINGLET * off) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mutual_information_takes_a_round_off_negative(self):
+        assert mutual_information([1.0, 0.0, 0.0, -1e-13]) == 0.0
+
+    @pytest.mark.parametrize("p", [2.0, -0.5, np.nan, 1.0 + 1e-11, -1e-11, np.inf])
+    def test_binary_entropy_rejects_what_is_not_a_probability(self, p):
+        with pytest.raises(DomainError):
+            binary_entropy(p)
+        with pytest.raises(DomainError):
+            binary_entropy([0.5, p])
+
+    def test_binary_entropy_clips_round_off(self):
+        assert binary_entropy(1.0 + 1e-13) == 0.0
+        assert binary_entropy(-1e-13) == 0.0
+        assert binary_entropy(np.nextafter(1.0, 2.0)) == 0.0
+
     def test_binary_entropy_symmetry(self):
         grid = np.linspace(0, 1, 101)
         np.testing.assert_allclose(
