@@ -11,14 +11,14 @@ longer one with the same seed.
 
 Every sampled job is one :func:`scan_checks`: one pool, one pass over the
 block plan.  Each block is drawn, normalized and reduced one cache-sized
-row tile at a time, on buffers kept for the worker's share, and each
-tile's (C, I) pairs go to the scan's consumers.  A histogram bins each
-tile and counts its bins straight into its grid; a check tallies each
-tile's violations and worst excess into its result.  Consumers whose
-blocks come from the same stream share each tile's draw, as wide as the
-widest of their ensembles, and the consumers of one ensemble share its
-normalization and (C, I) pairs.  A drawn state too close to zero to
-normalize raises ``ConsistencyError``.
+row tile at a time, in tile memory the worker's share allocates once,
+and each tile's (C, I) pairs go to the scan's consumers.  A histogram
+bins each tile and counts its bins straight into its grid; a check
+tallies each tile's violations and worst excess into its result.
+Consumers whose blocks come from the same stream share each tile's draw,
+as wide as the widest of their ensembles, and the consumers of one
+ensemble share its normalization and (C, I) pairs.  A drawn state too
+close to zero to normalize raises ``ConsistencyError``.
 """
 
 from __future__ import annotations

@@ -308,10 +308,11 @@ def entanglement_entropy(state):
     a, b, c, d = (amps[..., k] for k in range(4))
     top = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
     bottom = c.real**2 + c.imag**2 + d.real**2 + d.imag**2
-    _require_unit_norm(top + bottom)
+    norm2 = top + bottom
+    _require_unit_norm(norm2)
     off = a * np.conj(c) + b * np.conj(d)
     det = np.maximum(top * bottom - (off.real**2 + off.imag**2), 0.0)
-    half_trace = 0.5 * (top + bottom)
+    half_trace = 0.5 * norm2
     lam_big = half_trace + np.sqrt(np.maximum(half_trace**2 - det, 0.0))
     lam_small = det / lam_big
     return _scalarize(np.maximum(-xlog2(lam_big) - xlog2(lam_small), 0.0))
