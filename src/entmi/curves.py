@@ -134,8 +134,10 @@ class MIExtrema:
 
 
 def mi_extrema(delta: float, index: int = 0) -> MIExtrema:
-    """Stationary angles of ``mi_from_angles`` on branch ``index``."""
+    """Stationary angles of ``mi_from_angles`` on branch ``index``, for a finite ``delta``."""
     delta = float(delta)
+    if not np.isfinite(delta):
+        raise DomainError("angles must be finite")
     index = int(index)
     return MIExtrema(
         delta=delta,

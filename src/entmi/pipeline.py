@@ -2,19 +2,17 @@
 
 Work is split into blocks of ``BLOCK_SIZE`` samples; block ``j`` of a
 job is always drawn from stream ``base_stream + j`` of the job's master
-seed.  The blocks are dealt round-robin into one share per worker, and
-each worker reduces its share to one partial result per consumer before
-sending it back.  Partials combine by integer sums and by maxima, which
-do not depend on how blocks are grouped or ordered, so results are
-bit-identical for any worker count, and a shorter run is a prefix of a
-longer one with the same seed.
+seed.  Every sampled job is one :func:`scan_checks`: one pool, one pass
+over the block plan, whose blocks are dealt round-robin into one share
+per worker.  Each block is drawn, normalized and reduced one cache-sized
+row tile at a time, in tile memory the worker's share allocates once.
 
-Every sampled job is one :func:`scan_checks`: one pool, one pass over the
-block plan.  Each block is drawn, normalized and reduced one cache-sized
-row tile at a time, in tile memory the worker's share allocates once,
-and each tile's (C, I) pairs go to the scan's consumers.  A histogram
-bins each tile and counts its bins straight into its grid; a check
-tallies each tile's violations and worst excess into its result.
+A consumer spec owns its result: ``empty()`` makes one, ``tile(result,
+c, i, spare, mask)`` adds a tile's (C, I) pairs to a share's, and
+``merge(total, part)`` folds the shares' partials in the parent.  Merges
+are exact integer sums and maxima, which do not depend on how blocks are
+grouped or ordered, so results are bit-identical for any worker count,
+and a shorter run is a prefix of a longer one with the same seed.
 Consumers whose blocks come from the same stream share each tile's draw,
 as wide as the widest of their ensembles, and the consumers of one
 ensemble share its normalization and (C, I) pairs.  A drawn state too
@@ -112,26 +110,69 @@ class _Observables:
         return c, _mutual_information_into(probs, self.info[:, :size], self.mask[:size])
 
 
+def _tally(total: list, excess: np.ndarray) -> None:
+    """Add the samples' ``excess`` to a check's [violations, worst].
+
+    Every excess that is not ``<= 0``, NaN included, is a violation;
+    ``worst`` stays the largest finite excess, and at least 0.0.
+    """
+    worst = float(excess.max())
+    if not math.isfinite(worst):
+        worst = float(np.max(excess, where=np.isfinite(excess), initial=0.0))
+    total[0] += excess.size - int(np.count_nonzero(excess <= 0.0))
+    total[1] = max(total[1], worst)
+
+
 class TileCheck(NamedTuple):
     """A check on the (C, I) pairs of ensemble ``kind``, one tile at a time.
 
     ``excess_of_pairs(c, i, out, scratch, mask)`` writes the excess of
     each (C, I) pair of a tile into ``out``; it may overwrite ``c`` but not
     ``i``, and ``scratch`` and ``mask`` are a float64 and a boolean array
-    of the tile's length.  All of them are buffers kept for the worker
-    share.  A consumer of :func:`scan_checks`, the only way to run it.
+    of the tile's length, all buffers kept for the worker share.  As a scan
+    consumer, :meth:`tile` tallies excess into an :meth:`empty` [violations,
+    worst], and :meth:`merge` adds the counts and takes the maximum.
     """
 
     kind: str
     excess_of_pairs: Callable
 
+    def empty(self) -> list:
+        return [0, 0.0]
+
+    def tile(self, total: list, c, i, spare, mask) -> None:
+        self.excess_of_pairs(c, i, spare[0], spare[1], mask)
+        _tally(total, spare[0])
+
+    def merge(self, total, part) -> tuple:
+        return total[0] + part[0], max(total[1], part[1])
+
 
 class TileHistogram(NamedTuple):
-    """The joint histogram of ensemble ``kind``'s (C, I) pairs, for :func:`scan_checks`."""
+    """The joint histogram of ensemble ``kind``'s (C, I) pairs, for :func:`scan_checks`.
+
+    :meth:`tile` counts a tile's flat bin indices, int64 views of two spare
+    rows, straight into an :meth:`empty` grid, a share's only histogram
+    memory; :meth:`merge` adds two grids' integer counts.
+    """
 
     kind: str
     delta_c: float
     delta_i: float
+
+    def empty(self) -> JointHistogram:
+        return JointHistogram(self.delta_c, self.delta_i)
+
+    def tile(self, total: JointHistogram, c, i, spare, mask) -> None:
+        flat, scratch = spare[1].view(np.int64), spare[2].view(np.int64)
+        total._add_flat(total._flat_bins(c, i, flat, scratch, spare[0]))
+
+    def merge(self, total: JointHistogram, part: JointHistogram) -> JointHistogram:
+        if not total.total:  # the first partial becomes the grid: no fine grid twice
+            return part
+        total.counts += part.counts
+        total.total += part.total
+        return total
 
 
 # Floats per row of the fill and of the work tile that a StreamCheck may use.
@@ -147,85 +188,29 @@ class StreamCheck(NamedTuple):
     It may use any row of ``shared``, the share's :class:`_Observables`,
     all idle while the scan runs a block's stream checks: ``out`` is a
     view of its ``c``, and its ``fill`` and ``work`` hold at least
-    ``_STREAM_WIDTH * rows`` floats each.  A consumer of :func:`scan_checks`.
+    ``_STREAM_WIDTH * rows`` floats each.  A :func:`scan_checks` consumer
+    whose tiles the scan tallies, with :class:`TileCheck`'s ``empty`` and ``merge``.
     """
 
     make: Callable
 
-
-def _tally(total: list, excess: np.ndarray) -> None:
-    """Add the samples' ``excess`` to a check's [violations, worst].
-
-    Every excess that is not ``<= 0``, NaN included, is a violation;
-    ``worst`` stays the largest finite excess, and at least 0.0.
-    """
-    worst = float(excess.max())
-    if not math.isfinite(worst):
-        worst = float(np.max(excess, where=np.isfinite(excess), initial=0.0))
-    total[0] += excess.size - int(np.count_nonzero(excess <= 0.0))
-    total[1] = max(total[1], worst)
-
-
-def _combine(total, part):
-    """Two partial results of one consumer, combined: counts add, worst excesses max."""
-    if not isinstance(total, JointHistogram):
-        return total[0] + part[0], max(total[1], part[1])
-    if not total.total:
-        # The first partial becomes the grid, so a fine grid is not held twice.
-        return part
-    total.counts += part.counts
-    total.total += part.total
-    return total
-
-
-# A consumer's share of a scan: ``tile(c, i, spare, mask)`` takes a tile's
-# pairs, with three spare float64 rows and a mask, and may overwrite ``c``;
-# the share's partial is ``result``.
-
-
-class _Excess:
-    """A check's [violations, worst] over the share.
-
-    :meth:`tile` tallies a :class:`TileCheck`'s tiles; a
-    :class:`StreamCheck`'s tiles are tallied by the scan.
-    """
-
-    def __init__(self, excess_of_pairs=None):
-        self.excess_of_pairs = excess_of_pairs
-        self.result = [0, 0.0]
-
-    def tile(self, c, i, spare, mask) -> None:
-        self.excess_of_pairs(c, i, spare[0], spare[1], mask)
-        _tally(self.result, spare[0])
-
-
-class _Bins:
-    """A :class:`TileHistogram`'s share: its histogram, counted one tile at a time.
-
-    A tile's flat bin indices are int64 views of two spare rows, counted
-    straight into the grid, so the grid is the share's only histogram memory.
-    """
-
-    def __init__(self, spec: TileHistogram):
-        self.result = JointHistogram(spec.delta_c, spec.delta_i)
-
-    def tile(self, c, i, spare, mask) -> None:
-        flat, scratch = spare[1].view(np.int64), spare[2].view(np.int64)
-        self.result._add_flat(self.result._flat_bins(c, i, flat, scratch, spare[0]))
+    empty = TileCheck.empty
+    merge = TileCheck.merge
 
 
 def _feed(shared: _Observables, parts: list, amplitudes) -> None:
-    """Compute a tile's (C, I) pairs once and hand them to each of ``parts``.
+    """Compute a tile's (C, I) pairs once and hand them to each (consumer, result).
 
-    Every part but the last gets a copy of ``c``.  The spare rows are those
-    of ``shared.probs``, free once the pairs are computed.
+    Each ``tile`` gets a mask and three spare rows of ``shared.probs``, free
+    once the pairs are computed; all but the last consumer get a copy of ``c``.
     """
     c, i = shared.pairs(amplitudes)
     spare, mask = shared.probs[:, : len(c)], shared.mask[: len(c)]
-    for part in parts[:-1]:
+    for check, total in parts[:-1]:
         spare[3] = c
-        part.tile(spare[3], i, spare[:3], mask)
-    parts[-1].tile(c, i, spare[:3], mask)
+        check.tile(total, spare[3], i, spare[:3], mask)
+    check, total = parts[-1]
+    check.tile(total, c, i, spare[:3], mask)
 
 
 class _Kind(NamedTuple):
@@ -248,18 +233,14 @@ class _ShareScan:
 
     def __init__(self, checks, capacity: int):
         self.rows = min(capacity, _TILE_ROWS)
-        self.seeds, self.parts, own, groups = [seed for _, seed in checks], [], {}, {}
-        for check, seed in checks:
+        self.results, own, groups = [check.empty() for check, _ in checks], [], {}
+        for (check, seed), total in zip(checks, self.results):
             if isinstance(check, StreamCheck):
-                own[len(self.parts)] = check
-                self.parts.append(_Excess())
+                own.append((check, seed, total))
                 continue
             kind = Ensemble(check.kind)
-            part = (_Bins(check) if isinstance(check, TileHistogram)
-                    else _Excess(check.excess_of_pairs))
-            self.parts.append(part)
             kinds = groups.setdefault((seed, _LAYOUTS[kind].fill), {})
-            kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append(part)
+            kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append((check, total))
         self.groups = {key: sorted(kinds.values(), key=lambda sub: sub.layout.width)
                        for key, kinds in groups.items()}
         borrowed = [_STREAM_WIDTH] if own else []
@@ -267,16 +248,17 @@ class _ShareScan:
         copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
         self.shared = _Observables(self.rows, max(widths + borrowed, default=0),
                                    max(copied + borrowed, default=0))
-        self.own = {k: check.make(self.rows, self.shared) for k, check in own.items()}
+        self.own = [(seed, total, check.make(self.rows, self.shared))
+                    for check, seed, total in own]
 
     def block(self, index: int, count: int) -> None:
         """Add block ``index`` of ``count`` samples to each consumer's result."""
         for (seed, fill), kinds in self.groups.items():
             self._scan_group(fill, kinds, _block_seed(seed, index), count)
-        for k, excess_of in self.own.items():
-            gen = stream_generator(_block_seed(self.seeds[k], index))
+        for seed, total, excess_of in self.own:
+            gen = stream_generator(_block_seed(seed, index))
             for start, stop in _tiles(count):
-                _tally(self.parts[k].result, excess_of(gen, self.shared.c[: stop - start]))
+                _tally(total, excess_of(gen, self.shared.c[: stop - start]))
 
     def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
         wide = kinds[-1].layout.width
@@ -307,35 +289,38 @@ def _scan_share(args) -> list:
     scan = _ShareScan(checks, max(count for _, count in blocks))
     for index, count in blocks:
         scan.block(index, count)
-    return [part.result for part in scan.parts]
+    return scan.results
 
 
 def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BLOCK_SIZE):
     """Run several ``n``-sample consumers in one pass over one block plan.
 
-    ``checks`` are (consumer, seed) pairs, a consumer being a
-    :class:`TileCheck`, a :class:`StreamCheck` or a :class:`TileHistogram`;
-    block ``j`` of a consumer uses stream ``seed.stream_id + j``.  A scan is
-    the only way to run a consumer; to run one alone, scan it alone.
-    Consumers of equal seeds share their draws, and every result is the one
-    a scan of its consumer alone gives.  A drawn state that may lie within
-    about 1e-12 of zero raises ``ConsistencyError``.  With more than one
-    worker, consumers are pickled: their functions must be module-level
-    functions or ``functools.partial`` s of them.
+    ``checks`` are (consumer, seed) pairs; block ``j`` of a consumer uses
+    stream ``seed.stream_id + j``.  A consumer is a :class:`TileCheck`, a
+    :class:`StreamCheck`, a :class:`TileHistogram` or any spec with their
+    ``kind``, ``empty``, ``tile`` and ``merge``.  Each share adds its tiles
+    to an ``empty()`` result; the parent folds the shares with ``merge``
+    into an ``empty()`` made before any pool starts, so a grid that cannot
+    be allocated fails first.  Merges must be exact (integer sums, maxima)
+    for results not to depend on the worker count.  Consumers of equal
+    seeds share their draws, and every result is the one a scan of its
+    consumer alone gives.  A drawn state that may lie within about 1e-12 of
+    zero raises ``ConsistencyError``.  With more than one worker, consumers
+    are pickled: their functions must be module-level functions or
+    ``functools.partial`` s of them.
 
     A check's result is (violations, max_excess): every excess that is not
     ``<= 0``, NaN included, is a violation, and max_excess is the largest
-    finite excess, clipped at zero.  A histogram's is a
-    :class:`JointHistogram`, whose grid is allocated before any pool starts.
+    finite excess, clipped at zero.  A histogram's is a :class:`JointHistogram`.
     """
     checks, plan = list(checks), block_plan(n, block_size)
     workers = resolve_workers(workers)
     for _, seed in checks:
         _block_seed(seed, len(plan) - 1)  # the last block's stream must exist too
-    results = [JointHistogram(check.delta_c, check.delta_i) if isinstance(check, TileHistogram)
-               else (0, 0.0) for check, _ in checks]
+    results = [check.empty() for check, _ in checks]
     for share in _run_shares(checks, plan, workers) if checks else ():
-        results = [_combine(total, part) for total, part in zip(results, share)]
+        results = [check.merge(total, part)
+                   for (check, _), total, part in zip(checks, results, share)]
     return results
 
 

@@ -32,9 +32,8 @@ _UNIT_CLAMP_TOL = 1e-12
 
 def xlog2(v):
     """Elementwise ``v * log2(v)`` with the convention 0 log 0 = 0."""
-    v = np.asarray(v, dtype=np.float64)
-    safe = np.where(v > 0.0, v, 1.0)
-    return safe * np.log2(safe)
+    v = np.array(v, dtype=np.float64)
+    return _xlog2_into(v, np.empty_like(v), np.empty(v.shape, dtype=bool))
 
 
 def binary_entropy(p):
@@ -64,8 +63,8 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
 
     (sqrt(y) cos(alpha), sqrt(y) sin(alpha), sqrt(1-y) cos(beta),
     sqrt(1-y) sin(beta)) has unit norm by construction.  Broadcasts y,
-    alpha, beta and stacks the amplitudes on the last axis; angles are
-    unrestricted, and y outside [0, 1] raises ``DomainError``.
+    alpha, beta and stacks the amplitudes on the last axis.  y outside
+    [0, 1] or an angle that is not finite raises ``DomainError``.
     """
     y, alpha, beta = np.broadcast_arrays(
         np.asarray(y, dtype=np.float64),
@@ -74,6 +73,8 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
     )
     if not _within(y, 0.0, 1.0):
         raise DomainError("y outside [0, 1]")
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise DomainError("angles must be finite")
     big = np.sqrt(y)
     small = np.sqrt(1.0 - y)
     return np.stack(
@@ -87,31 +88,38 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
     )
 
 
-def _require_unit_norm(norm2) -> None:
+def _require_unit_norm(norm2, what: str = "squared moduli") -> None:
     """Raise ``NotNormalizedError`` unless every squared norm is 1 within ``NORM_TOL``."""
     if not np.max(np.abs(norm2 - 1.0), initial=0.0) <= NORM_TOL:
-        raise NotNormalizedError("squared moduli do not sum to 1 within tolerance")
+        raise NotNormalizedError(f"{what} do not sum to 1 within tolerance")
 
 
 def _amplitudes_of(state) -> np.ndarray:
     arr = np.asarray(state)
     if arr.ndim == 0 or arr.shape[-1] != 4:
         raise ValueError("expected four amplitudes on the last axis")
+    if not np.isfinite(arr).all():
+        raise DomainError("amplitudes must be finite")
     return arr
+
+
+def _unit_probabilities(rows) -> np.ndarray:
+    """The (4, n) squared moduli of the (n, 4) amplitude ``rows``, each summing to 1."""
+    probs = _probabilities_into(rows, np.empty((4, len(rows))), np.empty(len(rows)))
+    _require_unit_norm(probs.sum(axis=0))
+    return probs
 
 
 def probabilities(state) -> np.ndarray:
     """Outcome distribution of a local product-basis measurement.
 
-    Returns (|a|^2, |b|^2, |c|^2, |d|^2) on the last axis.
+    Returns (|a|^2, |b|^2, |c|^2, |d|^2) on the last axis; the state must
+    be finite and normalized, as for :func:`entanglement_entropy`.
     """
     amps = _amplitudes_of(state)
     if not np.iscomplexobj(amps):
         amps = np.asarray(amps, dtype=np.float64)
-    rows = amps.reshape(-1, 4)
-    probs = np.empty((4, len(rows)))
-    _probabilities_into(rows, probs, np.empty(len(rows)))
-    return probs.T.reshape(amps.shape)
+    return _unit_probabilities(amps.reshape(-1, 4)).T.reshape(amps.shape)
 
 
 def _xlog2_into(v, logs, mask):
@@ -167,7 +175,8 @@ def mutual_information(probs):
     a few ulp below zero; those are clamped to 0.  Anything below
     -1e-12 means the input was not a distribution and raises
     ``ConsistencyError``.  A probability that is not finite, or is below
-    -1e-12, raises ``DomainError``.
+    -1e-12, raises ``DomainError``, and four that do not sum to 1 within
+    ``NORM_TOL`` raise ``NotNormalizedError``.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] != 4:
@@ -177,6 +186,7 @@ def mutual_information(probs):
     if np.min(p, initial=0.0) < -_UNIT_CLAMP_TOL:
         raise DomainError("probabilities must not be negative")
     rows = p.reshape(-1, 4).T.copy()
+    _require_unit_norm(rows.sum(axis=0), "probabilities")
     info = _mutual_information_into(
         rows, np.empty_like(rows), np.empty(rows.shape[1], dtype=bool)
     )
@@ -223,9 +233,10 @@ def _concurrence_into(amps, out, scratch):
 
 
 def concurrence(state):
-    """Concurrence 2|ad - bc| of a pure state, in [0, 1]."""
+    """Concurrence 2|ad - bc| of a finite, normalized pure state, in [0, 1]."""
     amps = _amplitudes_of(state)
     rows = amps.reshape(-1, 4)
+    _unit_probabilities(rows)
     value = _concurrence_into(
         rows, np.empty(len(rows)), np.empty((2, len(rows)), dtype=rows.dtype)
     )
@@ -303,8 +314,6 @@ def entanglement_entropy(state):
     to 1 within ``NORM_TOL`` raise ``NotNormalizedError``.
     """
     amps = np.asarray(_amplitudes_of(state), dtype=np.complex128)
-    if not np.isfinite(amps).all():
-        raise DomainError("amplitudes must be finite")
     a, b, c, d = (amps[..., k] for k in range(4))
     top = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
     bottom = c.real**2 + c.imag**2 + d.real**2 + d.imag**2

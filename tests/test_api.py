@@ -3,9 +3,12 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import entmi
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # What the CLI, the README, the verify checks and the benchmark use, plus
 # the exceptions, result types and independent reference routes.
@@ -39,3 +42,10 @@ def test_public_surface_and_readme_quick_start(capsys):
     stats, inverse = capsys.readouterr().out.splitlines()
     assert stats.startswith("SliceStats(i_center=0.5,")
     assert float(inverse) == entmi.ridge_concurrence(0.5)
+
+
+def test_version_matches_the_project_metadata():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as stream:
+        project = tomllib.load(stream)["project"]
+    assert entmi.__version__ == project["version"]

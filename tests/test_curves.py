@@ -126,6 +126,12 @@ class TestAngleFamily:
         with pytest.raises(DomainError, match="finite"):
             mi_from_angles(alpha, delta)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_extrema_reject_an_offset_that_is_not_finite(self, delta):
+        # A NaN offset gave NaN angles.
+        with pytest.raises(DomainError, match="finite"):
+            mi_extrema(delta)
+
     def test_zero_at_half_offset(self):
         for delta in np.linspace(0, 2 * np.pi, 17):
             assert mi_from_angles(delta / 2, delta) <= 1e-12

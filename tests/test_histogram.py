@@ -23,14 +23,15 @@ from entmi import (
     write_density_csv,
 )
 from entmi.histogram import load_histogram
-from entmi.pipeline import _combine
+from entmi.pipeline import TileHistogram
 
 
 def _merge(*parts):
     """``parts`` combined as a scan combines its shares' partials, from an empty grid."""
-    total = JointHistogram(parts[0].delta_c, parts[0].delta_i)
+    spec = TileHistogram("real-s3", parts[0].delta_c, parts[0].delta_i)
+    total = spec.empty()
     for part in parts:
-        total = _combine(total, copy.deepcopy(part))
+        total = spec.merge(total, copy.deepcopy(part))
     return total
 
 

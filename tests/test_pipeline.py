@@ -4,6 +4,7 @@ import functools
 import itertools
 import tracemalloc
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestHistogramJob:
             Ensemble.REAL_S3, 1_000, 5, 0.1, 0.1, workers=1,
             block_size=1000, base_stream=2,
         )
-        assert pipeline._combine(short, tail) == longer
+        assert TileHistogram("real-s3", 0.1, 0.1).merge(short, tail) == longer
 
     def test_total_matches_request(self):
         job = run_histogram_job(
@@ -157,6 +158,40 @@ class TestHistogramJob:
         )
         assert job.total == 3_333
         assert int(job.counts.sum()) == 3_333
+
+
+class SmallMITally(NamedTuple):
+    """A scan consumer defined here alone: the number of pairs with I < 1e-3."""
+
+    kind: str
+
+    def empty(self):
+        return [0]
+
+    def tile(self, total, c, i, spare, mask):
+        total[0] += int(np.count_nonzero(i < 1e-3))
+
+    def merge(self, total, part):
+        return [total[0] + part[0]]
+
+
+class TestConsumerProtocol:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5_000, 4_321])
+    def test_a_spec_with_empty_tile_and_merge_is_a_consumer(self, n, workers):
+        # Blocks of 1000 on 3 workers give shares of 2, 2 and 1 blocks.
+        seed, block = SeedSpec(23, 4), 1_000
+        checks = [(SmallMITally("real-s3"), seed), (TileHistogram("real-s3", 0.02, 0.02), seed)]
+        tally, hist = pipeline.scan_checks(checks, n, workers, block)
+        expected = sum(
+            int(np.count_nonzero(mutual_information(probabilities(
+                sample_amplitudes(Ensemble.REAL_S3, SeedSpec(23, 4 + j), count))) < 1e-3))
+            for j, count in block_plan(n, block)
+        )
+        assert tally == [expected] and 0 < expected < n
+        assert hist == run_histogram_job(
+            Ensemble.REAL_S3, n, 23, 0.02, 0.02, workers=1, base_stream=4, block_size=block
+        )
 
 
 class TestBoundScan:

@@ -18,6 +18,7 @@ from entmi import (
     params_to_amplitudes,
     probabilities,
 )
+from entmi import states
 from entmi.states import xlog2
 
 INV_SQRT2 = 2**-0.5
@@ -73,6 +74,17 @@ class TestConstruction:
         with pytest.raises(DomainError):
             params_to_amplitudes([0.2, 1.2], 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0), ([0.1, np.nan], 0.0), (0.0, [0.2, np.inf])],
+        ids=["nan-alpha", "inf-beta", "minus-inf-alpha", "nan-in-alpha-array",
+             "inf-in-beta-array"],
+    )
+    def test_params_to_amplitudes_rejects_an_angle_that_is_not_finite(self, alpha, beta):
+        # A NaN angle gave NaN amplitudes, which no later step rejected.
+        with pytest.raises(DomainError, match="finite"):
+            params_to_amplitudes(0.5, alpha, beta)
+
 
 class TestMeasurement:
     def test_bell_outcomes(self):
@@ -109,7 +121,7 @@ class TestEntropies:
 
     def test_mutual_information_guards_against_garbage(self):
         # Not a distribution: the guard should refuse rather than clamp.
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(NotNormalizedError):
             mutual_information([0.9, 0.9, 0.9, 0.9])
 
     def test_mutual_information_matches_row_wise_reference(self):
@@ -125,6 +137,7 @@ class TestEntropies:
         real = probabilities(_random_states(21, 20_000, complex_amps=False))
         real[::7, 1] = 0.0
         real[::11, 3] = 0.0
+        real /= real.sum(axis=-1, keepdims=True)
         batches = [
             real,
             probabilities(_random_states(22, 20_000)),
@@ -147,12 +160,15 @@ class TestEntropies:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: concurrence([np.nan, 0.0, 0.0, 1.0]),
-            lambda: mutual_information([0.9, 0.9, 0.9, 0.9]),
+            lambda: states._clamp_unit(np.array([np.nan]), "concurrence"),
+            lambda: states._mutual_information_into(
+                np.full((4, 1), 0.9), np.empty((4, 1)), np.empty(1, dtype=bool)
+            ),
         ],
         ids=["concurrence", "mutual_information"],
     )
     def test_consistency_messages_print_plain_floats(self, call):
+        # The public functions reject such input before the kernels' guards.
         with pytest.raises(ConsistencyError) as error:
             call()
         assert "np.float64" not in str(error.value)
@@ -179,9 +195,23 @@ class TestEntropies:
             (lambda: mutual_information([2.0, -1.0, 0.0, 0.0]), DomainError),
             (lambda: mutual_information([1.0, 0.0, 0.0, -1e-11]), DomainError),
             (lambda: mutual_information([np.inf, 0.0, 0.0, 0.0]), DomainError),
+            (lambda: mutual_information([0.1, 0.0, 0.0, 0.1]), NotNormalizedError),
+            (lambda: mutual_information([[0.5, 0, 0, 0.5], [0.6, 0, 0, 0.6]]),
+             NotNormalizedError),
+            (lambda: concurrence([0.5, 0.0, 0.0, 0.5]), NotNormalizedError),
+            (lambda: concurrence([[1.0, 0, 0, 0], [1.0, 0, 0, 1.0]]), NotNormalizedError),
+            (lambda: concurrence([np.inf, 0.0, 0.0, 1.0]), DomainError),
+            (lambda: probabilities([2.0, 0.0, 0.0, 0.0]), NotNormalizedError),
+            (lambda: probabilities([0.0, 0.6j, 0.0, 0.6]), NotNormalizedError),
+            (lambda: probabilities([np.nan, 0.0, 0.0, 1.0]), DomainError),
+            (lambda: probabilities([0.0, 1j * np.inf, 0.0, 1.0]), DomainError),
         ],
         ids=["entropy-nan", "entropy-inf", "entropy-complex-nan", "entropy-unnormalized",
-             "entropy-unnormalized-row", "mi-negative", "mi-slightly-negative", "mi-inf"],
+             "entropy-unnormalized-row", "mi-negative", "mi-slightly-negative", "mi-inf",
+             "mi-unnormalized", "mi-unnormalized-row", "concurrence-unnormalized",
+             "concurrence-unnormalized-row", "concurrence-inf", "probabilities-unnormalized",
+             "probabilities-complex-unnormalized", "probabilities-nan",
+             "probabilities-complex-inf"],
     )
     def test_invalid_input_raises_instead_of_reading_zero(self, call, error):
         with pytest.raises(error):
@@ -253,7 +283,7 @@ class TestConcurrence:
             concurrence_polar(*args)
 
     def test_rejects_nan_amplitudes(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DomainError):
             concurrence([np.nan, 0.0, 0.0, 1.0])
 
     def test_polar_rejects_negative_moduli(self):
