@@ -292,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:
-        # An unreadable --hist or an unwritable --out; the message names the file.
+        # An unreadable --hist or an unwritable --out, whose message names the
+        # file, or a sampling worker that died (ChildProcessError).
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
 

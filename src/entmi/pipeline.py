@@ -2,15 +2,17 @@
 
 Work is split into blocks of ``BLOCK_SIZE`` samples; block ``j`` of a
 job is always drawn from stream ``base_stream + j`` of the job's master
-seed.  Every sampled job is one :func:`scan_checks`: one pool, one pass
-over the block plan, whose blocks are dealt round-robin into one share
-per worker.  Each block is drawn, normalized and reduced one cache-sized
-row tile at a time, in tile memory the worker's share allocates once.
+seed.  Every sampled job is one :func:`scan_checks`: one pass over the
+block plan, whose blocks are dealt round-robin into one share per worker,
+each run by a child process forked for it.  Each block is drawn,
+normalized and reduced one cache-sized row tile at a time, in tile memory
+the worker's share allocates once.
 
 A consumer spec owns its result: ``empty()`` makes one, ``tile(result,
 c, i, spare, mask)`` adds a tile's (C, I) pairs to a share's, and
-``merge(total, part)`` folds the shares' partials in the parent.  Merges
-are exact integer sums and maxima, which do not depend on how blocks are
+``merge(total, part)`` folds the shares' partials in the parent, in share
+order; a worker that dies first raises ``ChildProcessError``.  Merges are
+exact integer sums and maxima, which do not depend on how blocks are
 grouped or ordered, so results are bit-identical for any worker count,
 and a shorter run is a prefix of a longer one with the same seed.
 Consumers whose blocks come from the same stream share each tile's draw,
@@ -22,8 +24,10 @@ close to zero to normalize raises ``ConsistencyError``.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
+from contextlib import closing
+from signal import SIGKILL
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,18 +65,63 @@ def _block_seed(seed: SeedSpec, index: int) -> SeedSpec:
 
 
 def _run_shares(checks: list, plan: list[tuple[int, int]], workers: int):
-    """Yield the partial results of each worker's share of a scan's blocks.
+    """Yield the partial results of each worker's share of a scan's blocks, in share order.
 
     Block j of ``plan`` goes to share j mod shares, so shares differ by at
-    most one block.  The partials arrive in any order.
+    most one block.  Two or more shares run in forked children, all reaped
+    (killed first, if still running) when the generator ends or is closed.
     """
     parts = min(workers, len(plan))
     shares = [(checks, plan[w::parts]) for w in range(parts)]
-    if parts == 1:
-        yield _scan_share(shares[0])
+    if parts == 1 or not hasattr(os, "fork"):
+        yield from map(_scan_share, shares)
         return
-    with multiprocessing.Pool(processes=parts) as pool:
-        yield from pool.imap_unordered(_scan_share, shares)
+    children = []
+    try:
+        for share in shares:
+            children.append(_fork_share(share))
+        for pid, pipe in children:
+            try:
+                ok, part = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                children.remove((pid, pipe))
+                pipe.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                raise ChildProcessError(f"worker {pid} died ({how})") from None
+            if not ok:
+                raise part
+            yield part
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_share(share) -> tuple:
+    """(pid, pipe) of a child that pickles (True, partials) or (False, error) into ``pipe``."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:  # the child: never returns into the caller, nor flushes inherited stdio
+        os.close(read)
+        try:
+            sent = (True, _scan_share(share))
+        except BaseException as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            sent = (False, exc)
+        with open(write, "wb") as pipe:
+            pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 class _Observables:
@@ -300,14 +349,15 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
     :class:`StreamCheck`, a :class:`TileHistogram` or any spec with their
     ``kind``, ``empty``, ``tile`` and ``merge``.  Each share adds its tiles
     to an ``empty()`` result; the parent folds the shares with ``merge``
-    into an ``empty()`` made before any pool starts, so a grid that cannot
-    be allocated fails first.  Merges must be exact (integer sums, maxima)
-    for results not to depend on the worker count.  Consumers of equal
-    seeds share their draws, and every result is the one a scan of its
-    consumer alone gives.  A drawn state that may lie within about 1e-12 of
-    zero raises ``ConsistencyError``.  With more than one worker, consumers
-    are pickled: their functions must be module-level functions or
-    ``functools.partial`` s of them.
+    into an ``empty()`` made before any worker starts, so a grid that
+    cannot be allocated fails first.  Merges must be exact (integer sums,
+    maxima) for results not to depend on the worker count.  Consumers of
+    equal seeds share their draws, and every result is the one a scan of
+    its consumer alone gives.  A drawn state that may lie within about
+    1e-12 of zero raises ``ConsistencyError``.  With more than one worker,
+    each share runs in a forked child, which pickles only its partials; a
+    child's error is raised again, and one that dies first raises
+    ``ChildProcessError``.
 
     A check's result is (violations, max_excess): every excess that is not
     ``<= 0``, NaN included, is a violation, and max_excess is the largest
@@ -318,9 +368,10 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
     for _, seed in checks:
         _block_seed(seed, len(plan) - 1)  # the last block's stream must exist too
     results = [check.empty() for check, _ in checks]
-    for share in _run_shares(checks, plan, workers) if checks else ():
-        results = [check.merge(total, part)
-                   for (check, _), total, part in zip(checks, results, share)]
+    with closing(_run_shares(checks, plan, workers)) as shares:
+        for share in shares if checks else ():
+            results = [check.merge(total, part)
+                       for (check, _), total, part in zip(checks, results, share)]
     return results
 
 
@@ -338,7 +389,7 @@ def run_histogram_job(
 
     Deterministic in (kind, n, master_seed, deltas, base_stream,
     block_size); the worker count only affects wall time.  The sample
-    count and every block's stream are checked before the grid or a pool
+    count and every block's stream are checked before the grid or a worker
     exists.
     """
     histogram = TileHistogram(Ensemble(kind).value, delta_c, delta_i)

@@ -1,10 +1,15 @@
-import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entmi import pipeline
 from entmi.cli import main as cli_main
+
+SRC = Path(pipeline.__file__).resolve().parents[1]
 
 
 def _run_cli(argv):
@@ -13,6 +18,17 @@ def _run_cli(argv):
         return cli_main(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+
+
+def run_isolated(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports entmi from ``SRC``.
+
+    A run that does not end within a minute fails the calling test instead
+    of hanging it.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=60, env=env)
 
 
 def recorded_excess(check, n, seed):
@@ -50,14 +66,24 @@ def run_cli():
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The ``processes`` of every worker pool the pipeline starts, in order."""
+def forks(monkeypatch):
+    """The pid of every worker the pipeline forks, in order."""
     started = []
-    pool = multiprocessing.Pool
+    fork = pipeline.os.fork
 
-    def counted_pool(*args, **kwargs):
-        started.append(kwargs.get("processes"))
-        return pool(*args, **kwargs)
+    def counted_fork():
+        pid = fork()
+        started.append(pid)
+        return pid
 
-    monkeypatch.setattr(pipeline.multiprocessing, "Pool", counted_pool)
+    monkeypatch.setattr(pipeline.os, "fork", counted_fork)
     return started
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Fail the test if the pipeline forks a worker."""
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(pipeline.os, "fork", fork)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import entmi
+from conftest import run_isolated
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -49,3 +50,11 @@ def test_version_matches_the_project_metadata():
     with open(ROOT / "pyproject.toml", "rb") as stream:
         project = tomllib.load(stream)["project"]
     assert entmi.__version__ == project["version"]
+
+
+def test_importing_the_cli_leaves_out_multiprocessing_and_numpy_random():
+    # Forked workers inherit every module the CLI imports; numpy.random is
+    # imported where a stream is first seeded.
+    code = "import sys, entmi.cli; print({'multiprocessing', 'numpy.random'} & set(sys.modules))"
+    run = run_isolated(code)
+    assert (run.returncode, run.stdout) == (0, "set()\n"), run.stderr

@@ -311,11 +311,7 @@ class TestVerify:
     def test_ridge_without_enough_samples_exit_2(self, run_cli, tmp_path):
         assert run_cli(["verify", "--check", "ridge", "--n", "1000"]) == 2
 
-    def test_ridge_checks_n_before_any_pool(self, run_cli, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(pipeline.multiprocessing, "Pool", no_pool)
+    def test_ridge_checks_n_before_any_pool(self, run_cli, capsys, no_fork):
         argv = ["verify", "--check", "bound", "--check", "ridge", "--n", "300000",
                 "--workers", "2"]
         assert run_cli(argv) == 2
@@ -323,7 +319,7 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: ridge check needs at least 10000000 samples, got 300000\n"
 
-    def test_ridge_checks_its_hist_before_any_pool(self, run_cli, capsys, tmp_path, pools):
+    def test_ridge_checks_its_hist_before_any_pool(self, run_cli, capsys, tmp_path, forks):
         small = tmp_path / "small.csv"
         hist = JointHistogram(0.01, 0.01)
         hist.accumulate(0.5, 0.5)
@@ -335,17 +331,17 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: ridge check needs at least 10000000 samples, got 1\n"
         )
-        assert pools == []
+        assert forks == []
 
-    def test_bound_and_ridge_run_as_one_scan(self, run_cli, tmp_path, pools):
-        # One pool; the jsonl is the one the ridge check gave when its
-        # histogram was sampled by a job of its own.
+    def test_bound_and_ridge_run_as_one_scan(self, run_cli, tmp_path, forks):
+        # One scan of two workers; the jsonl is the one the ridge check gave
+        # when its histogram was sampled by a job of its own.
         out = tmp_path / "report.jsonl"
         argv = ["verify", "--check", "bound", "--check", "ridge", "--n", "10000000",
                 "--seed", "11", "--workers", "2", "--out", str(out)]
         assert run_cli(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUND_RIDGE_DIGEST
-        assert pools == [2]
+        assert len(forks) == 2
 
     def test_invalid_n_exit_2(self, run_cli):
         assert run_cli(["verify", "--check", "zero-mi", "--n", "0"]) == 2

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 import tracemalloc
 from functools import partial
 from typing import NamedTuple
@@ -9,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import recorded_excess
+from conftest import recorded_excess, run_isolated
 from entmi import (
     ConsistencyError,
     DomainError,
@@ -62,17 +63,13 @@ class TestBlockPlan:
             block_plan(0)
 
     @pytest.mark.parametrize("seed,n", [(-1, 100), (2**64, 100), (0, 0), (1.9, 100)])
-    def test_job_rejects_bad_input_before_any_pool(self, monkeypatch, seed, n):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(pipeline.multiprocessing, "Pool", no_pool)
+    def test_job_rejects_bad_input_before_any_pool(self, no_fork, seed, n):
         with pytest.raises(DomainError):
             run_histogram_job(
                 Ensemble.REAL_S3, n, seed, 0.01, 0.01, workers=2, block_size=10
             )
 
-    def test_last_block_stream_is_checked_before_any_pool(self, pools):
+    def test_last_block_stream_is_checked_before_any_pool(self, forks):
         # Three blocks from stream 2**64 - 2: the third stream does not exist.
         with pytest.raises(DomainError, match="unsigned 64-bit"):
             run_histogram_job(
@@ -82,7 +79,7 @@ class TestBlockPlan:
                   (_bound_check(Ensemble.REAL_S3), SeedSpec(1, 2**64 - 2))]
         with pytest.raises(DomainError, match="unsigned 64-bit"):
             pipeline.scan_checks(checks, 600_000, workers=2)
-        assert pools == []
+        assert forks == []
 
     def test_last_stream_may_be_the_largest(self):
         job = run_histogram_job(
@@ -507,20 +504,121 @@ class TestDegenerateDraws:
         with pytest.raises(ConsistencyError, match=DEGENERATE):
             pipeline.scan_checks(checks, 600_000, workers=1)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
         "command", [["sample", "--ensemble", "real-s3"], ["verify", "--all"]],
         ids=["sample", "verify"],
     )
-    def test_cli_exits_2_with_one_line(self, monkeypatch, run_cli, capsys, tmp_path, command):
+    def test_cli_exits_2_with_one_line(
+        self, monkeypatch, run_cli, capsys, tmp_path, command, workers
+    ):
+        # With two workers the error is raised in the worker of blocks 0
+        # and 2, and raised again, with its type, by the parent.
         _zero_block_2(monkeypatch)
         out = tmp_path / "out"
-        argv = [*command, "--n", "600000", "--workers", "1", "--out", str(out)]
+        argv = [*command, "--n", "600000", "--workers", workers, "--out", str(out)]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert DEGENERATE in captured.err and "Traceback" not in captured.err
         assert not out.exists()
+
+
+# -- forked workers ------------------------------------------------------------
+#
+# Each share of a scan with two or more workers runs in a forked child.  The
+# scripts below run in a fresh interpreter, so that a scan that hangs fails
+# its test, and so that ``os.waitpid(-1, WNOHANG)`` sees only the scan's
+# children: it raises ``ChildProcessError`` once none is left.
+
+_NO_CHILD_LEFT = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+_DYING_WORKER = """
+import os, signal, sys
+from entmi import SeedSpec, cli, pipeline
+
+scan = pipeline._scan_share
+
+def dying(share):
+    if share[1][0][0] == 1:  # the second of two shares dies before it sends its partials
+        os._exit(9) if sys.argv[2] == "exit" else os.kill(os.getpid(), signal.SIGKILL)
+    return scan(share)
+
+pipeline._scan_share = dying
+histogram = pipeline.TileHistogram("real-s3", 0.1, 0.1)
+try:
+    pipeline.scan_checks([(histogram, SeedSpec(1))], 600_000, workers=2)
+except ChildProcessError as exc:
+    print("scan:", exc)
+print("cli:", cli.main(["sample", "--n", "600000", "--workers", "2", "--out", sys.argv[1]]))
+""" + _NO_CHILD_LEFT
+
+_FAILING_SCAN = """
+import os, sys
+from typing import NamedTuple
+from entmi import SeedSpec, pipeline
+
+def excess(c, i, out, scratch, mask):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    if sys.argv[1] in ("raises", "unpicklable"):
+        raise (LookupError if sys.argv[1] == "raises" else Local)("no tile")
+    out[...] = -1.0
+
+class Unmergeable(NamedTuple):
+    kind: str
+    def empty(self):
+        return []
+    def tile(self, total, c, i, spare, mask):
+        total.append(len(c))
+    def merge(self, total, part):
+        if total:
+            raise ArithmeticError("no merge")
+        return part
+
+check = Unmergeable("real-s3") if sys.argv[1] == "merge" else pipeline.TileCheck("real-s3", excess)
+try:
+    print(pipeline.scan_checks([(check, SeedSpec(5))], 600_000, workers=3)[0])
+except Exception as exc:
+    print(type(exc).__name__, exc)
+""" + _NO_CHILD_LEFT
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("death,status", [("exit", "exit status 9"), ("kill", "signal 9")])
+    def test_a_dead_worker_ends_the_run(self, tmp_path, death, status):
+        out = tmp_path / "out.csv"
+        run = run_isolated(_DYING_WORKER, str(out), death)
+        lines = run.stdout.splitlines()
+        assert run.returncode == 0, run.stderr
+        assert re.fullmatch(rf"scan: worker \d+ died \({status}\)", lines[0])
+        assert lines[1:] == ["cli: 3", "no child left"]
+        assert re.fullmatch(rf"error: worker \d+ died \({status}\)\n", run.stderr)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,printed", [
+        ("raises", "LookupError no tile"),
+        ("unpicklable", "RuntimeError Local: no tile"),
+        ("merge", "ArithmeticError no merge"),
+        ("succeeds", "(0, 0.0)"),
+    ])
+    def test_no_worker_outlives_its_scan(self, case, printed):
+        run = run_isolated(_FAILING_SCAN, case)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [printed, "no child left"]
+
+    def test_a_consumer_need_not_pickle(self):
+        # Only the partials cross the fork: a lambda, which cannot pickle, may check.
+        check = TileCheck("real-s3", lambda c, i, out, scratch, mask: np.subtract(i, 0.1, out))
+        serial, forked = (_scan_one(check, 5000, SeedSpec(4), w, 1000) for w in (1, 2))
+        assert serial == forked and serial[0] > 0
 
 
 def _scan_two_blocks(checks):

@@ -1,4 +1,4 @@
-"""``verify --all`` as one scan: its bytes, its pools and its draws.
+"""``verify --all`` as one scan: its bytes, its workers and its draws.
 
 The digests were taken before the checks shared a scan, when each check
 drew its own blocks through its own pool; the report bytes must not move.
@@ -8,11 +8,10 @@ The suite draws each block's normals once, as wide as complex-s7 needs
 """
 
 import hashlib
-import multiprocessing
 
 import pytest
 
-from entmi import pipeline, sampling
+from entmi import sampling
 
 # sha256 of the ``verify --all --seed 11`` jsonl at each n.
 SUITE_DIGESTS = {
@@ -31,19 +30,12 @@ def test_suite_jsonl_digest(run_cli, tmp_path, n, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SUITE_DIGESTS[n]
 
 
-def test_one_pool_per_run(run_cli, tmp_path, monkeypatch):
-    pools = []
-    pool = multiprocessing.Pool
-
-    def counted_pool(*args, **kwargs):
-        pools.append(kwargs.get("processes"))
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline.multiprocessing, "Pool", counted_pool)
+def test_one_pool_per_run(run_cli, tmp_path, forks):
+    # One scan of two forked workers for the whole suite.
     out = tmp_path / "suite.jsonl"
     argv = ["verify", "--all", "--n", "250001", "--workers", "2", "--out", str(out)]
     assert run_cli(argv) == 0
-    assert pools == [2]
+    assert len(forks) == 2
 
 
 def test_each_normal_is_drawn_once(run_cli, tmp_path, monkeypatch):
