@@ -102,7 +102,12 @@ def _run_shares(checks: list, plan: list[tuple[int, int]], workers: int):
 def _fork_share(share) -> tuple:
     """(pid, pipe) of a child that pickles (True, partials) or (False, error) into ``pipe``."""
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, open(read, "rb")

@@ -583,6 +583,14 @@ class Unmergeable(NamedTuple):
             raise ArithmeticError("no merge")
         return part
 
+def fork(real_fork=os.fork, started=[]):
+    if started:
+        raise BlockingIOError("no fork")
+    started.append(True)
+    return real_fork()
+
+if sys.argv[1] == "fork":  # the second of three forks fails
+    os.fork = fork
 check = Unmergeable("real-s3") if sys.argv[1] == "merge" else pipeline.TileCheck("real-s3", excess)
 try:
     print(pipeline.scan_checks([(check, SeedSpec(5))], 600_000, workers=3)[0])
@@ -607,6 +615,7 @@ class TestForkedWorkers:
         ("raises", "LookupError no tile"),
         ("unpicklable", "RuntimeError Local: no tile"),
         ("merge", "ArithmeticError no merge"),
+        ("fork", "BlockingIOError no fork"),
         ("succeeds", "(0, 0.0)"),
     ])
     def test_no_worker_outlives_its_scan(self, case, printed):
