@@ -41,18 +41,30 @@ from .states import _concurrence_into, _mutual_information_into, _probabilities_
 BLOCK_SIZE = 250_000
 
 
-def block_plan(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
-    """(block_index, count) pairs covering ``n`` samples."""
+def _block_count(n: int, block_size: int) -> int:
+    """The number of blocks of ``block_size`` samples that cover ``n``."""
     if n < 1:
         raise DomainError("sample count must be at least 1")
     if block_size < 1:
         raise DomainError("block size must be at least 1")
-    starts = range(0, n, block_size)
-    return [(index, min(block_size, n - start)) for index, start in enumerate(starts)]
+    return -(-n // block_size)
+
+
+def _block_length(n: int, block_size: int, index: int) -> int:
+    return min(block_size, n - index * block_size)
+
+
+def block_plan(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
+    """(block_index, count) pairs covering ``n`` samples."""
+    blocks = range(_block_count(n, block_size))
+    return [(index, _block_length(n, block_size, index)) for index in blocks]
 
 
 def resolve_workers(workers: int | None) -> int:
+    """``workers``, or when None the number of CPUs this process may run on."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return max(os.cpu_count() or 1, 1)
     if workers < 1:
         raise DomainError("worker count must be at least 1")
@@ -64,15 +76,16 @@ def _block_seed(seed: SeedSpec, index: int) -> SeedSpec:
     return SeedSpec(seed.master_seed, seed.stream_id + index)
 
 
-def _run_shares(checks: list, plan: list[tuple[int, int]], workers: int):
+def _run_shares(checks: list, n: int, block_size: int, blocks: int, workers: int):
     """Yield the partial results of each worker's share of a scan's blocks, in share order.
 
-    Block j of ``plan`` goes to share j mod shares, so shares differ by at
-    most one block.  Two or more shares run in forked children, all reaped
-    (killed first, if still running) when the generator ends or is closed.
+    Block j of the ``blocks`` that cover ``n`` samples goes to share j mod
+    shares, so shares differ by at most one block.  Two or more shares run
+    in forked children, all reaped (killed first, if still running) when
+    the generator ends or is closed.
     """
-    parts = min(workers, len(plan))
-    shares = [(checks, plan[w::parts]) for w in range(parts)]
+    parts = min(workers, blocks)
+    shares = [(checks, n, block_size, range(w, blocks, parts)) for w in range(parts)]
     if parts == 1 or not hasattr(os, "fork"):
         yield from map(_scan_share, shares)
         return
@@ -132,48 +145,52 @@ def _fork_share(share) -> tuple:
 class _Observables:
     """A worker share's tile memory, allocated once: every step of a tile works in it.
 
-    ``fill`` takes a tile's draws and ``work`` a copy of the rows of an
-    ensemble narrower than the fill's widest; ``c``, ``probs``, ``info``
-    and ``mask`` take the tile's (C, I) pairs.  The other buffers of a tile
-    borrow rows that are idle at their step: screen and finish keep their
-    norms in ``probs`` and their three scratch rows in ``info``, both
-    written only after finish; the concurrence's products are a (2, rows)
-    view of ``info`` in the amplitudes' dtype, free until the MI.
-    ``probs``, ``info`` and ``mask`` are free again once :meth:`pairs` has
-    returned its ``i``, and every buffer is once a block's tiles have been
-    fed: the scan then lends them to its :class:`StreamCheck` s.
+    ``fill`` takes a tile's draws, and ``work`` a copy of the rows of an
+    ensemble narrower than the fill's widest, or param's amplitudes; ``c``,
+    ``probs`` and ``mask`` take the tile's concurrences, outcome
+    probabilities and MI mask.  Every other buffer of a tile borrows rows
+    idle at its step.  Until the probabilities are written, ``probs`` holds
+    the norms and scratch of screen and finish, param's cos/sin rows (with
+    its square roots in ``c``) and the concurrence's products, a (2, rows)
+    view in the amplitudes' dtype.  Then the amplitudes are spent, and
+    their memory holds MI's four rows, ``i`` among them.
+    ``probs`` and ``mask`` are free again once :meth:`pairs` has returned
+    (c, i), and every buffer is once a block's tiles have been fed: the
+    scan then lends them to its :class:`StreamCheck` s.
     """
 
     def __init__(self, rows: int, fill: int, work: int):
         self.fill, self.work = np.empty(rows * fill), np.empty(rows * work)
         self.c = np.empty(rows)
         self.probs = np.empty((4, rows))
-        self.info = np.empty((4, rows))
         self.mask = np.empty(rows, dtype=bool)
 
     def pairs(self, amplitudes: np.ndarray):
-        """(c, i) of the (size, 4) ``amplitudes``, in these buffers.
+        """(c, i) of the contiguous (size, 4) ``amplitudes``, which are overwritten.
 
         Computes, element for element, what the public ``concurrence``,
-        ``probabilities`` and ``mutual_information`` compute.
+        ``probabilities`` and ``mutual_information`` compute; ``i`` is a
+        view of the amplitudes' memory.
         """
         size, rows = len(amplitudes), len(self.c)
-        products = self.info.reshape(-1).view(amplitudes.dtype)[: 2 * rows].reshape(2, rows)
+        products = self.probs.reshape(-1).view(amplitudes.dtype)[: 2 * rows].reshape(2, rows)
         c = _concurrence_into(amplitudes, self.c[:size], products[:, :size])
-        probs = _probabilities_into(amplitudes, self.probs[:, :size], self.info[0, :size])
-        return c, _mutual_information_into(probs, self.info[:, :size], self.mask[:size])
+        probs = _probabilities_into(amplitudes, self.probs[:, :size])
+        spent = amplitudes.reshape(-1).view(np.float64)[: 4 * size].reshape(4, size)
+        return c, _mutual_information_into(probs, spent, self.mask[:size])
 
 
-def _tally(total: list, excess: np.ndarray) -> None:
+def _tally(total: list, excess: np.ndarray, mask: np.ndarray) -> None:
     """Add the samples' ``excess`` to a check's [violations, worst].
 
     Every excess that is not ``<= 0``, NaN included, is a violation;
-    ``worst`` stays the largest finite excess, and at least 0.0.
+    ``worst`` stays the largest finite excess, and at least 0.0.  ``mask``
+    is a boolean array as long as ``excess``.
     """
     worst = float(excess.max())
     if not math.isfinite(worst):
-        worst = float(np.max(excess, where=np.isfinite(excess), initial=0.0))
-    total[0] += excess.size - int(np.count_nonzero(excess <= 0.0))
+        worst = float(np.max(excess, where=np.isfinite(excess, out=mask), initial=0.0))
+    total[0] += excess.size - int(np.count_nonzero(np.less_equal(excess, 0.0, out=mask)))
     total[1] = max(total[1], worst)
 
 
@@ -196,7 +213,7 @@ class TileCheck(NamedTuple):
 
     def tile(self, total: list, c, i, spare, mask) -> None:
         self.excess_of_pairs(c, i, spare[0], spare[1], mask)
-        _tally(total, spare[0])
+        _tally(total, spare[0], mask)
 
     def merge(self, total, part) -> tuple:
         return total[0] + part[0], max(total[1], part[1])
@@ -241,9 +258,10 @@ class StreamCheck(NamedTuple):
     samples from ``gen``, writes their excess into ``out`` and returns it.
     It may use any row of ``shared``, the share's :class:`_Observables`,
     all idle while the scan runs a block's stream checks: ``out`` is a
-    view of its ``c``, and its ``fill`` and ``work`` hold at least
-    ``_STREAM_WIDTH * rows`` floats each.  A :func:`scan_checks` consumer
-    whose tiles the scan tallies, with :class:`TileCheck`'s ``empty`` and ``merge``.
+    view of its ``c``, and besides its four ``probs`` rows and its
+    ``mask``, its ``fill`` and ``work`` hold at least ``_STREAM_WIDTH``
+    rows of ``rows`` floats each.  A :func:`scan_checks` consumer whose
+    tiles the scan tallies, with :class:`TileCheck`'s ``empty`` and ``merge``.
     """
 
     make: Callable
@@ -280,9 +298,11 @@ class _ShareScan:
 
     Consumers of equal seeds and fill steps share a fill: a (rows, 8) fill
     holds the rows of two (rows, 4) tiles of the same stream.  Each
-    ensemble but the widest, last, copies its rows into the work tile.  The
-    fill and the work tile are as wide as the widest of these, and at least
-    ``_STREAM_WIDTH`` when a :class:`StreamCheck` borrows them.
+    ensemble but the widest, last, copies its rows into the work tile;
+    param, the only uniform fill, is always its own group's widest, and
+    maps its triples into a 4-wide work tile.  The fill and the work tile
+    are as wide as the widest of these, and at least ``_STREAM_WIDTH`` when
+    a :class:`StreamCheck` borrows them.
     """
 
     def __init__(self, checks, capacity: int):
@@ -300,8 +320,10 @@ class _ShareScan:
         borrowed = [_STREAM_WIDTH] if own else []
         widths = [sub.layout.width for kinds in self.groups.values() for sub in kinds]
         copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
+        mapped = [4 for kinds in self.groups.values() for sub in kinds
+                  if sub.kind is Ensemble.PARAM]
         self.shared = _Observables(self.rows, max(widths + borrowed, default=0),
-                                   max(copied + borrowed, default=0))
+                                   max(copied + mapped + borrowed, default=0))
         self.own = [(seed, total, check.make(self.rows, self.shared))
                     for check, seed, total in own]
 
@@ -312,7 +334,8 @@ class _ShareScan:
         for seed, total, excess_of in self.own:
             gen = stream_generator(_block_seed(seed, index))
             for start, stop in _tiles(count):
-                _tally(total, excess_of(gen, self.shared.c[: stop - start]))
+                size = stop - start
+                _tally(total, excess_of(gen, self.shared.c[:size]), self.shared.mask[:size])
 
     def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
         wide = kinds[-1].layout.width
@@ -332,17 +355,18 @@ class _ShareScan:
         draws = drawn if in_place else shared.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
-        norms, scratch = shared.probs[: layout.norms, :size], shared.info[:3, :size]
-        _screen_and_finish(layout, draws, norms, scratch)
-        amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype))
+        _screen_and_finish(layout, draws, shared.probs[:, :size])
+        buffers = shared.work, shared.probs, shared.c
+        amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype), buffers)
         _feed(shared, sub.parts, amplitudes)
 
 
 def _scan_share(args) -> list:
-    checks, blocks = args
-    scan = _ShareScan(checks, max(count for _, count in blocks))
-    for index, count in blocks:
-        scan.block(index, count)
+    """The consumers' results of ``indices``, blocks of an ``n``-sample scan."""
+    checks, n, block_size, indices = args
+    scan = _ShareScan(checks, _block_length(n, block_size, indices[0]))  # the longest
+    for index in indices:
+        scan.block(index, _block_length(n, block_size, index))
     return scan.results
 
 
@@ -368,12 +392,12 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
     ``<= 0``, NaN included, is a violation, and max_excess is the largest
     finite excess, clipped at zero.  A histogram's is a :class:`JointHistogram`.
     """
-    checks, plan = list(checks), block_plan(n, block_size)
+    checks, blocks = list(checks), _block_count(n, block_size)
     workers = resolve_workers(workers)
     for _, seed in checks:
-        _block_seed(seed, len(plan) - 1)  # the last block's stream must exist too
+        _block_seed(seed, blocks - 1)  # the last block's stream must exist too
     results = [check.empty() for check, _ in checks]
-    with closing(_run_shares(checks, plan, workers)) as shares:
+    with closing(_run_shares(checks, n, block_size, blocks, workers)) as shares:
         for share in shares if checks else ():
             results = [check.merge(total, part)
                        for (check, _), total, part in zip(checks, results, share)]

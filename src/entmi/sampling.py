@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .states import params_to_amplitudes
+from .states import _params_into
 
 # A drawn row counts as degenerate when every component of a group it
 # normalizes is below this: it is too close to zero to normalize.  The
@@ -122,15 +122,17 @@ def _pairwise_squares(cols, out, scratch):
     return out
 
 
-def _may_be_degenerate(norm: np.ndarray, width: int) -> np.ndarray:
+def _may_be_degenerate(norm: np.ndarray, width: int, scratch: np.ndarray) -> np.ndarray:
     """Rows whose norm over ``width`` components lets them be degenerate.
 
     Every |x| < tol forces norm < sqrt(width) * tol; the extra factor
     sqrt(2) covers the rounding of the squares, their sum and the root.
     This is a superset of the degenerate rows, cheap because the norm is
-    needed anyway.
+    needed anyway.  The flags go in the bytes of ``scratch``, a float64
+    row as long as ``norm``.
     """
-    return np.flatnonzero(norm < np.sqrt(2.0 * width) * _DEGENERATE_TOL)
+    flags = scratch.view(bool)[: len(norm)]
+    return np.flatnonzero(np.less(norm, np.sqrt(2.0 * width) * _DEGENERATE_TOL, out=flags))
 
 
 # Each ensemble is three row-wise steps, run on one tile at a time:
@@ -138,8 +140,10 @@ def _may_be_degenerate(norm: np.ndarray, width: int) -> np.ndarray:
 # ``screen(draws, norms, scratch)`` leaves in ``norms`` what ``finish``
 # needs and returns the rows that may be degenerate; and ``finish(rows,
 # norms, scratch)`` turns drawn rows into the stream's values in place.
-# ``scratch`` holds three rows of one tile.  Every step computes each row
-# on its own, so the values do not depend on the tiling.
+# ``norms`` and ``scratch`` split four rows of one tile: sphere-8 uses
+# 1 + 3 of them, zero-mi 2 + 2, sphere-4 1 + 1 and param none.  Every
+# step computes each row on its own, so the values do not depend on the
+# tiling.
 
 
 def _fill_normal(gen, draws):
@@ -154,7 +158,7 @@ def _screen_sphere(draws, norms, scratch):
     norm = norms[0]
     _squared_norm(draws, norm, scratch)
     np.sqrt(norm, out=norm)
-    return _may_be_degenerate(norm, draws.shape[1])
+    return _may_be_degenerate(norm, draws.shape[1], scratch[0])
 
 
 def _finish_sphere(rows, norms, scratch):
@@ -180,7 +184,7 @@ def _screen_zero_mi(draws, norms, scratch):
     left, right = norms
     np.hypot(draws[:, 0], draws[:, 2], out=left)
     np.hypot(draws[:, 1], draws[:, 3], out=right)
-    return _may_be_degenerate(np.minimum(left, right, out=scratch[0]), 2)
+    return _may_be_degenerate(np.minimum(left, right, out=scratch[0]), 2, scratch[1])
 
 
 def _finish_zero_mi(rows, norms, scratch):
@@ -229,8 +233,13 @@ _LAYOUTS = {
 }
 
 
-def _screen_and_finish(layout: _Layout, draws, norms, scratch) -> None:
-    """Turn one tile of drawn rows into values; a row that may be degenerate is an error."""
+def _screen_and_finish(layout: _Layout, draws, rows) -> None:
+    """Turn one tile of drawn rows into values; a row that may be degenerate is an error.
+
+    ``rows`` is a (4, len(draws)) float64 array: the first ``layout.norms``
+    hold the norms, and the rest are scratch.
+    """
+    norms, scratch = rows[: layout.norms], rows[layout.norms :]
     if layout.screen(draws, norms, scratch).size:
         raise ConsistencyError(
             f"a drawn state lies within about {_DEGENERATE_TOL:g} of zero and "
@@ -239,11 +248,20 @@ def _screen_and_finish(layout: _Layout, draws, norms, scratch) -> None:
     layout.finish(draws, norms, scratch)
 
 
-def _as_amplitudes(kind: Ensemble, values: np.ndarray) -> np.ndarray:
-    """Amplitudes of ensemble ``kind``'s values, mapping parameter triples to states."""
-    if kind is Ensemble.PARAM:
-        return params_to_amplitudes(values[:, 0], values[:, 1], values[:, 2])
-    return values
+def _as_amplitudes(kind: Ensemble, values: np.ndarray, buffers=None) -> np.ndarray:
+    """Amplitudes of ensemble ``kind``'s (n, width) values.
+
+    Parameter triples are mapped to their real amplitudes in ``buffers``,
+    fresh ones when None: a flat float64 array of at least 4n floats for
+    the amplitudes, then a (4, m) and an (m,) array, m >= n, of which
+    :func:`_params_into` uses the first n columns as scratch.  Other values
+    are their own amplitudes.
+    """
+    if kind is not Ensemble.PARAM:
+        return values
+    n = len(values)
+    flat, trig, root = buffers or (np.empty(4 * n), np.empty((4, n)), np.empty(n))
+    return _params_into(*values.T, flat[: 4 * n].reshape(n, 4), trig[:, :n], root[:n])
 
 
 def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -255,12 +273,11 @@ def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
     """
     layout = _LAYOUTS[kind]
     out = np.empty((n, layout.width))
-    rows = min(n, _TILE_ROWS)
-    norms, scratch = np.empty((layout.norms, rows)), np.empty((3, rows))
+    rows = np.empty((4, min(n, _TILE_ROWS)))
     for start, stop in _tiles(n):
-        draws, size = out[start:stop], stop - start
+        draws = out[start:stop]
         layout.fill(gen, draws)
-        _screen_and_finish(layout, draws, norms[:, :size], scratch[:, :size])
+        _screen_and_finish(layout, draws, rows[:, : stop - start])
     return out.view(layout.dtype)
 
 

@@ -75,17 +75,31 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
         raise DomainError("y outside [0, 1]")
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise DomainError("angles must be finite")
-    big = np.sqrt(y)
-    small = np.sqrt(1.0 - y)
-    return np.stack(
-        [
-            big * np.cos(alpha),
-            big * np.sin(alpha),
-            small * np.cos(beta),
-            small * np.sin(beta),
-        ],
-        axis=-1,
+    shape = y.shape
+    return _params_into(
+        y, alpha, beta, np.empty(shape + (4,)), np.empty((4,) + shape), np.empty(shape)
     )
+
+
+def _params_into(y, alpha, beta, out, trig, root):
+    """:func:`params_to_amplitudes` of valid (y, alpha, beta), into ``out``.
+
+    ``out`` has the parameters' shape plus a last axis of 4; ``trig``
+    holds four float64 arrays and ``root`` is one, each of the parameters'
+    shape, and none of them overlaps the parameters.
+    """
+    cos_a, sin_a, cos_b, sin_b = (trig[k, ...] for k in range(4))  # arrays, even 0-d
+    np.cos(alpha, out=cos_a)
+    np.sin(alpha, out=sin_a)
+    np.cos(beta, out=cos_b)
+    np.sin(beta, out=sin_b)
+    big = np.sqrt(y, out=root)
+    np.multiply(big, cos_a, out=out[..., 0])
+    np.multiply(big, sin_a, out=out[..., 1])
+    small = np.sqrt(np.subtract(1.0, y, out=root), out=root)
+    np.multiply(small, cos_b, out=out[..., 2])
+    np.multiply(small, sin_b, out=out[..., 3])
+    return out
 
 
 def _require_unit_norm(norm2, what: str = "squared moduli") -> None:
@@ -105,7 +119,8 @@ def _amplitudes_of(state) -> np.ndarray:
 
 def _unit_probabilities(rows) -> np.ndarray:
     """The (4, n) squared moduli of the (n, 4) amplitude ``rows``, each summing to 1."""
-    probs = _probabilities_into(rows, np.empty((4, len(rows))), np.empty(len(rows)))
+    amps = rows.copy() if np.iscomplexobj(rows) else rows
+    probs = _probabilities_into(amps, np.empty((4, len(rows))))
     _require_unit_norm(probs.sum(axis=0))
     return probs
 
@@ -193,19 +208,23 @@ def mutual_information(probs):
     return _scalarize(info.reshape(p.shape[:-1]))
 
 
-def _probabilities_into(amps, rows, scratch):
+def _probabilities_into(amps, rows):
     """|amplitude k|^2 of each row of the (n, 4) ``amps`` into ``rows[k]``.
 
-    ``amps`` is float64 or complex, ``rows`` a (4, n) float64 array and
-    ``scratch`` a float64 array of length n.
+    ``amps`` is float64 or complex, ``rows`` a (4, n) float64 array.  A
+    complex ``amps`` must be contiguous on its last axis and is
+    overwritten: its real and imaginary parts are squared in place, and
+    each pair of squares is added in float64.
     """
+    if np.iscomplexobj(amps):
+        parts = amps.view(amps.real.dtype)
+        np.square(parts, out=parts)
+        for k, row in enumerate(rows):
+            np.add(parts[:, 2 * k], parts[:, 2 * k + 1], out=row, dtype=np.float64)
+        return rows
     for k, row in enumerate(rows):
         col = amps[:, k]
-        if np.iscomplexobj(col):
-            np.multiply(col.real, col.real, out=row)
-            row += np.multiply(col.imag, col.imag, out=scratch)
-        else:
-            np.multiply(col, col, out=row)
+        np.multiply(col, col, out=row)
     return rows
 
 

@@ -143,29 +143,31 @@ def _angle_oracle_tiles(rows: int, shared):
     them into the amplitudes ``params_to_amplitudes(0.5, alpha, beta)``
     computes, in the rows that then hold their probabilities.  Every array
     is a row of ``shared``, the worker share's tile memory, idle while the
-    scan runs its stream checks: the angles in its fill, the cos/sin rows
-    in its work tile, and its probabilities, MI rows and mask.
+    scan runs its stream checks: the cos/sin rows in its work tile, beta
+    in the sin(beta) row, the probabilities and then the squares in its
+    ``probs``, and first the angles, then both routes' MI rows in its fill.
     """
     angles = shared.fill[: 2 * rows].reshape(rows, 2)
+    spent = shared.fill[: 4 * rows].reshape(4, rows)
     trig = shared.work[: 4 * rows].reshape(4, rows)
-    probs, info, mask = shared.probs, shared.info, shared.mask
+    probs, mask = shared.probs, shared.mask
 
     def excess_of(gen, out: np.ndarray) -> np.ndarray:
         size = len(out)
         drawn = gen.random(out=angles[:size])
         drawn *= 2.0 * np.pi
         alpha, delta = drawn[:, 0], drawn[:, 1]
-        beta = np.subtract(alpha, delta, out=info[0, :size])
         cos_a, sin_a, cos_b, sin_b = trig[:, :size]
+        beta = np.subtract(alpha, delta, out=sin_b)
         np.cos(alpha, out=cos_a)
         np.sin(alpha, out=sin_a)
         np.cos(beta, out=cos_b)
         np.sin(beta, out=sin_b)
         amplitudes = np.multiply(_HALF_ROOT, trig[:, :size], out=probs[:, :size])
-        outcomes = _probabilities_into(amplitudes.T, amplitudes, info[0, :size])
-        pipelined = _mutual_information_into(outcomes, info[:, :size], mask[:size])
+        outcomes = _probabilities_into(amplitudes.T, amplitudes)
+        pipelined = _mutual_information_into(outcomes, spent[:, :size], mask[:size])
         squares = np.square(trig[:, :size], out=probs[:, :size])
-        direct = _mi_from_trig(squares, info[1:, :size], mask[:size])
+        direct = _mi_from_trig(squares, spent[1:, :size], mask[:size])
         gap = np.subtract(direct, pipelined, out=out)
         np.abs(gap, out=gap)
         gap -= ORACLE_TOL

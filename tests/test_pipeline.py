@@ -93,6 +93,12 @@ class TestBlockPlan:
         with pytest.raises(DomainError):
             resolve_workers(0)
 
+    def test_default_workers_are_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        # A process pinned to one CPU of a 64-CPU host forks no second worker.
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+        assert resolve_workers(None) == 1
+
 
 class TestObservables:
     def test_matches_scalar_route(self):
@@ -546,7 +552,7 @@ from entmi import SeedSpec, cli, pipeline
 scan = pipeline._scan_share
 
 def dying(share):
-    if share[1][0][0] == 1:  # the second of two shares dies before it sends its partials
+    if share[3][0] == 1:  # the second of two shares dies before it sends its partials
         os._exit(9) if sys.argv[2] == "exit" else os.kill(os.getpid(), signal.SIGKILL)
     return scan(share)
 
@@ -599,6 +605,29 @@ except Exception as exc:
 """ + _NO_CHILD_LEFT
 
 
+_HUGE_SCAN = """
+import os, resource, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # no per-thread BLAS buffers under the cap
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+from entmi import cli, pipeline
+
+class Sentinel(Exception):
+    pass
+
+block = pipeline._ShareScan.block
+
+def first_block_only(self, index, count):
+    block(self, index, count)
+    raise Sentinel(f"block {index}: {count} states")
+
+pipeline._ShareScan.block = first_block_only
+try:
+    cli.main(["sample", "--n", str(10**15), "--workers", "2", "--out", sys.argv[1]])
+except Sentinel as exc:
+    print(exc)
+""" + _NO_CHILD_LEFT
+
+
 class TestForkedWorkers:
     @pytest.mark.parametrize("death,status", [("exit", "exit status 9"), ("kill", "signal 9")])
     def test_a_dead_worker_ends_the_run(self, tmp_path, death, status):
@@ -623,6 +652,13 @@ class TestForkedWorkers:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == [printed, "no child left"]
 
+    def test_a_huge_n_is_dealt_without_a_plan_in_memory(self, tmp_path):
+        # 10**15 states are 4e9 blocks: as a list of (index, count) pairs, far
+        # more than the 2 GiB address space each process of the run may use.
+        run = run_isolated(_HUGE_SCAN, str(tmp_path / "out.csv"))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["block 0: 250000 states", "no child left"]
+
     def test_a_consumer_need_not_pickle(self):
         # Only the partials cross the fork: a lambda, which cannot pickle, may check.
         check = TileCheck("real-s3", lambda c, i, out, scratch, mask: np.subtract(i, 0.1, out))
@@ -632,7 +668,7 @@ class TestForkedWorkers:
 
 def _scan_two_blocks(checks):
     checks = [(check, SeedSpec(7)) for check in checks]
-    pipeline._scan_share((checks, [(0, 250_000), (1, 250_000)]))
+    pipeline._scan_share((checks, 500_000, 250_000, range(2)))
 
 
 def _histogram_two_blocks(kind, delta=0.01):
@@ -650,31 +686,35 @@ def _suite_two_blocks():
 class TestShareMemory:
     # tracemalloc peaks of one share of two 250k blocks.  A share allocates
     # its tile memory once: the fill, the work tile, c, four probability
-    # rows, four MI rows and a mask.  Every other per-tile buffer borrows
-    # rows idle at its step (norms and scratch of screen and finish, the
-    # concurrence's products, mi-oracle's angles, cos/sin rows and excess),
-    # so no case grows with the block, and a step that allocates its own
-    # tile buffer again breaks these ceilings.  Measured: 1.75 MiB for a
-    # real-s3 histogram, 1.66 for the real-s3 bound and for zero-mi, 2.24
-    # and 2.16 for complex-s7 (its fill is 8 wide), 2.16 for mi-oracle, and
-    # 2.67 for the suite's four checks scanned together, which share one
-    # share's memory; the fine histogram adds its 7.6 MiB grid (9.29 MiB).
+    # rows and a mask.  Every other per-tile buffer borrows rows idle at
+    # its step (norms and scratch of screen and finish, param's cos/sin rows
+    # and roots, the concurrence's products, MI's four rows in the spent
+    # amplitudes, mi-oracle's angles, MI rows and excess), so no case grows
+    # with the block, and a step that allocates its own tile buffer again
+    # breaks these ceilings.  Measured: 1.24 MiB for a real-s3 histogram,
+    # 1.15 for the real-s3 bound and for zero-mi, 1.73 and 1.65 for
+    # complex-s7 (its fill is 8 wide), 1.60 for param (a 3-wide fill and a
+    # 4-wide work tile for its amplitudes), 1.65 for mi-oracle, and 2.15 for
+    # the suite's four checks scanned together, which share one share's
+    # memory; the fine histogram adds its 7.6 MiB grid (8.78 MiB).
     # What seeding Philox imports on first use (secrets, hmac: about 1 MiB)
     # is imported before tracing, so the peak is the share's alone.
     @pytest.mark.parametrize(
         "run,ceiling",
         [
-            (partial(_histogram_two_blocks, "real-s3"), 2 * 2**20),
-            (partial(_histogram_two_blocks, "complex-s7"), 2.5 * 2**20),
-            (partial(_histogram_two_blocks, "real-s3", 0.001), 1000**2 * 8 + 2 * 2**20),
-            (partial(_scan_two_blocks, [_bound_check(Ensemble.REAL_S3)]), 2 * 2**20),
-            (partial(_scan_two_blocks, [_bound_check(Ensemble.COMPLEX_S7)]), 2.5 * 2**20),
-            (partial(_scan_two_blocks, [verify.ZERO_MI_CHECK[1]]), 2 * 2**20),
-            (partial(_scan_two_blocks, [verify.ANGLE_ORACLE_CHECK[1]]), 2.5 * 2**20),
-            (_suite_two_blocks, 3 * 2**20),
-            (_bound_and_histogram_two_blocks, 2 * 2**20),
+            (partial(_histogram_two_blocks, "real-s3"), 1.5 * 2**20),
+            (partial(_histogram_two_blocks, "complex-s7"), 2 * 2**20),
+            (partial(_histogram_two_blocks, "param"), 2 * 2**20),
+            (partial(_histogram_two_blocks, "real-s3", 0.001), 1000**2 * 8 + 1.5 * 2**20),
+            (partial(_scan_two_blocks, [_bound_check(Ensemble.REAL_S3)]), 1.5 * 2**20),
+            (partial(_scan_two_blocks, [_bound_check(Ensemble.COMPLEX_S7)]), 2 * 2**20),
+            (partial(_scan_two_blocks, [verify.ZERO_MI_CHECK[1]]), 1.5 * 2**20),
+            (partial(_scan_two_blocks, [verify.ANGLE_ORACLE_CHECK[1]]), 2 * 2**20),
+            (_suite_two_blocks, 2.5 * 2**20),
+            (_bound_and_histogram_two_blocks, 1.5 * 2**20),
         ],
-        ids=["histogram-real-s3", "histogram-complex-s7", "histogram-real-s3-fine",
+        ids=["histogram-real-s3", "histogram-complex-s7", "histogram-param",
+             "histogram-real-s3-fine",
              "bound-real-s3", "bound-complex-s7", "zero-mi", "mi-oracle", "suite",
              "bound-real-s3+histogram"],
     )
@@ -842,5 +882,5 @@ class TestScanChecks:
     def test_infinite_excess_is_a_violation_but_not_the_worst(self):
         excess = np.array([-np.inf, -1.0, np.inf, 0.5, np.nan])
         total = [0, 0.0]
-        pipeline._tally(total, excess)
+        pipeline._tally(total, excess, np.empty(excess.size, dtype=bool))
         assert total == [3, 0.5]

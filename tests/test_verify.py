@@ -76,7 +76,7 @@ class TestAngleOracle:
             monkeypatch.setattr(
                 verify,
                 "_probabilities_into",
-                lambda amps, rows, scratch: exact(amps[:, [0, 1, 3, 2]], rows, scratch),
+                lambda amps, rows: exact(amps[:, [0, 1, 3, 2]], rows),
             )
         report = check_angle_oracle(10_000, SeedSpec(606), workers=1)
         assert report.violations > 0
