@@ -11,14 +11,16 @@ the worker's share allocates once.
 A consumer spec owns its result: ``empty()`` makes one, ``tile(result,
 c, i, spare, mask)`` adds a tile's (C, I) pairs to a share's, and
 ``merge(total, part)`` folds the shares' partials in the parent, in share
-order; a worker that dies first raises ``ChildProcessError``.  Merges are
-exact integer sums and maxima, which do not depend on how blocks are
-grouped or ordered, so results are bit-identical for any worker count,
-and a shorter run is a prefix of a longer one with the same seed.
-Consumers whose blocks come from the same stream share each tile's draw,
-as wide as the widest of their ensembles, and the consumers of one
-ensemble share its normalization and (C, I) pairs.  A drawn state too
-close to zero to normalize raises ``ConsistencyError``.
+order; a worker that dies first raises ``ChildProcessError``, and a
+worker whose parent dies exits before its next block.  Merges are exact
+integer sums and maxima, which do not depend on how blocks are grouped
+or ordered, so results are bit-identical for any worker count, and a
+shorter run is a prefix of a longer one with the same seed.  A scan has
+one seed: its consumers share each tile's draw, as wide as the widest of
+their ensembles, and the consumers of one ensemble share its
+normalization and read-only (C, I) pairs.  A check that needs a sample
+of its own runs a scan of its own.  A drawn state too close to zero to
+normalize raises ``ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 import os
 import pickle
 from contextlib import closing
+from functools import partial
 from signal import SIGKILL
 from typing import Callable, NamedTuple
 
@@ -76,23 +79,22 @@ def _block_seed(seed: SeedSpec, index: int) -> SeedSpec:
     return SeedSpec(seed.master_seed, seed.stream_id + index)
 
 
-def _run_shares(checks: list, n: int, block_size: int, blocks: int, workers: int):
-    """Yield the partial results of each worker's share of a scan's blocks, in share order.
+def _run_shares(scan: Callable, blocks: int, workers: int):
+    """Yield ``scan(indices)`` for each worker's share of ``blocks``, in share order.
 
-    Block j of the ``blocks`` that cover ``n`` samples goes to share j mod
-    shares, so shares differ by at most one block.  Two or more shares run
-    in forked children, all reaped (killed first, if still running) when
-    the generator ends or is closed.
+    Block j goes to share j mod shares, so shares differ by at most one
+    block.  Two or more shares run in forked children, all reaped (killed
+    first, if still running) when the generator ends or is closed.
     """
     parts = min(workers, blocks)
-    shares = [(checks, n, block_size, range(w, blocks, parts)) for w in range(parts)]
+    shares = [range(w, blocks, parts) for w in range(parts)]
     if parts == 1 or not hasattr(os, "fork"):
-        yield from map(_scan_share, shares)
+        yield from map(scan, shares)
         return
     children = []
     try:
         for share in shares:
-            children.append(_fork_share(share))
+            children.append(_fork_share(scan, share))
         for pid, pipe in children:
             try:
                 ok, part = pickle.load(pipe)
@@ -112,9 +114,9 @@ def _run_shares(checks: list, n: int, block_size: int, blocks: int, workers: int
             os.waitpid(pid, 0)
 
 
-def _fork_share(share) -> tuple:
-    """(pid, pipe) of a child that pickles (True, partials) or (False, error) into ``pipe``."""
-    read, write = os.pipe()
+def _fork_share(scan: Callable, share: range) -> tuple:
+    """(pid, pipe) of a child that pickles (True, scan(share)) or (False, error) into ``pipe``."""
+    parent, (read, write) = os.getpid(), os.pipe()
     try:
         pid = os.fork()
     except OSError:
@@ -128,7 +130,7 @@ def _fork_share(share) -> tuple:
     try:  # the child: never returns into the caller, nor flushes inherited stdio
         os.close(read)
         try:
-            sent = (True, _scan_share(share))
+            sent = (True, scan(share, parent=parent))
         except BaseException as exc:
             try:
                 pickle.loads(pickle.dumps(exc))
@@ -155,7 +157,8 @@ class _Observables:
     view in the amplitudes' dtype.  Then the amplitudes are spent, and
     their memory holds MI's four rows, ``i`` among them.
     ``probs`` and ``mask`` are free again once :meth:`pairs` has returned
-    (c, i), and every buffer is once a block's tiles have been fed: the
+    the read-only (c, i): the tile's consumers get them as spare rows and
+    mask.  Every buffer is free once a block's tiles have been scanned: the
     scan then lends them to its :class:`StreamCheck` s.
     """
 
@@ -166,7 +169,7 @@ class _Observables:
         self.mask = np.empty(rows, dtype=bool)
 
     def pairs(self, amplitudes: np.ndarray):
-        """(c, i) of the contiguous (size, 4) ``amplitudes``, which are overwritten.
+        """Read-only (c, i) of the contiguous (size, 4) ``amplitudes``, which are overwritten.
 
         Computes, element for element, what the public ``concurrence``,
         ``probabilities`` and ``mutual_information`` compute; ``i`` is a
@@ -174,10 +177,12 @@ class _Observables:
         """
         size, rows = len(amplitudes), len(self.c)
         products = self.probs.reshape(-1).view(amplitudes.dtype)[: 2 * rows].reshape(2, rows)
-        c = _concurrence_into(amplitudes, self.c[:size], products[:, :size])
+        c = _concurrence_into(amplitudes, self.c[:size], products[:, :size]).view()
         probs = _probabilities_into(amplitudes, self.probs[:, :size])
         spent = amplitudes.reshape(-1).view(np.float64)[: 4 * size].reshape(4, size)
-        return c, _mutual_information_into(probs, spent, self.mask[:size])
+        i = _mutual_information_into(probs, spent, self.mask[:size]).view()
+        c.flags.writeable = i.flags.writeable = False
+        return c, i
 
 
 def _tally(total: list, excess: np.ndarray, mask: np.ndarray) -> None:
@@ -198,11 +203,11 @@ class TileCheck(NamedTuple):
     """A check on the (C, I) pairs of ensemble ``kind``, one tile at a time.
 
     ``excess_of_pairs(c, i, out, scratch, mask)`` writes the excess of
-    each (C, I) pair of a tile into ``out``; it may overwrite ``c`` but not
-    ``i``, and ``scratch`` and ``mask`` are a float64 and a boolean array
-    of the tile's length, all buffers kept for the worker share.  As a scan
-    consumer, :meth:`tile` tallies excess into an :meth:`empty` [violations,
-    worst], and :meth:`merge` adds the counts and takes the maximum.
+    each (C, I) pair of a tile, read-only arrays, into ``out``; ``scratch``
+    is two float64 rows and ``mask`` a boolean array of the tile's length,
+    all buffers kept for the worker share.  As a scan consumer,
+    :meth:`tile` tallies excess into an :meth:`empty` [violations, worst],
+    and :meth:`merge` adds the counts and takes the maximum.
     """
 
     kind: str
@@ -212,7 +217,7 @@ class TileCheck(NamedTuple):
         return [0, 0.0]
 
     def tile(self, total: list, c, i, spare, mask) -> None:
-        self.excess_of_pairs(c, i, spare[0], spare[1], mask)
+        self.excess_of_pairs(c, i, spare[0], spare[1:3], mask)
         _tally(total, spare[0], mask)
 
     def merge(self, total, part) -> tuple:
@@ -270,23 +275,8 @@ class StreamCheck(NamedTuple):
     merge = TileCheck.merge
 
 
-def _feed(shared: _Observables, parts: list, amplitudes) -> None:
-    """Compute a tile's (C, I) pairs once and hand them to each (consumer, result).
-
-    Each ``tile`` gets a mask and three spare rows of ``shared.probs``, free
-    once the pairs are computed; all but the last consumer get a copy of ``c``.
-    """
-    c, i = shared.pairs(amplitudes)
-    spare, mask = shared.probs[:, : len(c)], shared.mask[: len(c)]
-    for check, total in parts[:-1]:
-        spare[3] = c
-        check.tile(total, spare[3], i, spare[:3], mask)
-    check, total = parts[-1]
-    check.tile(total, c, i, spare[:3], mask)
-
-
 class _Kind(NamedTuple):
-    """The consumers of one ensemble on one stream."""
+    """The consumers of one ensemble."""
 
     kind: Ensemble
     layout: _Layout
@@ -296,27 +286,27 @@ class _Kind(NamedTuple):
 class _ShareScan:
     """The consumers of one scan, on one worker share's :class:`_Observables`.
 
-    Consumers of equal seeds and fill steps share a fill: a (rows, 8) fill
-    holds the rows of two (rows, 4) tiles of the same stream.  Each
-    ensemble but the widest, last, copies its rows into the work tile;
-    param, the only uniform fill, is always its own group's widest, and
-    maps its triples into a 4-wide work tile.  The fill and the work tile
-    are as wide as the widest of these, and at least ``_STREAM_WIDTH`` when
-    a :class:`StreamCheck` borrows them.
+    Consumers of equal fill steps share a fill: a (rows, 8) fill holds the
+    rows of two (rows, 4) tiles of the same stream.  Each ensemble but the
+    widest, last, copies its rows into the work tile; param, the only
+    uniform fill, is always its own group's widest, and maps its triples
+    into a 4-wide work tile.  The fill and the work tile are as wide as the
+    widest of these, and at least ``_STREAM_WIDTH`` when a
+    :class:`StreamCheck` borrows them.
     """
 
-    def __init__(self, checks, capacity: int):
-        self.rows = min(capacity, _TILE_ROWS)
-        self.results, own, groups = [check.empty() for check, _ in checks], [], {}
-        for (check, seed), total in zip(checks, self.results):
-            if isinstance(check, StreamCheck):
-                own.append((check, seed, total))
+    def __init__(self, consumers, seed: SeedSpec, capacity: int):
+        self.rows, self.seed = min(capacity, _TILE_ROWS), seed
+        self.results, own, groups = [consumer.empty() for consumer in consumers], [], {}
+        for consumer, total in zip(consumers, self.results):
+            if isinstance(consumer, StreamCheck):
+                own.append((consumer, total))
                 continue
-            kind = Ensemble(check.kind)
-            kinds = groups.setdefault((seed, _LAYOUTS[kind].fill), {})
-            kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append((check, total))
-        self.groups = {key: sorted(kinds.values(), key=lambda sub: sub.layout.width)
-                       for key, kinds in groups.items()}
+            kind = Ensemble(consumer.kind)
+            kinds = groups.setdefault(_LAYOUTS[kind].fill, {})
+            kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append((consumer, total))
+        self.groups = {fill: sorted(kinds.values(), key=lambda sub: sub.layout.width)
+                       for fill, kinds in groups.items()}
         borrowed = [_STREAM_WIDTH] if own else []
         widths = [sub.layout.width for kinds in self.groups.values() for sub in kinds]
         copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
@@ -324,15 +314,15 @@ class _ShareScan:
                   if sub.kind is Ensemble.PARAM]
         self.shared = _Observables(self.rows, max(widths + borrowed, default=0),
                                    max(copied + mapped + borrowed, default=0))
-        self.own = [(seed, total, check.make(self.rows, self.shared))
-                    for check, seed, total in own]
+        self.own = [(total, check.make(self.rows, self.shared)) for check, total in own]
 
     def block(self, index: int, count: int) -> None:
         """Add block ``index`` of ``count`` samples to each consumer's result."""
-        for (seed, fill), kinds in self.groups.items():
-            self._scan_group(fill, kinds, _block_seed(seed, index), count)
-        for seed, total, excess_of in self.own:
-            gen = stream_generator(_block_seed(seed, index))
+        seed = _block_seed(self.seed, index)
+        for fill, kinds in self.groups.items():
+            self._scan_group(fill, kinds, seed, count)
+        for total, excess_of in self.own:
+            gen = stream_generator(seed)
             for start, stop in _tiles(count):
                 size = stop - start
                 _tally(total, excess_of(gen, self.shared.c[:size]), self.shared.mask[:size])
@@ -350,7 +340,7 @@ class _ShareScan:
                     self._tile(sub, rows[lo : lo + self.rows], sub is kinds[-1])
 
     def _tile(self, sub: _Kind, drawn: np.ndarray, in_place: bool) -> None:
-        """Normalize one tile of drawn rows and feed its (C, I) pairs to ``sub``."""
+        """Normalize one tile of drawn rows and hand its (C, I) pairs to ``sub``'s consumers."""
         layout, size, shared = sub.layout, len(drawn), self.shared
         draws = drawn if in_place else shared.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
@@ -358,32 +348,41 @@ class _ShareScan:
         _screen_and_finish(layout, draws, shared.probs[:, :size])
         buffers = shared.work, shared.probs, shared.c
         amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype), buffers)
-        _feed(shared, sub.parts, amplitudes)
+        c, i = shared.pairs(amplitudes)
+        spare, mask = shared.probs[:, :size], shared.mask[:size]
+        for consumer, total in sub.parts:
+            consumer.tile(total, c, i, spare, mask)
 
 
-def _scan_share(args) -> list:
-    """The consumers' results of ``indices``, blocks of an ``n``-sample scan."""
-    checks, n, block_size, indices = args
-    scan = _ShareScan(checks, _block_length(n, block_size, indices[0]))  # the longest
+def _scan_share(consumers, n: int, seed: SeedSpec, block_size: int, indices, parent=None):
+    """The consumers' results of ``indices``, blocks of an ``n``-sample scan.
+
+    A forked share exits before a block once ``parent``, its parent's pid, has died.
+    """
+    scan = _ShareScan(consumers, seed, _block_length(n, block_size, indices[0]))  # the longest
     for index in indices:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         scan.block(index, _block_length(n, block_size, index))
     return scan.results
 
 
-def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BLOCK_SIZE):
+def scan_checks(consumers, n: int, seed: SeedSpec, workers: int | None = None,
+                block_size: int = BLOCK_SIZE):
     """Run several ``n``-sample consumers in one pass over one block plan.
 
-    ``checks`` are (consumer, seed) pairs; block ``j`` of a consumer uses
-    stream ``seed.stream_id + j``.  A consumer is a :class:`TileCheck`, a
-    :class:`StreamCheck`, a :class:`TileHistogram` or any spec with their
-    ``kind``, ``empty``, ``tile`` and ``merge``.  Each share adds its tiles
-    to an ``empty()`` result; the parent folds the shares with ``merge``
-    into an ``empty()`` made before any worker starts, so a grid that
-    cannot be allocated fails first.  Merges must be exact (integer sums,
-    maxima) for results not to depend on the worker count.  Consumers of
-    equal seeds share their draws, and every result is the one a scan of
-    its consumer alone gives.  A drawn state that may lie within about
-    1e-12 of zero raises ``ConsistencyError``.  With more than one worker,
+    Block ``j`` of every consumer uses stream ``seed.stream_id + j``.  A
+    consumer is a :class:`TileCheck`, a :class:`StreamCheck`, a
+    :class:`TileHistogram` or any spec with their ``kind``, ``empty``,
+    ``tile`` and ``merge``; ``tile`` reads its (C, I) pairs from read-only
+    arrays, which every consumer of the ensemble shares.  Each share adds
+    its tiles to an ``empty()`` result; the parent folds the shares with
+    ``merge`` into an ``empty()`` made before any worker starts, so a grid
+    that cannot be allocated fails first.  Merges must be exact (integer
+    sums, maxima) for results not to depend on the worker count.  The
+    consumers share their draws, and every result is the one a scan of its
+    consumer alone gives.  A drawn state that may lie within about 1e-12
+    of zero raises ``ConsistencyError``.  With more than one worker,
     each share runs in a forked child, which pickles only its partials; a
     child's error is raised again, and one that dies first raises
     ``ChildProcessError``.
@@ -392,15 +391,15 @@ def scan_checks(checks, n: int, workers: int | None = None, block_size: int = BL
     ``<= 0``, NaN included, is a violation, and max_excess is the largest
     finite excess, clipped at zero.  A histogram's is a :class:`JointHistogram`.
     """
-    checks, blocks = list(checks), _block_count(n, block_size)
+    consumers, blocks = list(consumers), _block_count(n, block_size)
     workers = resolve_workers(workers)
-    for _, seed in checks:
-        _block_seed(seed, blocks - 1)  # the last block's stream must exist too
-    results = [check.empty() for check, _ in checks]
-    with closing(_run_shares(checks, n, block_size, blocks, workers)) as shares:
-        for share in shares if checks else ():
-            results = [check.merge(total, part)
-                       for (check, _), total, part in zip(checks, results, share)]
+    _block_seed(seed, blocks - 1)  # the last block's stream must exist too
+    results = [consumer.empty() for consumer in consumers]
+    scan = partial(_scan_share, consumers, n, seed, block_size)
+    with closing(_run_shares(scan, blocks, workers)) as shares:
+        for share in shares if consumers else ():
+            results = [consumer.merge(total, part)
+                       for consumer, total, part in zip(consumers, results, share)]
     return results
 
 
@@ -422,5 +421,5 @@ def run_histogram_job(
     exists.
     """
     histogram = TileHistogram(Ensemble(kind).value, delta_c, delta_i)
-    seed = SeedSpec(master_seed, base_stream)
-    return scan_checks([(histogram, seed)], n, workers, block_size)[0]
+    return scan_checks([histogram], n, SeedSpec(master_seed, base_stream), workers,
+                       block_size)[0]

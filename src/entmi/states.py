@@ -84,9 +84,9 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
 def _params_into(y, alpha, beta, out, trig, root):
     """:func:`params_to_amplitudes` of valid (y, alpha, beta), into ``out``.
 
-    ``out`` has the parameters' shape plus a last axis of 4; ``trig``
-    holds four float64 arrays and ``root`` is one, each of the parameters'
-    shape, and none of them overlaps the parameters.
+    ``out`` has the angles' shape plus a last axis of 4; ``trig`` holds
+    four float64 arrays and ``root`` is one, each of the angles' shape, and
+    none of them overlaps the parameters, but ``beta`` may be ``trig[3]``.
     """
     cos_a, sin_a, cos_b, sin_b = (trig[k, ...] for k in range(4))  # arrays, even 0-d
     np.cos(alpha, out=cos_a)
@@ -298,24 +298,24 @@ def entanglement_from_concurrence(c):
     if not _within(c, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
         raise DomainError("concurrence outside [0, 1]")
     flat = np.clip(c, 0.0, 1.0).reshape(-1)
-    value = _entanglement_into(
-        flat, np.empty((2, flat.size)), np.empty(flat.size, dtype=bool)
-    )
+    x, root = np.empty((2, flat.size))
+    value = _entanglement_into(flat, (x, root, flat), np.empty(flat.size, dtype=bool))
     return _scalarize(value.reshape(c.shape))
 
 
 def _entanglement_into(c, buffers, mask):
     """E(C) of the concurrences ``c``, each in [0, 1], into ``buffers[0]``.
 
-    ``c`` is a float64 array and is overwritten; ``buffers`` holds two
-    float64 arrays and ``mask`` is a boolean array, all as long as ``c``.
+    ``c`` is a float64 array; ``buffers`` holds three float64 arrays and
+    ``mask`` is a boolean array, all as long as ``c``.  Only the buffers
+    are written: ``c`` too, when it is ``buffers[2]``, which takes C^2.
     """
-    x, root = buffers
-    c_sq = np.multiply(c, c, out=c)
+    x, root, c_sq = buffers
+    np.multiply(c, c, out=c_sq)
     np.sqrt(np.subtract(1.0, c_sq, out=root), out=root)
     root += 1.0
     np.multiply(0.5, root, out=x)
-    x_comp = np.divide(c_sq, np.multiply(2.0, root, out=root), out=c)
+    x_comp = np.divide(c_sq, np.multiply(2.0, root, out=root), out=c_sq)
     np.negative(_xlog2_into(x, root, mask), out=x)
     x -= _xlog2_into(x_comp, root, mask)
     return np.maximum(x, 0.0, out=x)

@@ -1,13 +1,13 @@
 """Executable cross-checks tying the samplers, observables, and curves together.
 
 Each sampled check draws block ``j`` of its ``n`` samples from stream
-``seed.stream_id + j``, so checks of one seed read the same streams.
-:func:`run_checks` runs several as one scan, in which the Gaussian checks
-(``bound``, ``zero-mi`` and the real-s3 histogram of ``ridge``) share each
-tile's draw, and ``ridge`` and ``bound[real-s3]`` share its (C, I) pairs
-too; ``mi-oracle`` draws uniform angles from its streams alone.  Every
-check counts violations instead of aborting on the first one and returns
-a :class:`VerificationReport`.  Reports are deterministic for a fixed
+``seed.stream_id + j``.  :func:`run_checks` runs several as one scan of
+one seed, in which the Gaussian checks (``bound``, ``zero-mi`` and the
+real-s3 histogram of ``ridge``) share each tile's draw, and ``ridge`` and
+``bound[real-s3]`` share its read-only (C, I) pairs too; ``mi-oracle``
+draws uniform angles from the same streams.  Every check counts
+violations instead of aborting on the first one and returns a
+:class:`VerificationReport`.  Reports are deterministic for a fixed
 (seed, n), whichever checks share the scan and however many workers run
 it, and serialize to JSON lines.
 """
@@ -26,7 +26,7 @@ from .errors import InsufficientDataError
 from .histogram import JointHistogram
 from .pipeline import StreamCheck, TileCheck, TileHistogram, scan_checks
 from .sampling import Ensemble, SeedSpec
-from .states import _entanglement_into, _mutual_information_into, _probabilities_into
+from .states import _entanglement_into, _mutual_information_into, _params_into, _probabilities_into
 
 # MI may exceed the entanglement bound by this much before a sample
 # counts as a violation.
@@ -84,7 +84,7 @@ def run_checks(
     """
     if any(isinstance(check, TileHistogram) for _, check in checks):
         _require_ridge_total(n)
-    results = scan_checks([(check, seed) for _, check in checks], n, workers)
+    results = scan_checks([check for _, check in checks], n, seed, workers)
     return [
         check_ridge(result) if isinstance(result, JointHistogram)
         else VerificationReport(name, n, *result)
@@ -95,7 +95,7 @@ def run_checks(
 def _bound_excess(tol, c, i, out, scratch, mask):
     # The kernel's C already lies in [0, 1], so the range check and clip
     # of entanglement_from_concurrence would change no value.
-    np.subtract(i, _entanglement_into(c, (out, scratch), mask), out=out)
+    np.subtract(i, _entanglement_into(c, (out, *scratch), mask), out=out)
     out -= tol
 
 
@@ -129,23 +129,20 @@ def check_zero_mi_family(
     return run_checks([ZERO_MI_CHECK], n, seed, workers)[0]
 
 
-# Both amplitude weights of the equal-weight family, sqrt(0.5) = sqrt(1 - 0.5).
-_HALF_ROOT = np.sqrt(0.5)
-
-
 def _angle_oracle_tiles(rows: int, shared):
     """The oracle as a :class:`StreamCheck` makes it: one tile at a time.
 
     Each tile's angles are drawn with one ``random((size, 2))`` call, which
     replays the block's stream as one ``random((count, 2))`` call would.
-    Per tile, cos and sin of alpha and of beta = alpha - delta are
-    evaluated once; the closed form squares them, and the pipeline scales
-    them into the amplitudes ``params_to_amplitudes(0.5, alpha, beta)``
-    computes, in the rows that then hold their probabilities.  Every array
-    is a row of ``shared``, the worker share's tile memory, idle while the
-    scan runs its stream checks: the cos/sin rows in its work tile, beta
-    in the sin(beta) row, the probabilities and then the squares in its
-    ``probs``, and first the angles, then both routes' MI rows in its fill.
+    Per tile, ``_params_into`` evaluates cos and sin of alpha and of beta =
+    alpha - delta once, and scales them into the amplitudes
+    ``params_to_amplitudes(0.5, alpha, beta)`` computes, in the rows that
+    then hold their probabilities; the closed form squares them.  Every
+    array is a row of ``shared``, the worker share's tile memory, idle
+    while the scan runs its stream checks: the cos/sin rows in its work
+    tile, beta in the sin(beta) row, the square roots in ``out``, the
+    probabilities and then the squares in its ``probs``, and first the
+    angles, then both routes' MI rows in its fill.
     """
     angles = shared.fill[: 2 * rows].reshape(rows, 2)
     spent = shared.fill[: 4 * rows].reshape(4, rows)
@@ -157,14 +154,9 @@ def _angle_oracle_tiles(rows: int, shared):
         drawn = gen.random(out=angles[:size])
         drawn *= 2.0 * np.pi
         alpha, delta = drawn[:, 0], drawn[:, 1]
-        cos_a, sin_a, cos_b, sin_b = trig[:, :size]
-        beta = np.subtract(alpha, delta, out=sin_b)
-        np.cos(alpha, out=cos_a)
-        np.sin(alpha, out=sin_a)
-        np.cos(beta, out=cos_b)
-        np.sin(beta, out=sin_b)
-        amplitudes = np.multiply(_HALF_ROOT, trig[:, :size], out=probs[:, :size])
-        outcomes = _probabilities_into(amplitudes.T, amplitudes)
+        beta = np.subtract(alpha, delta, out=trig[3, :size])
+        amplitudes = _params_into(0.5, alpha, beta, probs[:, :size].T, trig[:, :size], out)
+        outcomes = _probabilities_into(amplitudes, amplitudes.T)
         pipelined = _mutual_information_into(outcomes, spent[:, :size], mask[:size])
         squares = np.square(trig[:, :size], out=probs[:, :size])
         direct = _mi_from_trig(squares, spent[1:, :size], mask[:size])

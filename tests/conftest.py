@@ -56,7 +56,7 @@ def recorded_excess(check, n, seed):
             tiles.append(out.copy())
 
         recording = pipeline.TileCheck(check.kind, excess_of_pairs)
-    pipeline.scan_checks([(recording, seed)], n, workers=1)
+    pipeline.scan_checks([recording], n, seed, workers=1)
     return np.concatenate(tiles)
 
 

@@ -2,15 +2,21 @@
 
 import functools
 import itertools
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from conftest import recorded_excess, run_isolated
+from conftest import SRC, recorded_excess, run_isolated
 from entmi import (
     ConsistencyError,
     DomainError,
@@ -45,7 +51,7 @@ def _bound_check(kind, tol=verify.BOUND_TOL):
 
 def _scan_one(check, n, seed, workers=1, block_size=pipeline.BLOCK_SIZE):
     """(violations, worst) of ``check`` scanned alone."""
-    return pipeline.scan_checks([(check, seed)], n, workers, block_size)[0]
+    return pipeline.scan_checks([check], n, seed, workers, block_size)[0]
 
 
 class TestBlockPlan:
@@ -75,10 +81,9 @@ class TestBlockPlan:
             run_histogram_job(
                 Ensemble.REAL_S3, 600_000, 1, 0.1, 0.1, workers=2, base_stream=2**64 - 2
             )
-        checks = [(TileHistogram("real-s3", 0.1, 0.1), SeedSpec(1)),
-                  (_bound_check(Ensemble.REAL_S3), SeedSpec(1, 2**64 - 2))]
+        checks = [TileHistogram("real-s3", 0.1, 0.1), _bound_check(Ensemble.REAL_S3)]
         with pytest.raises(DomainError, match="unsigned 64-bit"):
-            pipeline.scan_checks(checks, 600_000, workers=2)
+            pipeline.scan_checks(checks, 600_000, SeedSpec(1, 2**64 - 2), workers=2)
         assert forks == []
 
     def test_last_stream_may_be_the_largest(self):
@@ -184,8 +189,8 @@ class TestConsumerProtocol:
     def test_a_spec_with_empty_tile_and_merge_is_a_consumer(self, n, workers):
         # Blocks of 1000 on 3 workers give shares of 2, 2 and 1 blocks.
         seed, block = SeedSpec(23, 4), 1_000
-        checks = [(SmallMITally("real-s3"), seed), (TileHistogram("real-s3", 0.02, 0.02), seed)]
-        tally, hist = pipeline.scan_checks(checks, n, workers, block)
+        checks = [SmallMITally("real-s3"), TileHistogram("real-s3", 0.02, 0.02)]
+        tally, hist = pipeline.scan_checks(checks, n, seed, workers, block)
         expected = sum(
             int(np.count_nonzero(mutual_information(probabilities(
                 sample_amplitudes(Ensemble.REAL_S3, SeedSpec(23, 4 + j), count))) < 1e-3))
@@ -326,7 +331,7 @@ def _tiled_observables(kind, seed, count):
         out[...] = 0.0
 
     check = TileCheck(kind.value, record)
-    pipeline.scan_checks([(check, seed)], count, workers=1, block_size=count)
+    pipeline.scan_checks([check], count, seed, workers=1, block_size=count)
     return tuple(np.concatenate(pairs) for pairs in zip(*tiles))
 
 
@@ -380,7 +385,7 @@ class TestTiledKernel:
         # repeated indices within a tile would read one per tile.
         n = 500_000 + 3 * TILE + 5
         [hist] = pipeline.scan_checks(
-            [(TileHistogram("real-s3", 1.0, 1.0), SeedSpec(13))], n, workers
+            [TileHistogram("real-s3", 1.0, 1.0)], n, SeedSpec(13), workers
         )
         assert hist.counts.tolist() == [[n]] and hist.total == n
 
@@ -505,10 +510,9 @@ class TestDegenerateDraws:
     @pytest.mark.parametrize("kind,cols", _ZEROED, ids=_ZEROED_IDS)
     def test_a_scan_of_a_check_and_a_histogram_raises(self, monkeypatch, kind, cols):
         _zero_block_2(monkeypatch, cols)
-        checks = [(TileHistogram(kind.value, 0.01, 0.01), SeedSpec(19)),
-                  (_bound_check(kind), SeedSpec(19))]
+        checks = [TileHistogram(kind.value, 0.01, 0.01), _bound_check(kind)]
         with pytest.raises(ConsistencyError, match=DEGENERATE):
-            pipeline.scan_checks(checks, 600_000, workers=1)
+            pipeline.scan_checks(checks, 600_000, SeedSpec(19), workers=1)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
@@ -551,15 +555,15 @@ from entmi import SeedSpec, cli, pipeline
 
 scan = pipeline._scan_share
 
-def dying(share):
-    if share[3][0] == 1:  # the second of two shares dies before it sends its partials
+def dying(consumers, n, seed, block_size, indices, parent=None):
+    if indices[0] == 1:  # the second of two shares dies before it sends its partials
         os._exit(9) if sys.argv[2] == "exit" else os.kill(os.getpid(), signal.SIGKILL)
-    return scan(share)
+    return scan(consumers, n, seed, block_size, indices, parent)
 
 pipeline._scan_share = dying
 histogram = pipeline.TileHistogram("real-s3", 0.1, 0.1)
 try:
-    pipeline.scan_checks([(histogram, SeedSpec(1))], 600_000, workers=2)
+    pipeline.scan_checks([histogram], 600_000, SeedSpec(1), workers=2)
 except ChildProcessError as exc:
     print("scan:", exc)
 print("cli:", cli.main(["sample", "--n", "600000", "--workers", "2", "--out", sys.argv[1]]))
@@ -599,7 +603,7 @@ if sys.argv[1] == "fork":  # the second of three forks fails
     os.fork = fork
 check = Unmergeable("real-s3") if sys.argv[1] == "merge" else pipeline.TileCheck("real-s3", excess)
 try:
-    print(pipeline.scan_checks([(check, SeedSpec(5))], 600_000, workers=3)[0])
+    print(pipeline.scan_checks([check], 600_000, SeedSpec(5), workers=3)[0])
 except Exception as exc:
     print(type(exc).__name__, exc)
 """ + _NO_CHILD_LEFT
@@ -628,7 +632,58 @@ except Sentinel as exc:
 """ + _NO_CHILD_LEFT
 
 
+_ANNOUNCED_WORKERS = """
+import os, sys
+from entmi import cli
+
+fork = os.fork
+
+def announced_fork():  # the parent prints each worker's pid
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced_fork
+cli.main(["sample", "--n", str(10**9), "--workers", "2", "--out", sys.argv[1]])
+"""
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 class TestForkedWorkers:
+    @pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                        reason="needs os.fork and /proc")
+    def test_workers_exit_once_their_run_is_killed(self, tmp_path):
+        # SIGKILL leaves the run no chance to kill its workers: they must
+        # notice, before their next block, that their parent is gone.
+        run = subprocess.Popen(
+            [sys.executable, "-c", _ANNOUNCED_WORKERS, str(tmp_path / "out.csv")],
+            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        workers = []
+        try:
+            workers = [int(run.stdout.readline()) for _ in range(2)]
+            run.kill()
+            run.wait()
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(_running, workers))
+        finally:
+            run.kill()
+            run.wait()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+            run.stdout.close()
+
     @pytest.mark.parametrize("death,status", [("exit", "exit status 9"), ("kill", "signal 9")])
     def test_a_dead_worker_ends_the_run(self, tmp_path, death, status):
         out = tmp_path / "out.csv"
@@ -667,8 +722,7 @@ class TestForkedWorkers:
 
 
 def _scan_two_blocks(checks):
-    checks = [(check, SeedSpec(7)) for check in checks]
-    pipeline._scan_share((checks, 500_000, 250_000, range(2)))
+    pipeline._scan_share(checks, 500_000, SeedSpec(7), 250_000, range(2))
 
 
 def _histogram_two_blocks(kind, delta=0.01):
@@ -805,7 +859,7 @@ class TestScanChecks:
     @staticmethod
     def _check(names, n, workers):
         results = pipeline.scan_checks(
-            [(_SHARP[name], SeedSpec(21, 5)) for name in names], n, workers
+            [_SHARP[name] for name in names], n, SeedSpec(21, 5), workers
         )
         assert results == [_sharp_alone(name, n) for name in names]
 
@@ -815,25 +869,18 @@ class TestScanChecks:
         assert 0 < violations < TILE + 1
         assert worst > 0.0
 
-    def test_checks_of_other_seeds_keep_their_streams(self):
-        checks = [(_SHARP["real-s3"], SeedSpec(21, 5)), (_SHARP["real-s3"], SeedSpec(21, 6)),
-                  (_SHARP["complex-s7"], SeedSpec(22, 5))]
-        expected = [_alone(check, 300_000, seed) for check, seed in checks]
-        assert pipeline.scan_checks(checks, 300_000, workers=1) == expected
-
     def test_checks_of_one_ensemble_and_seed_share_a_tile(self):
         # Two real-s3 checks read one 4-column fill; param draws uniforms.
         param = pipeline.TileCheck("param", partial(verify._bound_excess, -0.5))
-        checks = [(_SHARP["real-s3"], SeedSpec(21, 5)), (param, SeedSpec(21, 5)),
-                  (dict(_SUITE)["bound[real-s3]"], SeedSpec(21, 5))]
-        expected = [_alone(check, 300_000, seed) for check, seed in checks]
-        assert pipeline.scan_checks(checks, 300_000, workers=2) == expected
+        checks = [_SHARP["real-s3"], param, dict(_SUITE)["bound[real-s3]"]]
+        expected = [_alone(check, 300_000, SeedSpec(21, 5)) for check in checks]
+        assert pipeline.scan_checks(checks, 300_000, SeedSpec(21, 5), workers=2) == expected
         assert expected[1][0] > 0
 
     def test_the_suite_matches_each_check_alone(self):
-        checks = [(check, SeedSpec(11)) for _, check in _SUITE]
-        expected = [_alone(check, 300_000, SeedSpec(11)) for check, _ in checks]
-        assert pipeline.scan_checks(checks, 300_000, workers=2) == expected
+        checks = [check for _, check in _SUITE]
+        expected = [_alone(check, 300_000, SeedSpec(11)) for check in checks]
+        assert pipeline.scan_checks(checks, 300_000, SeedSpec(11), workers=2) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [1, TILE + 1, 250_001])
@@ -841,11 +888,10 @@ class TestScanChecks:
         # Histograms of each ensemble scanned with checks of the same seed.
         seed = SeedSpec(21, 5)
         hists = {kind: TileHistogram(kind, 0.02, 0.05) for kind in _KINDS}
-        checks = [(hists["real-s3"], seed), (_SHARP["real-s3"], seed),
-                  (hists["complex-s7"], seed), (_SHARP["zero-mi"], seed),
-                  (hists["zero-mi"], seed), (_SHARP["mi-oracle"], seed), (hists["param"], seed)]
-        results = pipeline.scan_checks(checks, n, workers)
-        for (check, _), result in zip(checks, results):
+        checks = [hists["real-s3"], _SHARP["real-s3"], hists["complex-s7"], _SHARP["zero-mi"],
+                  hists["zero-mi"], _SHARP["mi-oracle"], hists["param"]]
+        results = pipeline.scan_checks(checks, n, seed, workers)
+        for check, result in zip(checks, results):
             if isinstance(check, TileHistogram):
                 alone = run_histogram_job(check.kind, n, 21, 0.02, 0.05, 1, base_stream=5)
                 assert result == alone
@@ -857,8 +903,8 @@ class TestScanChecks:
         # The ridge check's histogram and bound[real-s3], as ``verify`` scans
         # them: 4 normals per state, where running them apart draws 8.
         n, seed = 300_000, SeedSpec(11)
-        checks = [(dict(_SUITE)["bound[real-s3]"], seed), (TileHistogram("real-s3", 0.01, 0.01), seed)]
-        expected = [_alone(checks[0][0], n, seed),
+        checks = [dict(_SUITE)["bound[real-s3]"], TileHistogram("real-s3", 0.01, 0.01)]
+        expected = [_alone(checks[0], n, seed),
                     run_histogram_job(Ensemble.REAL_S3, n, 11, 0.01, 0.01, workers=1)]
         drawn = []
         fill = sampling._fill_normal
@@ -870,8 +916,17 @@ class TestScanChecks:
         for kind, layout in list(sampling._LAYOUTS.items()):
             if layout.fill is fill:
                 monkeypatch.setitem(sampling._LAYOUTS, kind, layout._replace(fill=counted_fill))
-        assert pipeline.scan_checks(checks, n, workers=1) == expected
+        assert pipeline.scan_checks(checks, n, seed, workers=1) == expected
         assert sum(drawn) == 4 * n
+
+    @pytest.mark.parametrize("written", ["c", "i"])
+    def test_a_check_that_writes_its_pairs_raises(self, written):
+        # Every consumer of a tile reads the same (C, I) arrays: none may write them.
+        def excess_of_pairs(c, i, out, scratch, mask):
+            (c if written == "c" else i)[0] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            _scan_one(TileCheck("real-s3", excess_of_pairs), 1_000, SeedSpec(1))
 
     def test_nan_excess_is_a_violation(self):
         # Every excess that is not <= 0 counts; the worst stays finite.

@@ -351,6 +351,16 @@ class TestEntanglement:
             assert type(value) is float
             assert value == float(reference(c))
 
+    def test_buffered_form_leaves_c_unless_c_takes_the_square(self):
+        c = np.random.default_rng(37).random(1_000)
+        kept, expected = c.copy(), entanglement_from_concurrence(c)
+        mask = np.empty(c.size, dtype=bool)
+        x, root, square = np.empty((3, c.size))
+        assert np.array_equal(states._entanglement_into(c, (x, root, square), mask), expected)
+        assert c.tobytes() == kept.tobytes()
+        assert np.array_equal(states._entanglement_into(c, (x, root, c), mask), expected)
+        assert not np.array_equal(c, kept)
+
     def test_strictly_increasing_on_grid(self):
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         values = entanglement_from_concurrence(grid)

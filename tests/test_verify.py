@@ -15,7 +15,12 @@ from entmi import (
     check_bound,
     check_ridge,
     check_zero_mi_family,
+    concurrence,
+    entanglement_from_concurrence,
+    mutual_information,
+    probabilities,
     ridge_mi,
+    sample_amplitudes,
     write_reports_jsonl,
 )
 from entmi import verify
@@ -39,6 +44,17 @@ class TestBound:
         a = check_bound(50_000, SeedSpec(1), Ensemble.REAL_S3, workers=1)
         b = check_bound(50_000, SeedSpec(1), Ensemble.REAL_S3, workers=2)
         assert a == b
+
+    def test_excess_leaves_its_pairs_bit_identical(self):
+        # Every consumer of a tile reads the same c and i: the bound writes
+        # only its output and its two scratch rows.
+        amps = sample_amplitudes(Ensemble.COMPLEX_S7, SeedSpec(5), 1_000)
+        c, i = concurrence(amps), mutual_information(probabilities(amps))
+        kept = c.tobytes(), i.tobytes()
+        out, scratch, mask = np.empty(c.size), np.empty((2, c.size)), np.empty(c.size, bool)
+        verify._bound_excess(0.0, c, i, out, scratch, mask)
+        assert (c.tobytes(), i.tobytes()) == kept
+        assert np.array_equal(out, i - entanglement_from_concurrence(c))
 
 
 class TestZeroMIFamily:
