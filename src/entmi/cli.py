@@ -1,7 +1,9 @@
 """Command-line interface for sampling runs, statistics, curves, and checks.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid arguments or a
-malformed histogram file, 3 I/O failure.  :func:`main` alone maps errors
+malformed histogram file, 3 I/O failure.  ``verify --check NAME`` runs the
+``verify.CHECKS`` entry ``NAME[--ensemble]`` if there is one, else ``NAME``,
+and ``--all`` runs ``verify.SUITE``.  :func:`main` alone maps errors
 to exit codes (argument errors and ``EntmiError`` to 2, ``OSError`` to 3),
 each with one ``error: ...`` line on stderr.  Identical command lines produce
 byte-identical output files; the worker count (``--workers`` or the
@@ -21,15 +23,7 @@ from .histogram import JointHistogram, load_histogram, write_density_csv
 from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec
 from .states import entanglement_from_concurrence
-from .verify import (
-    ANGLE_ORACLE_CHECK,
-    RIDGE_CHECK,
-    ZERO_MI_CHECK,
-    bound_check,
-    check_ridge,
-    run_checks,
-    write_reports_jsonl,
-)
+from .verify import CHECKS, SUITE, check_ridge, run_checks, write_reports_jsonl
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -37,8 +31,6 @@ _EXIT_USAGE = 2
 _EXIT_IO = 3
 
 _DEFAULT_TABLE_CENTERS = "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
-
-_CHECK_NAMES = ("bound", "zero-mi", "mi-oracle", "ridge")
 
 
 def _workers_from(args) -> int | None:
@@ -129,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--check",
         action="append",
-        choices=_CHECK_NAMES,
+        choices=list(dict.fromkeys(name.partition("[")[0] for name in CHECKS)),
         default=None,
         help="run one named check (repeatable)",
     )
@@ -226,33 +218,25 @@ def _cmd_verify(args) -> int:
         raise DomainError("select checks with --all or --check")
     workers = _workers_from(args)
 
-    selected = []
-    if args.all:
-        selected = [("bound", Ensemble.REAL_S3), ("bound", Ensemble.COMPLEX_S7),
-                    ("zero-mi", None), ("mi-oracle", None)]
+    names = list(SUITE) if args.all else []
     for name in args.check or []:
-        check = (name, Ensemble(args.ensemble) if name == "bound" else None)
-        if check not in selected:
-            selected.append(check)
+        keyed = f"{name}[{args.ensemble}]"
+        name = keyed if keyed in CHECKS else name
+        if name not in names:
+            names.append(name)
 
-    if args.hist is not None and ("ridge", None) not in selected:
-        raise DomainError("--hist applies only to --check ridge")
-
-    # A --hist file is checked before any sampling; the sampled checks, the
-    # ridge histogram among them, run as one scan, reported in selection order.
-    ridge = check_ridge(load_histogram(args.hist)) if args.hist is not None else None
-    sampled = {"zero-mi": ZERO_MI_CHECK, "mi-oracle": ANGLE_ORACLE_CHECK,
-               "ridge": RIDGE_CHECK}
-    checks = [
-        bound_check(kind) if name == "bound" else sampled[name]
-        for name, kind in selected
-        if name != "ridge" or ridge is None
-    ]
-    scanned = iter(run_checks(checks, args.n, SeedSpec(args.seed), workers))
-    reports = [
-        ridge if name == "ridge" and ridge is not None else next(scanned)
-        for name, _ in selected
-    ]
+    # A --hist file is checked before any sampling; the other checks, the
+    # ridge histogram among them without --hist, run as one scan, reported
+    # in selection order.
+    if args.hist is not None:
+        if "ridge" not in names:
+            raise DomainError("--hist applies only to --check ridge")
+        ridge = check_ridge(load_histogram(args.hist))
+        at = names.index("ridge")
+        del names[at]
+    reports = run_checks(names, args.n, SeedSpec(args.seed), workers)
+    if args.hist is not None:
+        reports.insert(at, ridge)
 
     _write_output(args.out, lambda out: write_reports_jsonl(reports, out))
     return _EXIT_OK if all(r.passed for r in reports) else _EXIT_CHECK_FAILED
@@ -265,11 +249,7 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_conditional(args) -> int:
-    hist = load_histogram(args.hist)
-    if args.axis == "c":
-        density = hist.concurrence_slice(args.lo, args.hi)
-    else:
-        density = hist.mi_slice(args.lo, args.hi)
+    density = load_histogram(args.hist).conditional(args.axis, args.lo, args.hi)
     _write_output(args.out, lambda out: write_density_csv(density, out))
     return _EXIT_OK
 

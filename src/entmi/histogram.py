@@ -64,15 +64,10 @@ def bin_count(delta: float) -> int:
     return int(math.ceil(1.0 / delta))
 
 
-def bin_edges(delta: float, nbins: int) -> np.ndarray:
-    """Bin edges over [0, 1]; the last edge is pinned to 1.0."""
+def bin_centers(delta: float, nbins: int) -> np.ndarray:
+    """Bin centers over [0, 1]; the last bin's upper edge is pinned to 1.0."""
     edges = delta * np.arange(nbins + 1, dtype=np.float64)
     edges[-1] = 1.0
-    return edges
-
-
-def bin_centers(delta: float, nbins: int) -> np.ndarray:
-    edges = bin_edges(delta, nbins)
     return 0.5 * (edges[:-1] + edges[1:])
 
 
@@ -94,6 +89,16 @@ def _bin_indices_into(values: np.ndarray, delta: float, nbins: int, out, work) -
     np.divide(work, delta, out=work)
     np.copyto(out, work, casting="unsafe")  # truncates, as astype(np.int64)
     np.minimum(out, nbins - 1, out=out)
+
+
+def _unique_fields(pairs) -> dict:
+    """Dict of the (key, value) ``pairs``; a repeated key is a format error."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise HistogramFormatError(f"repeated field {key!r}")
+        fields[key] = value
+    return fields
 
 
 def _check_unit_interval(values: np.ndarray, what: str) -> None:
@@ -252,9 +257,8 @@ class JointHistogram:
         """Marginal density over concurrence (axis='c') or MI (axis='i')."""
         if self.total == 0:
             raise EmptyHistogramError("cannot normalize an empty histogram")
-        delta, _ = self._axis(axis)
         sums = self.counts.sum(axis=1 if axis.lower() == "c" else 0, dtype=np.float64)
-        return Density1D(axis.upper(), delta, self._density(axis, sums, self.total))
+        return self._density(axis, sums, self.total)
 
     def _slice_sums(self, sliced: str, lo: float, hi: float) -> np.ndarray:
         """Counts along the other axis of the ``sliced`` bins centered in [lo, hi].
@@ -274,31 +278,22 @@ class JointHistogram:
             raise EmptySliceError(f"slice [{lo}, {hi}] over {sliced} holds no counts")
         return sums
 
-    def concurrence_slice(self, i_lo: float, i_hi: float) -> Density1D:
-        """Conditional density of concurrence given MI in [i_lo, i_hi].
+    def conditional(self, axis: str, lo: float, hi: float) -> Density1D:
+        """Conditional density over ``axis`` given the other axis in [lo, hi].
 
-        A bin belongs to the slice when its center lies in the closed
-        interval, which keeps the boundaries robust to 1-ulp edge
-        effects.
+        A bin of the other axis belongs to the slice when its center lies
+        in the closed interval, which keeps the boundaries robust to 1-ulp
+        edge effects.
         """
-        if not 0.0 <= i_lo < i_hi <= 1.0:
+        if not 0.0 <= lo < hi <= 1.0:
             raise DomainError("slice bounds must satisfy 0 <= lo < hi <= 1")
-        return self._conditional("c", "i", i_lo, i_hi)
+        sums = self._slice_sums("i" if axis.lower() == "c" else "c", lo, hi)
+        return self._density(axis, sums, sums.sum())
 
-    def mi_slice(self, c_lo: float, c_hi: float) -> Density1D:
-        """Conditional density of MI given concurrence in [c_lo, c_hi]."""
-        if not 0.0 <= c_lo < c_hi <= 1.0:
-            raise DomainError("slice bounds must satisfy 0 <= lo < hi <= 1")
-        return self._conditional("i", "c", c_lo, c_hi)
-
-    def _conditional(self, keep: str, sliced: str, lo: float, hi: float) -> Density1D:
-        sums = self._slice_sums(sliced, lo, hi)
-        delta, _ = self._axis(keep)
-        return Density1D(keep.upper(), delta, self._density(keep, sums, sums.sum()))
-
-    def _density(self, axis: str, sums: np.ndarray, total) -> np.ndarray:
-        """Density of the counts ``sums`` along ``axis``: each over total x width."""
-        return sums / (float(total) * bin_widths(*self._axis(axis)))
+    def _density(self, axis: str, sums: np.ndarray, total) -> Density1D:
+        """Density over ``axis`` of the counts ``sums``: each over total x width."""
+        delta, nbins = self._axis(axis)
+        return Density1D(axis.upper(), delta, sums / (float(total) * bin_widths(delta, nbins)))
 
     def slice_stats(self, i_center: float, i_halfwidth: float) -> SliceStats:
         """Peak position, mean, and spread of concurrence in one MI slice.
@@ -326,14 +321,11 @@ class JointHistogram:
 
     # -- serialization ---------------------------------------------------
 
-    def header_line(self) -> str:
-        return (
-            f"{_CSV_HEADER_PREFIX}delta_c={self.delta_c!r} "
-            f"delta_i={self.delta_i!r} total={self.total}"
-        )
-
     def write_csv(self, stream: IO[str], meta: dict | None = None) -> None:
-        stream.write(self.header_line() + "\n")
+        stream.write(
+            f"{_CSV_HEADER_PREFIX}delta_c={self.delta_c!r} "
+            f"delta_i={self.delta_i!r} total={self.total}\n"
+        )
         if meta:
             pairs = " ".join(f"{k}={v}" for k, v in meta.items())
             stream.write(f"# meta {pairs}\n")
@@ -410,13 +402,14 @@ class JointHistogram:
         if not header.startswith(_CSV_HEADER_PREFIX):
             raise HistogramFormatError("missing '# joint_histogram' header line")
         try:
-            fields = dict(
-                token.split("=", 1)
-                for token in header[len(_CSV_HEADER_PREFIX):].split()
+            fields = _unique_fields(
+                token.split("=", 1) for token in header[len(_CSV_HEADER_PREFIX):].split()
             )
             delta_c = float(fields["delta_c"])
             delta_i = float(fields["delta_i"])
             declared_total = int(fields["total"])
+        except HistogramFormatError:
+            raise
         except (KeyError, ValueError):
             raise HistogramFormatError(f"malformed header line {header!r}") from None
         # numpy's loadtxt can crash the interpreter on a field holding a
@@ -482,7 +475,7 @@ class JointHistogram:
     @classmethod
     def read_json(cls, stream: IO[str]) -> "JointHistogram":
         try:
-            payload = json.load(stream)
+            payload = json.load(stream, object_pairs_hook=_unique_fields)
         except (ValueError, RecursionError) as exc:
             raise HistogramFormatError(f"invalid histogram JSON: {exc}") from None
         return cls.from_json_dict(payload)

@@ -1,9 +1,12 @@
 """Executable cross-checks tying the samplers, observables, and curves together.
 
-Each sampled check draws block ``j`` of its ``n`` samples from stream
-``seed.stream_id + j``.  :func:`run_checks` runs several as one scan of
-one seed, in which the Gaussian checks (``bound``, ``zero-mi`` and the
-real-s3 histogram of ``ridge``) share each tile's draw, and ``ridge`` and
+:data:`CHECKS`, the one catalogue of sampled checks, maps each report's
+name to its scan consumer; :data:`SUITE` lists those of ``verify --all``
+in report order.  Each check draws block ``j`` of its ``n`` samples from
+stream ``seed.stream_id + j``.  :func:`run_checks` runs several, by name,
+as one scan of one seed, in which the Gaussian checks (``bound``,
+``zero-mi`` and the real-s3 histogram of ``ridge``) share each tile's
+draw, and ``ridge`` and
 ``bound[real-s3]`` share its read-only (C, I) pairs too; ``mi-oracle``
 draws uniform angles from the same streams.  Every check counts
 violations instead of aborting on the first one and returns a
@@ -72,37 +75,11 @@ def write_reports_jsonl(reports: Iterable[VerificationReport], stream: IO[str]) 
         stream.write("\n")
 
 
-def run_checks(
-    checks, n: int, seed: SeedSpec, workers: int | None = None
-) -> list[VerificationReport]:
-    """The reports of sampled checks, given as (name, check) pairs, from one scan.
-
-    Every check draws block ``j`` of its ``n`` samples from stream
-    ``seed.stream_id + j``; see :func:`scan_checks` for what they share.
-    A :class:`TileHistogram` is the ridge check of its histogram; its ``n``
-    is checked against ``RIDGE_MIN_TOTAL`` before any sampling.
-    """
-    if any(isinstance(check, TileHistogram) for _, check in checks):
-        _require_ridge_total(n)
-    results = scan_checks([check for _, check in checks], n, seed, workers)
-    return [
-        check_ridge(result) if isinstance(result, JointHistogram)
-        else VerificationReport(name, n, *result)
-        for (name, _), result in zip(checks, results)
-    ]
-
-
 def _bound_excess(tol, c, i, out, scratch, mask):
     # The kernel's C already lies in [0, 1], so the range check and clip
     # of entanglement_from_concurrence would change no value.
     np.subtract(i, _entanglement_into(c, (out, *scratch), mask), out=out)
     out -= tol
-
-
-def bound_check(kind: Ensemble) -> tuple[str, TileCheck]:
-    """(name, check) of the bound on ensemble ``kind``, for :func:`run_checks`."""
-    kind = Ensemble(kind)
-    return f"bound[{kind.value}]", TileCheck(kind.value, partial(_bound_excess, BOUND_TOL))
 
 
 def check_bound(
@@ -112,21 +89,18 @@ def check_bound(
     workers: int | None = None,
 ) -> VerificationReport:
     """MI never exceeds the entanglement bound E(C) + 1e-9."""
-    return run_checks([bound_check(kind)], n, seed, workers)[0]
+    return run_checks([f"bound[{Ensemble(kind).value}]"], n, seed, workers)[0]
 
 
 def _zero_mi_excess(c, i, out, scratch, mask):
     np.subtract(i, ZERO_MI_TOL, out=out)
 
 
-ZERO_MI_CHECK = ("zero-mi", TileCheck(Ensemble.ZERO_MI.value, _zero_mi_excess))
-
-
 def check_zero_mi_family(
     n: int, seed: SeedSpec, workers: int | None = None
 ) -> VerificationReport:
     """States with |ad| = |bc| have mutual information below 1e-12."""
-    return run_checks([ZERO_MI_CHECK], n, seed, workers)[0]
+    return run_checks(["zero-mi"], n, seed, workers)[0]
 
 
 def _angle_oracle_tiles(rows: int, shared):
@@ -168,10 +142,6 @@ def _angle_oracle_tiles(rows: int, shared):
     return excess_of
 
 
-_angle_oracle_excess = StreamCheck(_angle_oracle_tiles)
-ANGLE_ORACLE_CHECK = ("mi-oracle", _angle_oracle_excess)
-
-
 def check_angle_oracle(
     n: int, seed: SeedSpec, workers: int | None = None
 ) -> VerificationReport:
@@ -182,11 +152,7 @@ def check_angle_oracle(
     Both routes start from the same cos and sin values, evaluated once:
     they share elementary-function values, not formulas.
     """
-    return run_checks([ANGLE_ORACLE_CHECK], n, seed, workers)[0]
-
-
-# The ridge check's histogram, sampled in the scan: real-s3 on a 0.01 grid.
-RIDGE_CHECK = ("ridge", TileHistogram(Ensemble.REAL_S3.value, 0.01, 0.01))
+    return run_checks(["mi-oracle"], n, seed, workers)[0]
 
 
 def _require_ridge_total(total: int) -> None:
@@ -246,3 +212,35 @@ def check_ridge(hist: JointHistogram) -> VerificationReport:
         violations=violations,
         max_violation=max(worst, 0.0),
     )
+
+
+CHECKS = {
+    **{
+        f"bound[{kind.value}]": TileCheck(kind.value, partial(_bound_excess, BOUND_TOL))
+        for kind in Ensemble
+    },
+    "zero-mi": TileCheck(Ensemble.ZERO_MI.value, _zero_mi_excess),
+    "mi-oracle": StreamCheck(_angle_oracle_tiles),
+    "ridge": TileHistogram(Ensemble.REAL_S3.value, 0.01, 0.01),
+}
+
+SUITE = ("bound[real-s3]", "bound[complex-s7]", "zero-mi", "mi-oracle")
+
+
+def run_checks(
+    names, n: int, seed: SeedSpec, workers: int | None = None
+) -> list[VerificationReport]:
+    """The reports of the :data:`CHECKS` named in ``names``, in order, from one scan.
+
+    Every check draws block ``j`` of its ``n`` samples from stream
+    ``seed.stream_id + j``; see :func:`scan_checks` for what they share.
+    ``ridge`` reports :func:`check_ridge` of its histogram; its ``n`` is
+    checked against ``RIDGE_MIN_TOTAL`` before any sampling.
+    """
+    if "ridge" in names:
+        _require_ridge_total(n)
+    results = scan_checks([CHECKS[name] for name in names], n, seed, workers)
+    return [
+        check_ridge(result) if name == "ridge" else VerificationReport(name, n, *result)
+        for name, result in zip(names, results)
+    ]

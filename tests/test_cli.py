@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from entmi import JointHistogram, load_histogram, pipeline, ridge_concurrence
+from entmi import JointHistogram, load_histogram, pipeline, ridge_concurrence, verify
 
 # sha256 of the ``verify --check bound --check ridge --n 10000000 --seed 11``
 # jsonl, taken when the ridge histogram was sampled by a job of its own.
@@ -357,6 +357,36 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: --hist applies only to --check ridge\n"
 
+    def test_a_check_added_to_the_catalogue_runs_by_name(self, run_cli, tmp_path, monkeypatch):
+        # --check takes its names from verify.CHECKS: an entry needs no CLI edit.
+        def excess_of_pairs(c, i, out, scratch, mask):
+            out.fill(1.0)
+
+        check = pipeline.TileCheck("real-s3", excess_of_pairs)
+        monkeypatch.setitem(verify.CHECKS, "always-fails", check)
+        out = tmp_path / "report.jsonl"
+        argv = ["verify", "--check", "always-fails", "--n", "1000", "--workers", "1",
+                "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert json.loads(out.read_text()) == {
+            "name": "always-fails", "samples": 1000, "violations": 1000,
+            "max_violation": 1.0, "pass": False,
+        }
+
+    def test_a_hist_ridge_report_keeps_its_selection_place(self, run_cli, tmp_path):
+        h = JointHistogram(0.01, 0.01)
+        h.counts[50, 10] = h.total = 10_000_000
+        path = tmp_path / "big.csv"
+        with open(path, "w") as fh:
+            h.write_csv(fh)
+        out = tmp_path / "report.jsonl"
+        argv = ["verify", "--check", "zero-mi", "--check", "ridge", "--hist", str(path),
+                "--check", "mi-oracle", "--n", "1000", "--out", str(out)]
+        assert run_cli(argv) == 1
+        reports = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["name"] for r in reports] == ["zero-mi", "ridge", "mi-oracle"]
+        assert [r["samples"] for r in reports] == [1000, 10_000_000, 1000]
+
     def test_failed_check_exit_1(self, run_cli, tmp_path):
         # Peaks displaced well off the curve must fail the ridge check.
         from entmi import ridge_mi
@@ -518,6 +548,33 @@ class TestMalformedHistogram:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "header,row,field",
+        [
+            ("delta_c=0.5 delta_i=0.5 total=1 total=2", "0,0,2", "total"),
+            # Read with the last value, this header was a 4x2 grid.
+            ("delta_c=0.5 delta_i=0.5 total=2 delta_c=0.25", "3,0,2", "delta_c"),
+        ],
+        ids=["total", "delta_c"],
+    )
+    def test_repeated_csv_header_field_exit_2(
+        self, run_cli, tmp_path, capsys, header, row, field
+    ):
+        path = tmp_path / "repeated.csv"
+        path.write_text(f"# joint_histogram {header}\n{row}\n")
+        assert run_cli(["marginal", "--hist", str(path), "--axis", "c"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: repeated field '{field}'\n"
+
+    def test_repeated_json_field_exit_2(self, run_cli, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(
+            '{"delta_c": 0.5, "delta_i": 0.5, "total": 1, "total": 2, "bins": [[0,0,2]]}'
+        )
+        assert run_cli(["marginal", "--hist", str(path), "--axis", "c"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid histogram JSON: repeated field 'total'\n"
+        )
 
     def test_binary_file_exit_2(self, run_cli, tmp_path, capsys):
         path = tmp_path / "binary.csv"

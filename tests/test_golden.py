@@ -46,14 +46,7 @@ EXCESS_DIGESTS = {
     "mi-oracle": "2aabe75f1f283ba87493f2b86d4edc7f71c34515fb8c7bf453f47623c3dc70d2",
 }
 
-CHECKS = dict(
-    [
-        verify.bound_check(Ensemble.REAL_S3),
-        verify.bound_check(Ensemble.COMPLEX_S7),
-        verify.ZERO_MI_CHECK,
-        verify.ANGLE_ORACLE_CHECK,
-    ]
-)
+CHECKS = verify.CHECKS
 
 
 def _sha256(path):

@@ -198,7 +198,7 @@ class TestDensities:
         widths = np.diff(np.array([0.0, 0.3, 0.6, 0.9, 1.0]))
         densities = [
             h.marginal("c"), h.marginal("i"),
-            h.concurrence_slice(0.0, 1.0), h.mi_slice(0.8, 1.0),
+            h.conditional("c", 0.0, 1.0), h.conditional("i", 0.8, 1.0),
         ]
         for density in densities:
             assert np.sum(density.values * widths) == pytest.approx(1.0, abs=1e-12)
@@ -217,32 +217,32 @@ class TestDensities:
         gen = np.random.default_rng(13)
         h = JointHistogram(0.01, 0.01)
         h.accumulate_many(gen.random(30_000), gen.random(30_000))
-        full = h.concurrence_slice(0.0, 1.0)
+        full = h.conditional("c", 0.0, 1.0)
         np.testing.assert_allclose(full.values, h.marginal("c").values)
-        full_i = h.mi_slice(0.0, 1.0)
+        full_i = h.conditional("i", 0.0, 1.0)
         np.testing.assert_allclose(full_i.values, h.marginal("i").values)
 
     def test_slice_normalization(self):
         gen = np.random.default_rng(14)
         h = JointHistogram(0.01, 0.01)
         h.accumulate_many(gen.random(30_000), gen.random(30_000))
-        sliced = h.concurrence_slice(0.095, 0.105)
+        sliced = h.conditional("c", 0.095, 0.105)
         assert sliced.integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_slice_domain_and_emptiness(self):
         h = JointHistogram(0.01, 0.01)
         h.accumulate(0.5, 0.5)
         with pytest.raises(DomainError):
-            h.concurrence_slice(0.8, 0.2)
+            h.conditional("c", 0.8, 0.2)
         with pytest.raises(EmptySliceError):
-            h.concurrence_slice(0.0, 0.1)
+            h.conditional("c", 0.0, 0.1)
 
     def test_selection_is_by_bin_center(self):
         h = JointHistogram(0.0025, 0.0025)
         h.accumulate(0.5, 0.09625)  # i-bin 38, first center inside [0.095, 0.105]
         h.accumulate(0.5, 0.10375)  # i-bin 41, last center inside
         h.accumulate(0.5, 0.10625)  # i-bin 42, center outside -> excluded
-        sliced = h.concurrence_slice(0.095, 0.105)
+        sliced = h.conditional("c", 0.095, 0.105)
         # Both in-slice points sit in the same C bin, so its density is 1/delta.
         assert sliced.values[200] == pytest.approx(1 / 0.0025)
         assert sliced.integral() == pytest.approx(1.0, abs=1e-12)

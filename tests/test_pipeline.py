@@ -762,8 +762,8 @@ class TestShareMemory:
             (partial(_histogram_two_blocks, "real-s3", 0.001), 1000**2 * 8 + 1.5 * 2**20),
             (partial(_scan_two_blocks, [_bound_check(Ensemble.REAL_S3)]), 1.5 * 2**20),
             (partial(_scan_two_blocks, [_bound_check(Ensemble.COMPLEX_S7)]), 2 * 2**20),
-            (partial(_scan_two_blocks, [verify.ZERO_MI_CHECK[1]]), 1.5 * 2**20),
-            (partial(_scan_two_blocks, [verify.ANGLE_ORACLE_CHECK[1]]), 2 * 2**20),
+            (partial(_scan_two_blocks, [verify.CHECKS["zero-mi"]]), 1.5 * 2**20),
+            (partial(_scan_two_blocks, [verify.CHECKS["mi-oracle"]]), 2 * 2**20),
             (_suite_two_blocks, 2.5 * 2**20),
             (_bound_and_histogram_two_blocks, 1.5 * 2**20),
         ],
@@ -790,18 +790,13 @@ class TestShareMemory:
 # bound's excess on zero-mi states depends on their concurrence, so it
 # checks the zero-mi rows read from a shared tile too.
 
-_SUITE = [
-    verify.bound_check(Ensemble.REAL_S3),
-    verify.bound_check(Ensemble.COMPLEX_S7),
-    verify.ZERO_MI_CHECK,
-    verify.ANGLE_ORACLE_CHECK,
-]
+_SUITE = [(name, verify.CHECKS[name]) for name in verify.SUITE]
 
 _SHARP = {
     "real-s3": pipeline.TileCheck("real-s3", partial(verify._bound_excess, -0.5)),
     "complex-s7": pipeline.TileCheck("complex-s7", partial(verify._bound_excess, -0.5)),
     "zero-mi": pipeline.TileCheck("zero-mi", partial(verify._bound_excess, -0.5)),
-    "mi-oracle": verify._angle_oracle_excess,
+    "mi-oracle": verify.CHECKS["mi-oracle"],
 }
 
 _KINDS = [kind.value for kind in Ensemble]
@@ -928,10 +923,11 @@ class TestScanChecks:
         with pytest.raises(ValueError, match="read-only"):
             _scan_one(TileCheck("real-s3", excess_of_pairs), 1_000, SeedSpec(1))
 
-    def test_nan_excess_is_a_violation(self):
+    def test_nan_excess_is_a_violation(self, monkeypatch):
         # Every excess that is not <= 0 counts; the worst stays finite.
         assert _scan_one(_NAN_CHECK, 1000, SeedSpec(1), workers=1) == (666, 0.25)
-        report = verify.run_checks([("nan", _NAN_CHECK)], 1000, SeedSpec(1))[0]
+        monkeypatch.setitem(verify.CHECKS, "nan", _NAN_CHECK)
+        report = verify.run_checks(["nan"], 1000, SeedSpec(1))[0]
         assert not report.passed
 
     def test_infinite_excess_is_a_violation_but_not_the_worst(self):

@@ -40,6 +40,12 @@ class TestBound:
         report = check_bound(100_000, SeedSpec(304), Ensemble.COMPLEX_S7, workers=2)
         assert report.passed
 
+    @pytest.mark.parametrize("kind", [Ensemble.PARAM, Ensemble.ZERO_MI])
+    def test_every_ensemble_has_a_bound(self, kind):
+        report = check_bound(1000, SeedSpec(1), kind, workers=1)
+        assert report.name == f"bound[{kind.value}]"
+        assert report.violations == 0
+
     def test_deterministic(self):
         a = check_bound(50_000, SeedSpec(1), Ensemble.REAL_S3, workers=1)
         b = check_bound(50_000, SeedSpec(1), Ensemble.REAL_S3, workers=2)
