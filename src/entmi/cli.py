@@ -62,6 +62,22 @@ def _write_output(path: str, write) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise the ``OSError`` of :func:`_write_output` now if ``path`` cannot be written.
+
+    ``path`` must not be a directory; an existing file must be writable,
+    and a new one's directory must exist and be writable.  The file itself
+    is neither created nor truncated.
+    """
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: is a directory")
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.access(target, os.W_OK):
+        raise OSError(f"cannot write {path}: {target} is missing or not writable")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises argument errors as ``DomainError``; subcommand parsers inherit it."""
 
@@ -164,6 +180,7 @@ def _cmd_sample(args) -> int:
     delta_c = args.delta_c if args.delta_c is not None else args.bins
     delta_i = args.delta_i if args.delta_i is not None else args.bins
     workers = _workers_from(args)
+    _check_writable(args.out)
     hist = run_histogram_job(
         Ensemble(args.ensemble), args.n, args.seed, delta_c, delta_i, workers=workers
     )
@@ -234,6 +251,7 @@ def _cmd_verify(args) -> int:
         ridge = check_ridge(load_histogram(args.hist))
         at = names.index("ridge")
         del names[at]
+    _check_writable(args.out)
     reports = run_checks(names, args.n, SeedSpec(args.seed), workers)
     if args.hist is not None:
         reports.insert(at, ridge)

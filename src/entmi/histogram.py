@@ -127,9 +127,6 @@ class Density1D:
     def widths(self) -> np.ndarray:
         return bin_widths(self.delta, len(self.values))
 
-    def integral(self) -> float:
-        return float(np.sum(self.values * self.widths))
-
 
 @dataclass(frozen=True)
 class SliceStats:
@@ -168,10 +165,6 @@ class JointHistogram:
 
     # -- construction ------------------------------------------------
 
-    def accumulate(self, c: float, i: float) -> None:
-        """Add a single (concurrence, mutual information) observation."""
-        self.accumulate_many(np.atleast_1d(c), np.atleast_1d(i))
-
     def accumulate_many(self, c, i) -> None:
         """Add a batch of observations from two equal-length arrays."""
         c = np.asarray(c, dtype=np.float64).ravel()
@@ -207,26 +200,6 @@ class JointHistogram:
         # against 0.44 ms at delta 0.01, and 63.4 ms against 3.09 ms at 0.001.
         np.add.at(self.counts.reshape(-1), flat, np.uint64(1))
         self.total += int(flat.size)
-
-    def coarsen(self, factor_c: int, factor_i: int) -> "JointHistogram":
-        """Exact rebinning by positive integer factors along each axis."""
-        for factor in (factor_c, factor_i):
-            if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)):
-                raise DomainError(f"coarsening factor {factor!r} is not an integer")
-            if factor < 1:
-                raise DomainError(f"coarsening factor {factor} is not positive")
-        if self.nbins_c % factor_c or self.nbins_i % factor_i:
-            raise ShapeMismatchError("coarsening factors must divide the bin counts")
-        out = JointHistogram(self.delta_c * factor_c, self.delta_i * factor_i)
-        if out.counts.shape != (self.nbins_c // factor_c, self.nbins_i // factor_i):
-            raise ShapeMismatchError("coarsened bin widths do not tile [0, 1]")
-        out.counts = (
-            self.counts.reshape(
-                out.nbins_c, factor_c, out.nbins_i, factor_i
-            ).sum(axis=(1, 3), dtype=np.uint64)
-        )
-        out.total = self.total
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointHistogram):

@@ -1,10 +1,11 @@
 """Parallel sampling jobs built from fixed-size RNG blocks.
 
 Work is split into blocks of ``BLOCK_SIZE`` samples; block ``j`` of a
-job is always drawn from stream ``base_stream + j`` of the job's master
-seed.  Every sampled job is one :func:`scan_checks`: one pass over the
-block plan, whose blocks are dealt round-robin into one share per worker,
-each run by a child process forked for it.  Each block is drawn,
+scan is always drawn from stream ``stream_id + j`` of its ``SeedSpec``,
+and a histogram job starts at stream 0.  Every sampled job is one
+:func:`scan_checks`: one pass over the block plan, whose blocks are
+dealt round-robin into one share per worker, each run by a child
+process forked for it.  Each block is drawn,
 normalized and reduced one cache-sized row tile at a time, in tile memory
 the worker's share allocates once.
 
@@ -410,16 +411,12 @@ def run_histogram_job(
     delta_c: float,
     delta_i: float,
     workers: int | None = None,
-    base_stream: int = 0,
-    block_size: int = BLOCK_SIZE,
 ) -> JointHistogram:
     """Sample ``n`` states and histogram their (C, I) pairs: a scan of one histogram.
 
-    Deterministic in (kind, n, master_seed, deltas, base_stream,
-    block_size); the worker count only affects wall time.  The sample
-    count and every block's stream are checked before the grid or a worker
-    exists.
+    Deterministic in (kind, n, master_seed, deltas); the worker count only
+    affects wall time.  The sample count and every block's stream are
+    checked before the grid or a worker exists.
     """
     histogram = TileHistogram(Ensemble(kind).value, delta_c, delta_i)
-    return scan_checks([histogram], n, SeedSpec(master_seed, base_stream), workers,
-                       block_size)[0]
+    return scan_checks([histogram], n, SeedSpec(master_seed), workers)[0]

@@ -26,6 +26,7 @@ import pytest
 
 from entmi import (
     Ensemble,
+    JointHistogram,
     SeedSpec,
     check_angle_oracle,
     check_bound,
@@ -102,8 +103,13 @@ def hist_fine():
 
 @pytest.fixture(scope="session")
 def hist_coarse(hist_fine):
-    """The same 10^8 samples rebinned to the 100x100 grid."""
-    return hist_fine.coarsen(4, 4)
+    """The same 10^8 samples rebinned to the 100x100 grid: 4x4 fine bins per bin."""
+    coarse = JointHistogram(hist_fine.delta_c * 4, hist_fine.delta_i * 4)
+    coarse.counts = hist_fine.counts.reshape(
+        coarse.nbins_c, 4, coarse.nbins_i, 4
+    ).sum(axis=(1, 3), dtype=np.uint64)
+    coarse.total = hist_fine.total
+    return coarse
 
 
 @pytest.fixture(scope="session")

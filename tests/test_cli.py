@@ -1,12 +1,21 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from entmi import JointHistogram, load_histogram, pipeline, ridge_concurrence, verify
+from entmi import (
+    Ensemble,
+    JointHistogram,
+    load_histogram,
+    pipeline,
+    ridge_concurrence,
+    run_histogram_job,
+    verify,
+)
 
 # sha256 of the ``verify --check bound --check ridge --n 10000000 --seed 11``
 # jsonl, taken when the ridge histogram was sampled by a job of its own.
@@ -59,6 +68,20 @@ class TestSample:
         assert hist.total == n and int(hist.counts.sum()) == n
         job = pipeline.run_histogram_job("real-s3", n, 5, 0.02, 0.05, workers=1)
         assert np.array_equal(hist.counts, job.counts)
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in Ensemble])
+    def test_library_job_gives_the_cli_bytes(self, run_cli, tmp_path, kind):
+        # A job's counts depend only on (ensemble, n, master seed, bin
+        # widths), and the CLI takes each of them.
+        out = tmp_path / "h.csv"
+        argv = ["sample", "--ensemble", kind, "--n", "600000", "--seed", "11",
+                "--bins", "0.01", "--out", str(out)]
+        assert run_cli(argv) == 0
+        text = io.StringIO()
+        run_histogram_job(kind, 600_000, 11, 0.01, 0.01).write_csv(
+            text, meta={"ensemble": kind, "n": 600_000, "master_seed": 11}
+        )
+        assert text.getvalue().encode("utf-8") == out.read_bytes()
 
     def test_repeat_runs_byte_identical(self, run_cli, tmp_path):
         argv = [
@@ -128,6 +151,26 @@ class TestSample:
             ["sample", "--n", "1000", "--out", "/nonexistent/dir/h.csv"]
         ) == 3
 
+    def test_a_failed_job_leaves_its_out_file_as_it_was(self, run_cli, tmp_path):
+        out = tmp_path / "h.csv"
+        out.write_text("kept\n")
+        assert run_cli(["sample", "--n", "0", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("out", ["missing/h.csv", "."])
+@pytest.mark.parametrize("command", [["sample"], ["verify", "--all"]])
+def test_unwritable_out_exits_3_before_sampling(run_cli, tmp_path, capsys, no_fork,
+                                                command, out):
+    # A missing directory, not a permission bit: the suite may run as root.
+    path = tmp_path / out
+    argv = command + ["--n", str(10**12), "--workers", "2", "--out", str(path)]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def sampled_hist(tmp_path_factory):
@@ -162,7 +205,7 @@ class TestTable:
     def test_empty_slice_rows_are_flagged(self, run_cli, tmp_path):
         hist_path = tmp_path / "tiny.csv"
         h = JointHistogram(0.01, 0.01)
-        h.accumulate(0.5, 0.5)
+        h.accumulate_many([0.5], [0.5])
         with open(hist_path, "w") as fh:
             h.write_csv(fh)
         out = tmp_path / "table.csv"
@@ -322,7 +365,7 @@ class TestVerify:
     def test_ridge_checks_its_hist_before_any_pool(self, run_cli, capsys, tmp_path, forks):
         small = tmp_path / "small.csv"
         hist = JointHistogram(0.01, 0.01)
-        hist.accumulate(0.5, 0.5)
+        hist.accumulate_many([0.5], [0.5])
         with open(small, "w") as fh:
             hist.write_csv(fh)
         argv = ["verify", "--check", "bound", "--check", "ridge", "--hist", str(small),

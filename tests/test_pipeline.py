@@ -50,7 +50,7 @@ def _bound_check(kind, tol=verify.BOUND_TOL):
 
 
 def _scan_one(check, n, seed, workers=1, block_size=pipeline.BLOCK_SIZE):
-    """(violations, worst) of ``check`` scanned alone."""
+    """The result of ``check`` scanned alone: (violations, worst) or a histogram."""
     return pipeline.scan_checks([check], n, seed, workers, block_size)[0]
 
 
@@ -70,26 +70,21 @@ class TestBlockPlan:
 
     @pytest.mark.parametrize("seed,n", [(-1, 100), (2**64, 100), (0, 0), (1.9, 100)])
     def test_job_rejects_bad_input_before_any_pool(self, no_fork, seed, n):
+        # As many blocks as n samples make in blocks of 10: enough for a pool of two.
         with pytest.raises(DomainError):
             run_histogram_job(
-                Ensemble.REAL_S3, n, seed, 0.01, 0.01, workers=2, block_size=10
+                Ensemble.REAL_S3, n * pipeline.BLOCK_SIZE // 10, seed, 0.01, 0.01, workers=2
             )
 
     def test_last_block_stream_is_checked_before_any_pool(self, forks):
         # Three blocks from stream 2**64 - 2: the third stream does not exist.
-        with pytest.raises(DomainError, match="unsigned 64-bit"):
-            run_histogram_job(
-                Ensemble.REAL_S3, 600_000, 1, 0.1, 0.1, workers=2, base_stream=2**64 - 2
-            )
         checks = [TileHistogram("real-s3", 0.1, 0.1), _bound_check(Ensemble.REAL_S3)]
         with pytest.raises(DomainError, match="unsigned 64-bit"):
             pipeline.scan_checks(checks, 600_000, SeedSpec(1, 2**64 - 2), workers=2)
         assert forks == []
 
     def test_last_stream_may_be_the_largest(self):
-        job = run_histogram_job(
-            Ensemble.REAL_S3, 2, 1, 0.1, 0.1, workers=1, base_stream=2**64 - 2, block_size=1
-        )
+        job = _scan_one(TileHistogram("real-s3", 0.1, 0.1), 2, SeedSpec(1, 2**64 - 2), 1, 1)
         assert job.total == 2
 
     def test_resolve_workers(self):
@@ -118,28 +113,22 @@ class TestObservables:
 
 class TestHistogramJob:
     def test_worker_count_is_irrelevant(self):
-        serial = run_histogram_job(
-            Ensemble.REAL_S3, 10_000, 42, 0.02, 0.02, workers=1, block_size=1000
-        )
-        parallel = run_histogram_job(
-            Ensemble.REAL_S3, 10_000, 42, 0.02, 0.02, workers=2, block_size=1000
-        )
+        histogram = TileHistogram("real-s3", 0.02, 0.02)
+        serial = _scan_one(histogram, 10_000, SeedSpec(42), workers=1, block_size=1000)
+        parallel = _scan_one(histogram, 10_000, SeedSpec(42), workers=2, block_size=1000)
         assert serial == parallel
 
     def test_repeat_runs_identical(self):
-        first = run_histogram_job(
-            Ensemble.COMPLEX_S7, 4_000, 7, 0.05, 0.05, workers=2, block_size=1_000
-        )
-        second = run_histogram_job(
-            Ensemble.COMPLEX_S7, 4_000, 7, 0.05, 0.05, workers=2, block_size=1_000
+        first, second = (
+            _scan_one(TileHistogram("complex-s7", 0.05, 0.05), 4_000, SeedSpec(7),
+                      workers=2, block_size=1_000)
+            for _ in range(2)
         )
         assert first == second
 
     def test_matches_manual_accumulation(self):
         n, block = 5_000, 1_024
-        job = run_histogram_job(
-            Ensemble.PARAM, n, 11, 0.05, 0.05, workers=2, block_size=block
-        )
+        job = _scan_one(TileHistogram("param", 0.05, 0.05), n, SeedSpec(11), 2, block)
         manual = JointHistogram(0.05, 0.05)
         for stream_id, count in block_plan(n, block):
             amps = sample_amplitudes(Ensemble.PARAM, SeedSpec(11, stream_id), count)
@@ -148,22 +137,13 @@ class TestHistogramJob:
         assert job == manual
 
     def test_prefix_property(self):
-        short = run_histogram_job(
-            Ensemble.REAL_S3, 2_000, 5, 0.1, 0.1, workers=1, block_size=1000
-        )
-        longer = run_histogram_job(
-            Ensemble.REAL_S3, 3_000, 5, 0.1, 0.1, workers=1, block_size=1000
-        )
-        tail = run_histogram_job(
-            Ensemble.REAL_S3, 1_000, 5, 0.1, 0.1, workers=1,
-            block_size=1000, base_stream=2,
-        )
-        assert TileHistogram("real-s3", 0.1, 0.1).merge(short, tail) == longer
+        histogram = TileHistogram("real-s3", 0.1, 0.1)
+        short, longer = (_scan_one(histogram, n, SeedSpec(5), 1, 1000) for n in (2_000, 3_000))
+        tail = _scan_one(histogram, 1_000, SeedSpec(5, 2), 1, 1000)
+        assert histogram.merge(short, tail) == longer
 
     def test_total_matches_request(self):
-        job = run_histogram_job(
-            Ensemble.ZERO_MI, 3_333, 1, 0.1, 0.1, workers=2, block_size=1000
-        )
+        job = _scan_one(TileHistogram("zero-mi", 0.1, 0.1), 3_333, SeedSpec(1), 2, 1000)
         assert job.total == 3_333
         assert int(job.counts.sum()) == 3_333
 
@@ -197,9 +177,7 @@ class TestConsumerProtocol:
             for j, count in block_plan(n, block)
         )
         assert tally == [expected] and 0 < expected < n
-        assert hist == run_histogram_job(
-            Ensemble.REAL_S3, n, 23, 0.02, 0.02, workers=1, base_stream=4, block_size=block
-        )
+        assert hist == _scan_one(TileHistogram("real-s3", 0.02, 0.02), n, seed, 1, block)
 
 
 class TestBoundScan:
@@ -365,7 +343,7 @@ class TestTiledKernel:
     def test_histogram_share_matches_whole_block_reference(self, kind, delta):
         blocks = [(5, 250_000), (6, TILE + 1)]
         n = sum(count for _, count in blocks)
-        counts = run_histogram_job(kind, n, 8, delta, delta, base_stream=5, workers=1).counts
+        counts = _scan_one(TileHistogram(kind.value, delta, delta), n, SeedSpec(8, 5)).counts
         expected = 0
         public = JointHistogram(delta, delta)
         for stream_id, count in blocks:
@@ -888,8 +866,7 @@ class TestScanChecks:
         results = pipeline.scan_checks(checks, n, seed, workers)
         for check, result in zip(checks, results):
             if isinstance(check, TileHistogram):
-                alone = run_histogram_job(check.kind, n, 21, 0.02, 0.05, 1, base_stream=5)
-                assert result == alone
+                assert result == _scan_one(check, n, seed)
                 assert result.total == n
             else:
                 assert result == _alone(check, n, seed)
