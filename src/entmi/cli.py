@@ -65,17 +65,21 @@ def _write_output(path: str, write) -> None:
 def _check_writable(path: str) -> None:
     """Raise the ``OSError`` of :func:`_write_output` now if ``path`` cannot be written.
 
-    ``path`` must not be a directory; an existing file must be writable,
-    and a new one's directory must exist and be writable.  The file itself
-    is neither created nor truncated.
+    With symlinks resolved, ``path`` must not be a directory; an existing
+    file must be writable, and a new one's directory must exist and be
+    writable.  The file itself is neither created nor truncated.
     """
     if path == "-":
         return
-    if os.path.isdir(path):
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
         raise OSError(f"cannot write {path}: is a directory")
-    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.path.exists(target):
+        target = os.path.dirname(target)
+        if not os.path.isdir(target):
+            raise OSError(f"cannot write {path}: {target} is not a directory")
     if not os.access(target, os.W_OK):
-        raise OSError(f"cannot write {path}: {target} is missing or not writable")
+        raise OSError(f"cannot write {path}: {target} is not writable")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -139,10 +139,8 @@ def probabilities(state) -> np.ndarray:
 
 def _xlog2_into(v, logs, mask):
     """Overwrite ``v`` with :func:`xlog2` of it, using the given buffers."""
-    # Sampled values are all positive in practice; a zero, negative or NaN takes the mask.
-    if not np.min(v, initial=np.inf) > 0.0:
-        np.logical_not(np.greater(v, 0.0, out=mask), out=mask)
-        np.copyto(v, 1.0, where=mask)
+    np.logical_not(np.greater(v, 0.0, out=mask), out=mask)
+    np.copyto(v, 1.0, where=mask)
     v *= np.log2(v, out=logs)
     return v
 

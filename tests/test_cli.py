@@ -151,18 +151,25 @@ class TestSample:
             ["sample", "--n", "1000", "--out", "/nonexistent/dir/h.csv"]
         ) == 3
 
-    def test_a_failed_job_leaves_its_out_file_as_it_was(self, run_cli, tmp_path):
+    @pytest.mark.parametrize("kept", ["kept\n", None])
+    def test_the_early_out_check_neither_creates_nor_truncates(self, run_cli, tmp_path,
+                                                               kept):
+        # --n 0 fails after the --out check, before any write.
         out = tmp_path / "h.csv"
-        out.write_text("kept\n")
+        if kept is not None:
+            out.write_text(kept)
         assert run_cli(["sample", "--n", "0", "--out", str(out)]) == 2
-        assert out.read_text() == "kept\n"
+        assert (out.read_text() if out.exists() else None) == kept
 
 
-@pytest.mark.parametrize("out", ["missing/h.csv", "."])
+@pytest.mark.parametrize("out", ["missing/h.csv", ".", "file/h.csv", "dangling"])
 @pytest.mark.parametrize("command", [["sample"], ["verify", "--all"]])
 def test_unwritable_out_exits_3_before_sampling(run_cli, tmp_path, capsys, no_fork,
                                                 command, out):
     # A missing directory, not a permission bit: the suite may run as root.
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing" / "h.csv")
+    before = sorted(tmp_path.rglob("*"))
     path = tmp_path / out
     argv = command + ["--n", str(10**12), "--workers", "2", "--out", str(path)]
     assert run_cli(argv) == 3
@@ -170,6 +177,7 @@ def test_unwritable_out_exits_3_before_sampling(run_cli, tmp_path, capsys, no_fo
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.fixture(scope="module")

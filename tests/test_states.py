@@ -152,19 +152,6 @@ class TestEntropies:
             assert np.array_equal(info, reference(probs))
             assert np.array_equal(probs, before)
 
-    @pytest.mark.parametrize("special", [None, 0.0, -0.0, -0.25, np.nan])
-    def test_xlog2_into_equals_its_masked_form(self, special):
-        # All-positive values skip the mask; both branches must give the
-        # masked form bit for bit.
-        values = np.random.default_rng(5).random(1_000)
-        values[:3] = 5e-324, 1e-300, 1.0
-        if special is not None:
-            values[500] = special
-        masked = np.where(values > 0.0, values, 1.0)
-        masked *= np.log2(masked)
-        got = states._xlog2_into(values.copy(), np.empty(1_000), np.empty(1_000, dtype=bool))
-        assert got.tobytes() == masked.tobytes()
-
     def test_mutual_information_of_an_empty_batch(self):
         empty = np.zeros((0, 4))
         assert mutual_information(empty).shape == (0,)
