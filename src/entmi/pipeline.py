@@ -148,14 +148,16 @@ def _fork_share(scan: Callable, share: range) -> tuple:
 class _Observables:
     """A worker share's tile memory, allocated once: every step of a tile works in it.
 
-    ``fill`` takes a tile's draws, and ``work`` a copy of the rows of an
-    ensemble narrower than the fill's widest, or param's amplitudes; ``c``,
-    ``probs`` and ``mask`` take the tile's concurrences, outcome
-    probabilities and MI mask.  Every other buffer of a tile borrows rows
-    idle at its step.  Until the probabilities are written, ``probs`` holds
-    the norms and scratch of screen and finish, param's cos/sin rows (with
-    its square roots in ``c``) and the concurrence's products, a (2, rows)
-    view in the amplitudes' dtype.  Then the amplitudes are spent, and
+    ``fill`` (``fill`` floats: at most ``_FILL_WIDTH`` a row, but at least
+    one row of the widest ensemble) takes a tile's draws, and ``work``
+    (``work`` floats) a copy of the rows of an ensemble narrower than its
+    group's widest, or param's amplitudes; ``c``, ``probs`` and ``mask``
+    take the tile's concurrences, outcome probabilities and MI mask.
+    Every other buffer of a tile borrows rows idle at its step.  Until the
+    probabilities are written, ``probs`` holds the norms and scratch of
+    screen and finish, param's cos/sin rows (with its square roots in
+    ``c``) and the concurrence's products, a (2, rows) view in the
+    amplitudes' dtype.  Then the amplitudes are spent, and
     their memory holds MI's four rows, ``i`` among them.
     ``probs`` and ``mask`` are free again once :meth:`pairs` has returned
     the read-only (c, i): the tile's consumers get them as spare rows and
@@ -164,7 +166,7 @@ class _Observables:
     """
 
     def __init__(self, rows: int, fill: int, work: int):
-        self.fill, self.work = np.empty(rows * fill), np.empty(rows * work)
+        self.fill, self.work = np.empty(fill), np.empty(work)
         self.c = np.empty(rows)
         self.probs = np.empty((4, rows))
         self.mask = np.empty(rows, dtype=bool)
@@ -252,8 +254,10 @@ class TileHistogram(NamedTuple):
         return total
 
 
-# Floats per row of the fill and of the work tile that a StreamCheck may use.
-_STREAM_WIDTH = 4
+# Floats per tile row of the fill: a 4-wide ensemble draws a whole tile
+# into it and complex-s7 half one.  A StreamCheck may use this many floats
+# per row of the fill and of the work tile.
+_FILL_WIDTH = 4
 
 
 class StreamCheck(NamedTuple):
@@ -265,7 +269,7 @@ class StreamCheck(NamedTuple):
     It may use any row of ``shared``, the share's :class:`_Observables`,
     all idle while the scan runs a block's stream checks: ``out`` is a
     view of its ``c``, and besides its four ``probs`` rows and its
-    ``mask``, its ``fill`` and ``work`` hold at least ``_STREAM_WIDTH``
+    ``mask``, its ``fill`` and ``work`` hold at least ``_FILL_WIDTH``
     rows of ``rows`` floats each.  A :func:`scan_checks` consumer whose
     tiles the scan tallies, with :class:`TileCheck`'s ``empty`` and ``merge``.
     """
@@ -287,13 +291,16 @@ class _Kind(NamedTuple):
 class _ShareScan:
     """The consumers of one scan, on one worker share's :class:`_Observables`.
 
-    Consumers of equal fill steps share a fill: a (rows, 8) fill holds the
-    rows of two (rows, 4) tiles of the same stream.  Each ensemble but the
-    widest, last, copies its rows into the work tile; param, the only
-    uniform fill, is always its own group's widest, and maps its triples
-    into a 4-wide work tile.  The fill and the work tile are as wide as the
-    widest of these, and at least ``_STREAM_WIDTH`` when a
-    :class:`StreamCheck` borrows them.
+    Consumers of equal fill steps share a fill.  The fill holds
+    ``rows * min(widest, _FILL_WIDTH)`` floats, and at least one row of the
+    widest ensemble: a group draws as many rows of its widest per tile as
+    fit, at most ``rows``, so a complex-s7 tile is ``rows // 2`` states and
+    its (rows // 2, 8) draw holds the rows of one (rows, 4) tile of the
+    same stream.  Each ensemble but the widest, last, copies its rows into
+    the work tile; param, the only uniform fill, is always its own group's
+    widest, and maps its triples into a 4-wide work tile.  The work tile is
+    as wide as the widest of these, and the fill and the work tile are at
+    least ``_FILL_WIDTH`` wide when a :class:`StreamCheck` borrows them.
     """
 
     def __init__(self, consumers, seed: SeedSpec, capacity: int):
@@ -308,13 +315,14 @@ class _ShareScan:
             kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append((consumer, total))
         self.groups = {fill: sorted(kinds.values(), key=lambda sub: sub.layout.width)
                        for fill, kinds in groups.items()}
-        borrowed = [_STREAM_WIDTH] if own else []
+        borrowed = [_FILL_WIDTH] if own else []
         widths = [sub.layout.width for kinds in self.groups.values() for sub in kinds]
         copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
         mapped = [4 for kinds in self.groups.values() for sub in kinds
                   if sub.kind is Ensemble.PARAM]
-        self.shared = _Observables(self.rows, max(widths + borrowed, default=0),
-                                   max(copied + mapped + borrowed, default=0))
+        widest = max(widths + borrowed, default=0)
+        self.shared = _Observables(self.rows, max(self.rows * min(widest, _FILL_WIDTH), widest),
+                                   self.rows * max(copied + mapped + borrowed, default=0))
         self.own = [(total, check.make(self.rows, self.shared)) for check, total in own]
 
     def block(self, index: int, count: int) -> None:
@@ -329,16 +337,18 @@ class _ShareScan:
                 _tally(total, excess_of(gen, self.shared.c[:size]), self.shared.mask[:size])
 
     def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
+        """Scan a block of ``count`` states of each of ``kinds``, one drawn tile at a time."""
         wide = kinds[-1].layout.width
+        step = min(self.rows, len(self.shared.fill) // wide)
         gen = stream_generator(seed)
-        for start, stop in _tiles(count):
-            drawn = self.shared.fill[: (stop - start) * wide].reshape(-1, wide)
-            fill(gen, drawn)
+        for start in range(0, count, step):
+            drawn = self.shared.fill[: (min(start + step, count) - start) * wide]
+            fill(gen, drawn.reshape(-1, wide))
             for sub in kinds:
                 first = start * wide // sub.layout.width
-                rows = drawn.reshape(-1, sub.layout.width)[: max(count - first, 0)]
-                for lo in range(0, len(rows), self.rows):
-                    self._tile(sub, rows[lo : lo + self.rows], sub is kinds[-1])
+                if first < count:
+                    rows = drawn.reshape(-1, sub.layout.width)[: count - first]
+                    self._tile(sub, rows, sub is kinds[-1])
 
     def _tile(self, sub: _Kind, drawn: np.ndarray, in_place: bool) -> None:
         """Normalize one tile of drawn rows and hand its (C, I) pairs to ``sub``'s consumers."""

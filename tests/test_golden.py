@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import recorded_excess
-from entmi import Ensemble, SeedSpec, verify
+from entmi import SeedSpec, verify
 
 N = 600_000
 SEED = 11

@@ -300,9 +300,9 @@ class ZeroedRow:
         return values
 
 
-def _tiled_observables(kind, seed, count):
-    """The (C, I) pairs that a one-block scan hands a check, tile after tile."""
-    tiles = []
+def _tiled_observables(kind, seed, count, tiles=None):
+    """The (C, I) pairs that a one-block scan hands a check, tile after tile, into ``tiles``."""
+    tiles = [] if tiles is None else tiles
 
     def record(c, i, out, scratch, mask):
         tiles.append((c.copy(), i.copy()))
@@ -317,8 +317,8 @@ class TestTiledKernel:
     @pytest.mark.parametrize("kind", list(Ensemble))
     @pytest.mark.parametrize(
         "count,zeroed",
-        [(1, None), (1_000, None), (TILE, None), (250_000, None),
-         (TILE + 9, TILE + 3), (250_000, 7 * TILE + 11)],
+        [(1, None), (1_000, None), (TILE, None), (TILE // 2 + 1, None), (250_000, None),
+         (TILE + 9, TILE + 3), (TILE, TILE // 2 + 5), (250_000, 7 * TILE + 11)],
     )
     def test_matches_whole_block_reference(self, monkeypatch, kind, count, zeroed):
         seed = SeedSpec(31, 4)
@@ -327,9 +327,14 @@ class TestTiledKernel:
             lambda s: ZeroedRow(sampling.stream_generator(s), zeroed),
         )
         if zeroed is not None and kind is not Ensemble.PARAM:
-            # A zeroed row of normals is a degenerate state: an error.
+            # A zeroed row of normals is a degenerate state: an error at its
+            # tile, once every earlier tile has been handed on.  A tile's
+            # fill holds _FILL_WIDTH floats a row: complex-s7 draws half a tile.
+            tiles = []
             with pytest.raises(ConsistencyError, match=DEGENERATE):
-                _tiled_observables(kind, seed, count)
+                _tiled_observables(kind, seed, count, tiles)
+            rows = TILE * pipeline._FILL_WIDTH // sampling._LAYOUTS[kind].width
+            assert sum(len(c) for c, _ in tiles) == zeroed // rows * rows
             return
         c, i = _tiled_observables(kind, seed, count)
         amps = _reference_amplitudes(
@@ -724,25 +729,26 @@ class TestShareMemory:
     # amplitudes, mi-oracle's angles, MI rows and excess), so no case grows
     # with the block, and a step that allocates its own tile buffer again
     # breaks these ceilings.  Measured: 1.24 MiB for a real-s3 histogram,
-    # 1.15 for the real-s3 bound and for zero-mi, 1.73 and 1.65 for
-    # complex-s7 (its fill is 8 wide), 1.60 for param (a 3-wide fill and a
-    # 4-wide work tile for its amplitudes), 1.65 for mi-oracle, and 2.15 for
-    # the suite's four checks scanned together, which share one share's
-    # memory; the fine histogram adds its 7.6 MiB grid (8.78 MiB).
+    # 1.15 for the real-s3 bound and for zero-mi, 1.23 and 1.15 for
+    # complex-s7 (its fill is 4 floats a row, half a tile of its 8-wide
+    # rows), 1.60 for param (a 3-wide fill and a 4-wide work tile for its
+    # amplitudes), 1.65 for mi-oracle, and 1.65 for the suite's four checks
+    # scanned together, which share one share's memory; the fine histogram
+    # adds its 7.6 MiB grid (8.78 MiB).
     # What seeding Philox imports on first use (secrets, hmac: about 1 MiB)
     # is imported before tracing, so the peak is the share's alone.
     @pytest.mark.parametrize(
         "run,ceiling",
         [
             (partial(_histogram_two_blocks, "real-s3"), 1.5 * 2**20),
-            (partial(_histogram_two_blocks, "complex-s7"), 2 * 2**20),
+            (partial(_histogram_two_blocks, "complex-s7"), 1.5 * 2**20),
             (partial(_histogram_two_blocks, "param"), 2 * 2**20),
             (partial(_histogram_two_blocks, "real-s3", 0.001), 1000**2 * 8 + 1.5 * 2**20),
             (partial(_scan_two_blocks, [_bound_check(Ensemble.REAL_S3)]), 1.5 * 2**20),
-            (partial(_scan_two_blocks, [_bound_check(Ensemble.COMPLEX_S7)]), 2 * 2**20),
+            (partial(_scan_two_blocks, [_bound_check(Ensemble.COMPLEX_S7)]), 1.5 * 2**20),
             (partial(_scan_two_blocks, [verify.CHECKS["zero-mi"]]), 1.5 * 2**20),
             (partial(_scan_two_blocks, [verify.CHECKS["mi-oracle"]]), 2 * 2**20),
-            (_suite_two_blocks, 2.5 * 2**20),
+            (_suite_two_blocks, 2 * 2**20),
             (_bound_and_histogram_two_blocks, 1.5 * 2**20),
         ],
         ids=["histogram-real-s3", "histogram-complex-s7", "histogram-param",
