@@ -457,9 +457,9 @@ class JointHistogram:
 def load_histogram(path) -> JointHistogram:
     """Read a histogram file, sniffing CSV vs JSON from the first byte.
 
-    Raises ``OSError`` when the file cannot be read and
-    ``HistogramFormatError`` (naming the file) when its content is
-    malformed.
+    Raises ``OSError`` when the file cannot be read, a pipe (which cannot
+    seek) included, and ``HistogramFormatError`` when its content is
+    malformed, both naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -472,6 +472,8 @@ def load_histogram(path) -> JointHistogram:
         raise HistogramFormatError(f"{path}: not a UTF-8 text file") from None
     except HistogramFormatError as exc:
         raise HistogramFormatError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
 
 
 def write_density_csv(density: Density1D, stream: IO[str]) -> None:

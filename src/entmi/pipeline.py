@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .histogram import JointHistogram
-from .sampling import _LAYOUTS, _TILE_ROWS, Ensemble, SeedSpec, _Layout, _as_amplitudes
+from .sampling import _LAYOUTS, _TILE_ROWS, Ensemble, SeedSpec, _as_amplitudes
 from .sampling import _screen_and_finish, _tiles, stream_generator
 from .states import _concurrence_into, _mutual_information_into, _probabilities_into
 
@@ -145,49 +145,6 @@ def _fork_share(scan: Callable, share: range) -> tuple:
         os._exit(code)
 
 
-class _Observables:
-    """A worker share's tile memory, allocated once: every step of a tile works in it.
-
-    ``fill`` (``fill`` floats: at most ``_FILL_WIDTH`` a row, but at least
-    one row of the widest ensemble) takes a tile's draws, and ``work``
-    (``work`` floats) a copy of the rows of an ensemble narrower than its
-    group's widest, or param's amplitudes; ``c``, ``probs`` and ``mask``
-    take the tile's concurrences, outcome probabilities and MI mask.
-    Every other buffer of a tile borrows rows idle at its step.  Until the
-    probabilities are written, ``probs`` holds the norms and scratch of
-    screen and finish, param's cos/sin rows (with its square roots in
-    ``c``) and the concurrence's products, a (2, rows) view in the
-    amplitudes' dtype.  Then the amplitudes are spent, and
-    their memory holds MI's four rows, ``i`` among them.
-    ``probs`` and ``mask`` are free again once :meth:`pairs` has returned
-    the read-only (c, i): the tile's consumers get them as spare rows and
-    mask.  Every buffer is free once a block's tiles have been scanned: the
-    scan then lends them to its :class:`StreamCheck` s.
-    """
-
-    def __init__(self, rows: int, fill: int, work: int):
-        self.fill, self.work = np.empty(fill), np.empty(work)
-        self.c = np.empty(rows)
-        self.probs = np.empty((4, rows))
-        self.mask = np.empty(rows, dtype=bool)
-
-    def pairs(self, amplitudes: np.ndarray):
-        """Read-only (c, i) of the contiguous (size, 4) ``amplitudes``, which are overwritten.
-
-        Computes, element for element, what the public ``concurrence``,
-        ``probabilities`` and ``mutual_information`` compute; ``i`` is a
-        view of the amplitudes' memory.
-        """
-        size, rows = len(amplitudes), len(self.c)
-        products = self.probs.reshape(-1).view(amplitudes.dtype)[: 2 * rows].reshape(2, rows)
-        c = _concurrence_into(amplitudes, self.c[:size], products[:, :size]).view()
-        probs = _probabilities_into(amplitudes, self.probs[:, :size])
-        spent = amplitudes.reshape(-1).view(np.float64)[: 4 * size].reshape(4, size)
-        i = _mutual_information_into(probs, spent, self.mask[:size]).view()
-        c.flags.writeable = i.flags.writeable = False
-        return c, i
-
-
 def _tally(total: list, excess: np.ndarray, mask: np.ndarray) -> None:
     """Add the samples' ``excess`` to a check's [violations, worst].
 
@@ -266,7 +223,7 @@ class StreamCheck(NamedTuple):
     ``make(rows, shared)`` is called once per worker share and returns
     ``excess_of(gen, out)``, which draws the next ``len(out) <= rows``
     samples from ``gen``, writes their excess into ``out`` and returns it.
-    It may use any row of ``shared``, the share's :class:`_Observables`,
+    It may use any tile memory of ``shared``, its share's :class:`_ShareScan`,
     all idle while the scan runs a block's stream checks: ``out`` is a
     view of its ``c``, and besides its four ``probs`` rows and its
     ``mask``, its ``fill`` and ``work`` hold at least ``_FILL_WIDTH``
@@ -280,16 +237,16 @@ class StreamCheck(NamedTuple):
     merge = TileCheck.merge
 
 
-class _Kind(NamedTuple):
-    """The consumers of one ensemble."""
-
-    kind: Ensemble
-    layout: _Layout
-    parts: list
-
-
 class _ShareScan:
-    """The consumers of one scan, on one worker share's :class:`_Observables`.
+    """The consumers of one scan, and one worker share's tile memory, allocated once.
+
+    Every step of a tile works in that memory.  ``fill`` takes a tile's
+    draws, and ``work`` a copy of the rows of an ensemble narrower than
+    its group's widest, or param's amplitudes; ``c``, ``probs`` and
+    ``mask`` take the tile's concurrences, outcome probabilities and MI
+    mask.  Every other buffer of a tile borrows rows idle at its step
+    (see :meth:`pairs`).  Every buffer is free once a block's tiles have
+    been scanned: the scan then lends them to its :class:`StreamCheck` s.
 
     Consumers of equal fill steps share a fill.  The fill holds
     ``rows * min(widest, _FILL_WIDTH)`` floats, and at least one row of the
@@ -312,57 +269,82 @@ class _ShareScan:
                 continue
             kind = Ensemble(consumer.kind)
             kinds = groups.setdefault(_LAYOUTS[kind].fill, {})
-            kinds.setdefault(kind, _Kind(kind, _LAYOUTS[kind], [])).parts.append((consumer, total))
-        self.groups = {fill: sorted(kinds.values(), key=lambda sub: sub.layout.width)
-                       for fill, kinds in groups.items()}
+            kinds.setdefault(kind, []).append((consumer, total))
+        self.groups = [sorted(kinds.items(), key=lambda sub: _LAYOUTS[sub[0]].width)
+                       for kinds in groups.values()]
         borrowed = [_FILL_WIDTH] if own else []
-        widths = [sub.layout.width for kinds in self.groups.values() for sub in kinds]
-        copied = [sub.layout.width for kinds in self.groups.values() for sub in kinds[:-1]]
-        mapped = [4 for kinds in self.groups.values() for sub in kinds
-                  if sub.kind is Ensemble.PARAM]
+        widths = [_LAYOUTS[kind].width for group in self.groups for kind, _ in group]
+        copied = [_LAYOUTS[kind].width for group in self.groups for kind, _ in group[:-1]]
+        mapped = [4 for group in self.groups for kind, _ in group if kind is Ensemble.PARAM]
         widest = max(widths + borrowed, default=0)
-        self.shared = _Observables(self.rows, max(self.rows * min(widest, _FILL_WIDTH), widest),
-                                   self.rows * max(copied + mapped + borrowed, default=0))
-        self.own = [(total, check.make(self.rows, self.shared)) for check, total in own]
+        self.fill = np.empty(max(self.rows * min(widest, _FILL_WIDTH), widest))
+        self.work = np.empty(self.rows * max(copied + mapped + borrowed, default=0))
+        self.c = np.empty(self.rows)
+        self.probs = np.empty((4, self.rows))
+        self.mask = np.empty(self.rows, dtype=bool)
+        self.own = [(total, check.make(self.rows, self)) for check, total in own]
 
     def block(self, index: int, count: int) -> None:
         """Add block ``index`` of ``count`` samples to each consumer's result."""
         seed = _block_seed(self.seed, index)
-        for fill, kinds in self.groups.items():
-            self._scan_group(fill, kinds, seed, count)
+        for group in self.groups:
+            self._scan_group(group, seed, count)
         for total, excess_of in self.own:
             gen = stream_generator(seed)
             for start, stop in _tiles(count):
                 size = stop - start
-                _tally(total, excess_of(gen, self.shared.c[:size]), self.shared.mask[:size])
+                _tally(total, excess_of(gen, self.c[:size]), self.mask[:size])
 
-    def _scan_group(self, fill, kinds: list, seed: SeedSpec, count: int) -> None:
-        """Scan a block of ``count`` states of each of ``kinds``, one drawn tile at a time."""
-        wide = kinds[-1].layout.width
-        step = min(self.rows, len(self.shared.fill) // wide)
+    def _scan_group(self, group: list, seed: SeedSpec, count: int) -> None:
+        """Scan ``count`` states of each of ``group``'s kinds, one drawn tile at a time."""
+        widest = _LAYOUTS[group[-1][0]]
+        step = min(self.rows, len(self.fill) // widest.width)
         gen = stream_generator(seed)
         for start in range(0, count, step):
-            drawn = self.shared.fill[: (min(start + step, count) - start) * wide]
-            fill(gen, drawn.reshape(-1, wide))
-            for sub in kinds:
-                first = start * wide // sub.layout.width
+            drawn = self.fill[: (min(start + step, count) - start) * widest.width]
+            widest.fill(gen, drawn.reshape(-1, widest.width))
+            for kind, parts in group:
+                layout = _LAYOUTS[kind]
+                first = start * widest.width // layout.width
                 if first < count:
-                    rows = drawn.reshape(-1, sub.layout.width)[: count - first]
-                    self._tile(sub, rows, sub is kinds[-1])
+                    rows = drawn.reshape(-1, layout.width)[: count - first]
+                    self._tile(kind, parts, rows, layout is widest)
 
-    def _tile(self, sub: _Kind, drawn: np.ndarray, in_place: bool) -> None:
-        """Normalize one tile of drawn rows and hand its (C, I) pairs to ``sub``'s consumers."""
-        layout, size, shared = sub.layout, len(drawn), self.shared
-        draws = drawn if in_place else shared.work[: drawn.size].reshape(drawn.shape)
+    def _tile(self, kind: Ensemble, parts: list, drawn: np.ndarray, in_place: bool) -> None:
+        """Normalize one tile of drawn rows and hand its (C, I) pairs to ``kind``'s ``parts``."""
+        layout, size = _LAYOUTS[kind], len(drawn)
+        draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
-        _screen_and_finish(layout, draws, shared.probs[:, :size])
-        buffers = shared.work, shared.probs, shared.c
-        amplitudes = _as_amplitudes(sub.kind, draws.view(layout.dtype), buffers)
-        c, i = shared.pairs(amplitudes)
-        spare, mask = shared.probs[:, :size], shared.mask[:size]
-        for consumer, total in sub.parts:
+        _screen_and_finish(layout, draws, self.probs[:, :size])
+        buffers = self.work, self.probs, self.c
+        c, i = self.pairs(_as_amplitudes(kind, draws.view(layout.dtype), buffers))
+        spare, mask = self.probs[:, :size], self.mask[:size]
+        for consumer, total in parts:
             consumer.tile(total, c, i, spare, mask)
+
+    def pairs(self, amplitudes: np.ndarray):
+        """Read-only (c, i) of the contiguous (size, 4) ``amplitudes``, which are overwritten.
+
+        Computes, element for element, what the public ``concurrence``,
+        ``probabilities`` and ``mutual_information`` compute; ``i`` is a
+        view of the amplitudes' memory.  Until the probabilities are
+        written, ``probs`` holds the norms and scratch of screen and
+        finish, param's cos/sin rows (with its square roots in ``c``) and
+        the concurrence's products, a (2, rows) view in the amplitudes'
+        dtype.  Then the amplitudes are spent, and their memory holds
+        MI's four rows, ``i`` among them.  ``probs`` and ``mask`` are free
+        again once this returns: the tile's consumers get them as spare
+        rows and mask.
+        """
+        size, rows = len(amplitudes), len(self.c)
+        products = self.probs.reshape(-1).view(amplitudes.dtype)[: 2 * rows].reshape(2, rows)
+        c = _concurrence_into(amplitudes, self.c[:size], products[:, :size]).view()
+        probs = _probabilities_into(amplitudes, self.probs[:, :size])
+        spent = amplitudes.reshape(-1).view(np.float64)[: 4 * size].reshape(4, size)
+        i = _mutual_information_into(probs, spent, self.mask[:size]).view()
+        c.flags.writeable = i.flags.writeable = False
+        return c, i
 
 
 def _scan_share(consumers, n: int, seed: SeedSpec, block_size: int, indices, parent=None):

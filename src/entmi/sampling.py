@@ -91,7 +91,7 @@ def _tiles(count: int) -> list[tuple[int, int]]:
     ]
 
 
-def _squared_norm(draws: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _squared_norm(draws: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Row sums of squares, added in the order ``(draws * draws).sum(axis=1)`` uses.
 
     numpy adds a row of 4 in sequence, ((x0^2 + x1^2) + x2^2) + x3^2, and a
@@ -100,10 +100,6 @@ def _squared_norm(draws: np.ndarray, out=None, scratch=None) -> np.ndarray:
     the row-wise reduction, without its per-row loop overhead.  ``out``
     has one entry per row and ``scratch`` three rows of that length.
     """
-    if out is None:
-        out = np.empty(len(draws))
-    if scratch is None:
-        scratch = np.empty((3, len(draws)))
     cols = list(draws.T)
     if len(cols) == 4:
         np.multiply(cols[0], cols[0], out=out)
@@ -137,13 +133,13 @@ def _may_be_degenerate(norm: np.ndarray, width: int, scratch: np.ndarray) -> np.
 
 # Each ensemble is three row-wise steps, run on one tile at a time:
 # ``fill(gen, draws)`` draws the rows with one generator call;
-# ``screen(draws, norms, scratch)`` leaves in ``norms`` what ``finish``
-# needs and returns the rows that may be degenerate; and ``finish(rows,
-# norms, scratch)`` turns drawn rows into the stream's values in place.
-# ``norms`` and ``scratch`` split four rows of one tile: sphere-8 uses
-# 1 + 3 of them, zero-mi 2 + 2, sphere-4 1 + 1 and param none.  Every
-# step computes each row on its own, so the values do not depend on the
-# tiling.
+# ``screen(draws, rows)`` leaves in ``rows`` what ``finish`` needs and
+# returns the draws that may be degenerate; and ``finish(draws, rows)``
+# turns drawn rows into the stream's values in place.  ``rows`` are four
+# float64 rows of the tile's length, norms first and then scratch:
+# sphere-8 uses 1 + 3 of them, zero-mi 2 + 2, sphere-4 1 + 1 and param
+# none.  Every step computes each row on its own, so the values do not
+# depend on the tiling.
 
 
 def _fill_normal(gen, draws):
@@ -154,50 +150,50 @@ def _fill_uniform(gen, draws):
     gen.random(out=draws)
 
 
-def _screen_sphere(draws, norms, scratch):
-    norm = norms[0]
-    _squared_norm(draws, norm, scratch)
+def _screen_sphere(draws, rows):
+    norm = rows[0]
+    _squared_norm(draws, norm, rows[1:])
     np.sqrt(norm, out=norm)
-    return _may_be_degenerate(norm, draws.shape[1], scratch[0])
+    return _may_be_degenerate(norm, draws.shape[1], rows[1])
 
 
-def _finish_sphere(rows, norms, scratch):
-    # Column by column: the same quotients as ``rows /= norm[:, None]``,
+def _finish_sphere(draws, rows):
+    # Column by column: the same quotients as ``draws /= norm[:, None]``,
     # without the broadcast's per-row inner loop.
-    for col in rows.T:
-        col /= norms[0]
+    for col in draws.T:
+        col /= rows[0]
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
-def _screen_params(draws, norms, scratch):
+def _screen_params(draws, rows):
     return _NO_ROWS
 
 
-def _finish_params(rows, norms, scratch):
-    rows[:, 1] *= 2.0 * np.pi
-    rows[:, 2] *= 2.0 * np.pi
+def _finish_params(draws, rows):
+    draws[:, 1] *= 2.0 * np.pi
+    draws[:, 2] *= 2.0 * np.pi
 
 
-def _screen_zero_mi(draws, norms, scratch):
-    left, right = norms
+def _screen_zero_mi(draws, rows):
+    left, right = rows[:2]
     np.hypot(draws[:, 0], draws[:, 2], out=left)
     np.hypot(draws[:, 1], draws[:, 3], out=right)
-    return _may_be_degenerate(np.minimum(left, right, out=scratch[0]), 2, scratch[1])
+    return _may_be_degenerate(np.minimum(left, right, out=rows[2]), 2, rows[3])
 
 
-def _finish_zero_mi(rows, norms, scratch):
+def _finish_zero_mi(draws, rows):
     # Normalize (p, r) and (q, s), then overwrite the row with
     # (pq, ps, rq, -rs); the two cross products go through scratch.
-    p, q, r, s = rows.T
-    left, right = norms
+    p, q, r, s = draws.T
+    left, right = rows[:2]
     p /= left
     r /= left
     q /= right
     s /= right
-    ps = np.multiply(p, s, out=scratch[0])
-    rq = np.multiply(r, q, out=scratch[1])
+    ps = np.multiply(p, s, out=rows[2])
+    rq = np.multiply(r, q, out=rows[3])
     np.multiply(p, q, out=p)
     np.negative(np.multiply(r, s, out=s), out=s)
     q[...] = ps
@@ -207,45 +203,38 @@ def _finish_zero_mi(rows, norms, scratch):
 class _Layout(NamedTuple):
     """An ensemble's three steps, and the shape of its draws and values.
 
-    ``width`` float64 columns are drawn per state and ``norms`` rows of
-    norms kept; ``dtype`` is the values' dtype: complex-s7 draws (re, im)
-    pairs, so its float64 rows view as 4 complex128.
+    ``width`` float64 columns are drawn per state; ``dtype`` is the
+    values' dtype: complex-s7 draws (re, im) pairs, so its float64 rows
+    view as 4 complex128.
     """
 
     fill: Callable
     screen: Callable
     finish: Callable
     width: int
-    norms: int
     dtype: type
 
 
 _SPHERE = (_fill_normal, _screen_sphere, _finish_sphere)
 _LAYOUTS = {
-    Ensemble.REAL_S3: _Layout(*_SPHERE, 4, 1, np.float64),
-    Ensemble.COMPLEX_S7: _Layout(*_SPHERE, 8, 1, np.complex128),
-    Ensemble.PARAM: _Layout(
-        _fill_uniform, _screen_params, _finish_params, 3, 0, np.float64
-    ),
-    Ensemble.ZERO_MI: _Layout(
-        _fill_normal, _screen_zero_mi, _finish_zero_mi, 4, 2, np.float64
-    ),
+    Ensemble.REAL_S3: _Layout(*_SPHERE, 4, np.float64),
+    Ensemble.COMPLEX_S7: _Layout(*_SPHERE, 8, np.complex128),
+    Ensemble.PARAM: _Layout(_fill_uniform, _screen_params, _finish_params, 3, np.float64),
+    Ensemble.ZERO_MI: _Layout(_fill_normal, _screen_zero_mi, _finish_zero_mi, 4, np.float64),
 }
 
 
 def _screen_and_finish(layout: _Layout, draws, rows) -> None:
     """Turn one tile of drawn rows into values; a row that may be degenerate is an error.
 
-    ``rows`` is a (4, len(draws)) float64 array: the first ``layout.norms``
-    hold the norms, and the rest are scratch.
+    ``rows`` is a (4, len(draws)) float64 array, the steps' norms and scratch.
     """
-    norms, scratch = rows[: layout.norms], rows[layout.norms :]
-    if layout.screen(draws, norms, scratch).size:
+    if layout.screen(draws, rows).size:
         raise ConsistencyError(
             f"a drawn state lies within about {_DEGENERATE_TOL:g} of zero and "
             "cannot be normalized; use another seed"
         )
-    layout.finish(draws, norms, scratch)
+    layout.finish(draws, rows)
 
 
 def _as_amplitudes(kind: Ensemble, values: np.ndarray, buffers=None) -> np.ndarray:

@@ -112,11 +112,11 @@ def _angle_oracle_tiles(rows: int, shared):
     alpha - delta once, and scales them into the amplitudes
     ``params_to_amplitudes(0.5, alpha, beta)`` computes, in the rows that
     then hold their probabilities; the closed form squares them.  Every
-    array is a row of ``shared``, the worker share's tile memory, idle
-    while the scan runs its stream checks: the cos/sin rows in its work
-    tile, beta in the sin(beta) row, the square roots in ``out``, the
+    array is a row of the tile memory of ``shared``, the worker share's
+    scan, idle while it runs its stream checks: the cos/sin rows in its
+    ``work``, beta in the sin(beta) row, the square roots in ``out``, the
     probabilities and then the squares in its ``probs``, and first the
-    angles, then both routes' MI rows in its fill.
+    angles, then both routes' MI rows in its ``fill``.
     """
     angles = shared.fill[: 2 * rows].reshape(rows, 2)
     spent = shared.fill[: 4 * rows].reshape(4, rows)

@@ -11,6 +11,10 @@ from entmi.cli import main as cli_main
 
 SRC = Path(pipeline.__file__).resolve().parents[1]
 
+# The message of a failed digest assert: the sampled counts depend on the
+# numpy version, and the golden digests were pinned on numpy 2.4.6.
+DIGEST_NUMPY = f"running numpy {np.__version__}; the digests were pinned on numpy 2.4.6"
+
 
 def _run_cli(argv):
     """Invoke the CLI in-process, turning argparse exits into return codes."""

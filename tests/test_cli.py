@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -178,6 +179,27 @@ def test_unwritable_out_exits_3_before_sampling(run_cli, tmp_path, capsys, no_fo
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert captured.err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+@pytest.mark.parametrize(
+    "command", [["marginal", "--axis", "c"], ["table"], ["verify", "--check", "ridge"]]
+)
+def test_a_hist_that_cannot_seek_is_named(run_cli, tmp_path, capsys, command):
+    # Sniffing the format seeks back to the first byte, which a pipe cannot do.
+    read, write = os.pipe()
+    try:
+        os.write(write, b"# joint_histogram delta_c=0.5 delta_i=0.5 total=0\n")
+        os.close(write)
+        path = f"/dev/fd/{read}"
+        argv = command + ["--hist", path, "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 3
+    finally:
+        os.close(read)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

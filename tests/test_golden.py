@@ -6,7 +6,8 @@ writers that moves a single output byte fails here.  n = 600 000 is three
 are covered too.  Each case runs with one and with two workers, which must
 give the same bytes.  The verify reports read ``max_violation: 0.0`` for any
 passing check, so the excess of every state, as the scan computes it for
-each check, is pinned as well.
+each check, is pinned as well, and so are the bytes that ``table``,
+``marginal`` and ``conditional`` read from one sample CSV.
 """
 
 import hashlib
@@ -14,8 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import recorded_excess
+from conftest import DIGEST_NUMPY, recorded_excess
 from entmi import SeedSpec, verify
+from entmi.cli import main as cli_main
 
 N = 600_000
 SEED = 11
@@ -46,6 +48,18 @@ EXCESS_DIGESTS = {
     "mi-oracle": "2aabe75f1f283ba87493f2b86d4edc7f71c34515fb8c7bf453f47623c3dc70d2",
 }
 
+# sha256 of each density command's output, read from the (real-s3, 0.01)
+# sample CSV above.
+DENSITY_DIGESTS = {
+    ("table",): "7f280f5ce59bd6d80c8929fd88331aaeedb7123535308d195b41fd67224daab0",
+    ("marginal", "--axis", "c"):
+        "669332d6ed237ae0f379ec8e759a7f4a91e57fb980c781c76e92810558cd87d9",
+    ("marginal", "--axis", "i"):
+        "268be42e8f23ca0e7a1b3d1872eb9539378be40cd11deef03970b58107e4d6ef",
+    ("conditional", "--axis", "c", "--lo", "0.495", "--hi", "0.505"):
+        "98e1c0e5362b76c6b82b5b8a898674d431c96258d0a8d5b7bd17e62f44c6c14f",
+}
+
 CHECKS = verify.CHECKS
 
 
@@ -64,7 +78,7 @@ def test_sample_csv_digest(run_cli, tmp_path, ensemble, bins, workers):
         ]
     )
     assert code == 0
-    assert _sha256(out) == SAMPLE_DIGESTS[(ensemble, bins)]
+    assert _sha256(out) == SAMPLE_DIGESTS[(ensemble, bins)], DIGEST_NUMPY
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -79,7 +93,7 @@ def test_verify_jsonl_digest(run_cli, tmp_path, ensemble, workers):
         ]
     )
     assert code == 0
-    assert _sha256(out) == VERIFY_DIGESTS[ensemble]
+    assert _sha256(out) == VERIFY_DIGESTS[ensemble], DIGEST_NUMPY
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -92,13 +106,13 @@ def test_sample_json_digest(run_cli, tmp_path, workers):
         ]
     )
     assert code == 0
-    assert _sha256(out) == SAMPLE_JSON_DIGEST
+    assert _sha256(out) == SAMPLE_JSON_DIGEST, DIGEST_NUMPY
 
 
 def test_curve_csv_digest(run_cli, tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli(["curve", "--points", "101", "--out", str(out)]) == 0
-    assert _sha256(out) == CURVE_DIGEST
+    assert _sha256(out) == CURVE_DIGEST, DIGEST_NUMPY
 
 
 @pytest.mark.parametrize("check", sorted(EXCESS_DIGESTS))
@@ -106,4 +120,21 @@ def test_excess_digest(check):
     excess = recorded_excess(CHECKS[check], N, SeedSpec(SEED))
     assert excess.size == N
     digest = hashlib.sha256(np.asarray(excess, dtype="<f8").tobytes())
-    assert digest.hexdigest() == EXCESS_DIGESTS[check]
+    assert digest.hexdigest() == EXCESS_DIGESTS[check], DIGEST_NUMPY
+
+
+@pytest.fixture(scope="module")
+def real_s3_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "h.csv"
+    argv = ["sample", "--ensemble", "real-s3", "--n", str(N), "--seed", str(SEED),
+            "--bins", "0.01", "--workers", "1", "--out", str(path)]
+    assert cli_main(argv) == 0
+    assert _sha256(path) == SAMPLE_DIGESTS[("real-s3", 0.01)], DIGEST_NUMPY
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(DENSITY_DIGESTS), ids=" ".join)
+def test_density_csv_digest(run_cli, tmp_path, real_s3_csv, command):
+    out = tmp_path / "out.csv"
+    assert run_cli([*command, "--hist", str(real_s3_csv), "--out", str(out)]) == 0
+    assert _sha256(out) == DENSITY_DIGESTS[command], DIGEST_NUMPY

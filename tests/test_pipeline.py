@@ -387,11 +387,11 @@ class TestTiledKernel:
         layout = sampling._LAYOUTS[Ensemble.REAL_S3]
         finished = [0]
 
-        def corrupted(rows, norms, scratch):
-            layout.finish(rows, norms, scratch)
-            if finished[0] <= row < finished[0] + len(rows):
-                rows[row - finished[0]] = row_values
-            finished[0] += len(rows)
+        def corrupted(draws, rows):
+            layout.finish(draws, rows)
+            if finished[0] <= row < finished[0] + len(draws):
+                draws[row - finished[0]] = row_values
+            finished[0] += len(draws)
 
         monkeypatch.setitem(
             sampling._LAYOUTS, Ensemble.REAL_S3, layout._replace(finish=corrupted)
@@ -720,6 +720,11 @@ def _suite_two_blocks():
     _scan_two_blocks([check for _, check in _SUITE])
 
 
+_SHARE_IDS = ["histogram-real-s3", "histogram-complex-s7", "histogram-param",
+                "histogram-real-s3-fine", "bound-real-s3", "bound-complex-s7", "zero-mi",
+                "mi-oracle", "suite", "bound-real-s3+histogram"]
+
+
 class TestShareMemory:
     # tracemalloc peaks of one share of two 250k blocks.  A share allocates
     # its tile memory once: the fill, the work tile, c, four probability
@@ -751,10 +756,7 @@ class TestShareMemory:
             (_suite_two_blocks, 2 * 2**20),
             (_bound_and_histogram_two_blocks, 1.5 * 2**20),
         ],
-        ids=["histogram-real-s3", "histogram-complex-s7", "histogram-param",
-             "histogram-real-s3-fine",
-             "bound-real-s3", "bound-complex-s7", "zero-mi", "mi-oracle", "suite",
-             "bound-real-s3+histogram"],
+        ids=_SHARE_IDS,
     )
     def test_peak_is_under_its_ceiling(self, run, ceiling):
         sampling.stream_generator(SeedSpec(0))
@@ -765,6 +767,30 @@ class TestShareMemory:
         finally:
             tracemalloc.stop()
         assert peak <= ceiling
+
+    # The floats of each share's fill and work tile at a 250k block: a fill
+    # of 4 floats a row (3 for param's own), and a work tile only where rows
+    # are copied, mapped to param's amplitudes or lent to a stream check.
+    @pytest.mark.parametrize(
+        "consumers,fill,work",
+        [
+            ([TileHistogram("real-s3", 0.01, 0.01)], 65536, 0),
+            ([TileHistogram("complex-s7", 0.01, 0.01)], 65536, 0),
+            ([TileHistogram("param", 0.01, 0.01)], 49152, 65536),
+            ([TileHistogram("real-s3", 0.001, 0.001)], 65536, 0),
+            ([_bound_check(Ensemble.REAL_S3)], 65536, 0),
+            ([_bound_check(Ensemble.COMPLEX_S7)], 65536, 0),
+            ([verify.CHECKS["zero-mi"]], 65536, 0),
+            ([verify.CHECKS["mi-oracle"]], 65536, 65536),
+            ([verify.CHECKS[name] for name in verify.SUITE], 65536, 65536),
+            ([TileHistogram("real-s3", 0.01, 0.01), _bound_check(Ensemble.REAL_S3)], 65536, 0),
+        ],
+        ids=_SHARE_IDS,
+    )
+    def test_buffer_sizes(self, consumers, fill, work):
+        scan = pipeline._ShareScan(consumers, SeedSpec(0), 250_000)
+        assert (scan.fill.size, scan.work.size) == (fill, work)
+        assert scan.c.size == scan.mask.size == TILE and scan.probs.shape == (4, TILE)
 
 
 # -- several checks in one scan ------------------------------------------------

@@ -254,8 +254,7 @@ def _hand_built_rows(width, rng):
 def _screened(kind, rows):
     """The rows that ``kind``'s screen step flags."""
     layout = sampling._LAYOUTS[kind]
-    norms, scratch = np.empty((layout.norms, len(rows))), np.empty((3, len(rows)))
-    return layout.screen(rows, norms, scratch)
+    return layout.screen(rows, np.empty((4, len(rows))))
 
 
 class TestDegenerateScreen:
@@ -285,6 +284,7 @@ class TestDegenerateScreen:
         for width in (4, 8):
             scale = rng.uniform(0.1, 10.0, (10_000, width))
             draws = rng.standard_normal((10_000, width)) * scale
+            out, scratch = np.empty(len(draws)), np.empty((3, len(draws)))
             assert np.array_equal(
-                sampling._squared_norm(draws), (draws * draws).sum(axis=1)
+                sampling._squared_norm(draws, out, scratch), (draws * draws).sum(axis=1)
             )

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from conftest import DIGEST_NUMPY
 from entmi import sampling
 
 # sha256 of the ``verify --all --seed 11`` jsonl at each n.
@@ -27,7 +28,7 @@ def test_suite_jsonl_digest(run_cli, tmp_path, n, workers):
     argv = ["verify", "--all", "--n", str(n), "--seed", "11", "--workers", workers,
             "--out", str(out)]
     assert run_cli(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUITE_DIGESTS[n]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUITE_DIGESTS[n], DIGEST_NUMPY
 
 
 def test_one_pool_per_run(run_cli, tmp_path, forks):
