@@ -15,10 +15,12 @@ optionally followed by further ``#`` comment lines (callers may add
 self-describing metadata), then one ``c_bin_index,i_bin_index,count``
 row per nonzero bin in row-major order.  Everything after the header
 line is ASCII.  Densities serialize as ``bin_center,density`` rows.
+A histogram is read once, front to back and never sought, so a pipe will do.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -41,6 +43,7 @@ from .states import _within
 _EDGE_TOL = 1e-12
 
 _CSV_HEADER_PREFIX = "# joint_histogram "
+_NON_ASCII = "non-ASCII text after the header line"
 
 # Bin rows formatted per write by ``write_csv``: large enough to amortize
 # the write, small enough that the formatted text stays a few megabytes.
@@ -99,6 +102,41 @@ def _unique_fields(pairs) -> dict:
             raise HistogramFormatError(f"repeated field {key!r}")
         fields[key] = value
     return fields
+
+
+def _csv_header(readline) -> tuple[float, float, int]:
+    """(delta_c, delta_i, total) of the first line from ``readline`` that is not blank."""
+    header = next(filter(None, map(str.strip, iter(readline, ""))), "")
+    if not header.startswith(_CSV_HEADER_PREFIX):
+        raise HistogramFormatError("missing '# joint_histogram' header line")
+    tokens = header[len(_CSV_HEADER_PREFIX):].split()
+    try:
+        fields = _unique_fields(token.split("=", 1) for token in tokens)
+        return float(fields["delta_c"]), float(fields["delta_i"]), int(fields["total"])
+    except HistogramFormatError:
+        raise
+    except (KeyError, ValueError):
+        raise HistogramFormatError(f"malformed header line {header!r}") from None
+
+
+def _csv_bins(rows: IO[str]) -> np.ndarray:
+    """(c_index, i_index, count) uint64 rows of the CSV body ``rows``."""
+    # numpy's loadtxt can crash the interpreter on a field holding a code point
+    # such as U+10FFFF, so ``rows`` gives only ASCII, checked or strictly decoded.
+    try:
+        with warnings.catch_warnings():
+            # An empty histogram has no rows; loadtxt warns about that.
+            warnings.simplefilter("ignore", UserWarning)
+            bins = np.loadtxt(rows, dtype=np.uint64, delimiter=",", comments="#", ndmin=2)
+    except UnicodeDecodeError:  # a ValueError too, but from the ASCII decoder
+        raise HistogramFormatError(_NON_ASCII) from None
+    except ValueError as exc:
+        raise HistogramFormatError(f"malformed bin row: {exc}") from None
+    if bins.size and bins.shape[1] != 3:
+        raise HistogramFormatError(
+            f"bin rows have {bins.shape[1]} fields, expected c_index,i_index,count"
+        )
+    return bins
 
 
 def _check_unit_interval(values: np.ndarray, what: str) -> None:
@@ -302,26 +340,24 @@ class JointHistogram:
         if meta:
             pairs = " ".join(f"{k}={v}" for k, v in meta.items())
             stream.write(f"# meta {pairs}\n")
-        # One (c_index, i_index, count) uint64 row per nonzero bin, formatted
-        # a chunk of rows per write; uint64 keeps counts of 2**63 and up exact.
-        table = np.empty((np.count_nonzero(self.counts), 3), dtype=np.uint64)
-        table[:, 0], table[:, 1] = np.nonzero(self.counts)
-        table[:, 2] = self.counts[table[:, 0], table[:, 1]]
+        table = self._bin_table()
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
             chunk = table[start:start + _CSV_CHUNK_ROWS]
             stream.write("%d,%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
+    def _bin_table(self) -> np.ndarray:
+        """(c_index, i_index, count) of each nonzero bin; uint64 keeps 2**63 and up exact."""
+        table = np.empty((np.count_nonzero(self.counts), 3), dtype=np.uint64)
+        table[:, 0], table[:, 1] = np.nonzero(self.counts)
+        table[:, 2] = self.counts[table[:, 0], table[:, 1]]
+        return table
+
     def to_json_dict(self, meta: dict | None = None) -> dict:
-        rows, cols = np.nonzero(self.counts)
-        values = self.counts[rows, cols]
         payload = {
             "delta_c": self.delta_c,
             "delta_i": self.delta_i,
             "total": self.total,
-            "bins": [
-                [int(r), int(c), int(v)]
-                for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())
-            ],
+            "bins": self._bin_table().tolist(),
         }
         if meta:
             payload["meta"] = dict(meta)
@@ -366,46 +402,11 @@ class JointHistogram:
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "JointHistogram":
-        header = ""
-        while not header:
-            line = stream.readline()
-            if not line:
-                break
-            header = line.strip()
-        if not header.startswith(_CSV_HEADER_PREFIX):
-            raise HistogramFormatError("missing '# joint_histogram' header line")
-        try:
-            fields = _unique_fields(
-                token.split("=", 1) for token in header[len(_CSV_HEADER_PREFIX):].split()
-            )
-            delta_c = float(fields["delta_c"])
-            delta_i = float(fields["delta_i"])
-            declared_total = int(fields["total"])
-        except HistogramFormatError:
-            raise
-        except (KeyError, ValueError):
-            raise HistogramFormatError(f"malformed header line {header!r}") from None
-        # numpy's loadtxt can crash the interpreter on a field holding a
-        # code point such as U+10FFFF, so it only ever sees ASCII.  Reading
-        # the file twice costs less than handing loadtxt a string buffer.
-        start = stream.tell()
-        if not stream.read().isascii():
-            raise HistogramFormatError("non-ASCII text after the header line")
-        stream.seek(start)
-        try:
-            with warnings.catch_warnings():
-                # An empty histogram has no rows; loadtxt warns about that.
-                warnings.simplefilter("ignore", UserWarning)
-                bins = np.loadtxt(
-                    stream, dtype=np.uint64, delimiter=",", comments="#", ndmin=2
-                )
-        except ValueError as exc:
-            raise HistogramFormatError(f"malformed bin row: {exc}") from None
-        if bins.size and bins.shape[1] != 3:
-            raise HistogramFormatError(
-                f"bin rows have {bins.shape[1]} fields, expected c_index,i_index,count"
-            )
-        return cls._from_bins(delta_c, delta_i, declared_total, bins)
+        header = _csv_header(stream.readline)
+        body = stream.read()
+        if not body.isascii():
+            raise HistogramFormatError(_NON_ASCII)
+        return cls._from_bins(*header, _csv_bins(io.StringIO(body)))
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "JointHistogram":
@@ -455,19 +456,18 @@ class JointHistogram:
 
 
 def load_histogram(path) -> JointHistogram:
-    """Read a histogram file, sniffing CSV vs JSON from the first byte.
+    """Read a histogram file once: JSON if its first byte is ``{``, else CSV.
 
-    Raises ``OSError`` when the file cannot be read, a pipe (which cannot
-    seek) included, and ``HistogramFormatError`` when its content is
-    malformed, both naming the file.
+    Raises ``OSError`` (unreadable) or ``HistogramFormatError`` (malformed), naming the file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.read(1)
-            fh.seek(0)
-            if first == "{":
-                return JointHistogram.read_json(fh)
-            return JointHistogram.read_csv(fh)
+        with open(path, "rb") as fh:
+            if fh.peek(1)[:1] == b"{":
+                with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                    return JointHistogram.read_json(text)
+            header = _csv_header(lambda: fh.readline().decode("utf-8"))
+            with io.TextIOWrapper(fh, encoding="ascii", newline="\n") as rows:
+                return JointHistogram._from_bins(*header, _csv_bins(rows))
     except UnicodeDecodeError:
         raise HistogramFormatError(f"{path}: not a UTF-8 text file") from None
     except HistogramFormatError as exc:

@@ -1,6 +1,8 @@
+import contextlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -91,3 +93,57 @@ def no_fork(monkeypatch):
         raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(pipeline.os, "fork", fork)
+
+
+def _feed(target, data: bytes) -> None:
+    """Write ``data`` to the descriptor, or the FIFO path, ``target``; then close it."""
+    # A FIFO's write end opens once a reader has opened it.
+    write = target if isinstance(target, int) else os.open(target, os.O_WRONLY)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(write, view):]
+    except BrokenPipeError:
+        pass  # the reader closed its end before the last byte
+    finally:
+        os.close(write)
+
+
+@pytest.fixture
+def pipe_path(tmp_path):
+    """``with pipe_path(data) as path`` serves ``data`` on a pipe named ``path``.
+
+    ``path`` is ``/dev/fd/<n>`` of an anonymous pipe, or with ``fifo=True``
+    a FIFO in ``tmp_path``.  A writer thread, not a process, writes ``data``
+    and closes its end, so data past the 64 KiB pipe buffer needs no fork.
+    Leaving the block closes the read end, which ends a writer still
+    blocked, and joins the thread.
+    """
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+
+    @contextlib.contextmanager
+    def serve(data: bytes, fifo: bool = False):
+        if fifo:
+            path = str(tmp_path / "fifo")
+            os.mkfifo(path)
+            target = path
+        else:
+            read, target = os.pipe()
+            path = f"/dev/fd/{read}"
+        writer = threading.Thread(target=_feed, args=(target, data))
+        writer.start()
+        try:
+            yield path
+        finally:
+            if fifo:
+                # Opening a read end releases a writer still waiting in open;
+                # closing it leaves that writer no reader, so its write ends.
+                read = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            os.close(read)
+            writer.join(timeout=60)
+            assert not writer.is_alive(), "the pipe writer did not finish"
+            if fifo:
+                os.unlink(path)
+
+    return serve

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from entmi import (
     run_histogram_job,
     verify,
 )
+from conftest import SRC
 
 # sha256 of the ``verify --check bound --check ridge --n 10000000 --seed 11``
 # jsonl, taken when the ridge histogram was sampled by a job of its own.
@@ -181,27 +184,6 @@ def test_unwritable_out_exits_3_before_sampling(run_cli, tmp_path, capsys, no_fo
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
-@pytest.mark.parametrize(
-    "command", [["marginal", "--axis", "c"], ["table"], ["verify", "--check", "ridge"]]
-)
-def test_a_hist_that_cannot_seek_is_named(run_cli, tmp_path, capsys, command):
-    # Sniffing the format seeks back to the first byte, which a pipe cannot do.
-    read, write = os.pipe()
-    try:
-        os.write(write, b"# joint_histogram delta_c=0.5 delta_i=0.5 total=0\n")
-        os.close(write)
-        path = f"/dev/fd/{read}"
-        argv = command + ["--hist", path, "--out", str(tmp_path / "out")]
-        assert run_cli(argv) == 3
-    finally:
-        os.close(read)
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot read {path}: ")
-    assert captured.err.count("\n") == 1
-
-
 @pytest.fixture(scope="module")
 def sampled_hist(tmp_path_factory):
     from entmi.cli import main
@@ -213,6 +195,89 @@ def sampled_hist(tmp_path_factory):
     )
     assert code == 0
     return path
+
+
+# Each command that reads --hist, with --out - so that it prints its result.
+_HIST_COMMANDS = [
+    ["table"],
+    ["marginal", "--axis", "c"],
+    ["conditional", "--axis", "c", "--lo", "0.1", "--hi", "0.2"],
+    ["verify", "--check", "ridge"],
+]
+
+
+@pytest.fixture(scope="module")
+def hist_bytes():
+    """A 10^6-state histogram on a 200x200 grid, with ten times its counts to
+    be enough for ``ridge``, as CSV and as JSON bytes: each is about 200 KB,
+    larger than the 64 KiB pipe buffer."""
+    hist = run_histogram_job("real-s3", 1_000_000, 99, 0.005, 0.005, workers=1)
+    hist.counts *= np.uint64(10)
+    hist.total *= 10
+    texts = {"csv": io.StringIO(), "json": io.StringIO()}
+    hist.write_csv(texts["csv"])
+    hist.write_json(texts["json"])
+    return {fmt: text.getvalue().encode("ascii") for fmt, text in texts.items()}
+
+
+def _run_on_file(run_cli, capsys, tmp_path, argv, data):
+    """(exit code, stdout, stderr) of ``argv`` with ``--hist`` a file of ``data``."""
+    path = tmp_path / "h"
+    path.write_bytes(data)
+    code = run_cli(argv + ["--hist", str(path), "--out", "-"])
+    out, err = capsys.readouterr()
+    return code, out, err.replace(str(path), "<hist>")
+
+
+@pytest.mark.parametrize("route", ["pipe", "fifo"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _HIST_COMMANDS, ids=lambda argv: argv[0])
+def test_a_hist_on_a_pipe_reads_as_a_file(run_cli, capsys, tmp_path, pipe_path,
+                                          hist_bytes, argv, fmt, route):
+    data = hist_bytes[fmt]
+    expected = _run_on_file(run_cli, capsys, tmp_path, argv, data)
+    assert expected[0] in (0, 1) and expected[1]
+    with pipe_path(data, fifo=route == "fifo") as path:
+        code = run_cli(argv + ["--hist", path, "--out", "-"])
+    out, err = capsys.readouterr()
+    assert (code, out, err.replace(path, "<hist>")) == expected
+
+
+def _run_process(argv, data=None, **kwargs):
+    """The CLI run in a fresh interpreter on ``argv``, with ``data`` on its stdin."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "entmi.cli", *argv], input=data,
+                          capture_output=True, timeout=60, env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _HIST_COMMANDS, ids=lambda argv: argv[0])
+def test_a_hist_on_stdin_reads_as_a_file(run_cli, capsys, tmp_path, hist_bytes, argv, fmt):
+    data = hist_bytes[fmt]
+    expected = _run_on_file(run_cli, capsys, tmp_path, argv, data)
+    run = _run_process(argv + ["--hist", "/dev/stdin", "--out", "-"], data)
+    err = run.stderr.decode().replace("/dev/stdin", "<hist>")
+    assert (run.returncode, run.stdout.decode(), err) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_sample_piped_into_marginal(run_cli, capsys, tmp_path):
+    sample = ["sample", "--n", "100000", "--seed", "8", "--bins", "0.05"]
+    path = tmp_path / "h.csv"
+    assert run_cli(sample + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run_cli(["marginal", "--hist", str(path), "--axis", "c"]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "entmi.cli"]
+    with subprocess.Popen(command + sample + ["--out", "-"], stdout=subprocess.PIPE,
+                          env=env) as producer:
+        run = _run_process(["marginal", "--hist", "/dev/stdin", "--axis", "c"],
+                           stdin=producer.stdout, text=True)
+        producer.stdout.close()
+    assert (producer.returncode, run.returncode, run.stderr) == (0, 0, "")
+    assert run.stdout == expected
 
 
 class TestTable:
@@ -589,19 +654,51 @@ _MALFORMED = [
 ]
 
 
+@pytest.fixture
+def ascii_loadtxt(monkeypatch):
+    """Fail the test if numpy's loadtxt is handed a line that is not ASCII."""
+    loadtxt = np.loadtxt
+
+    def checked(rows, *args, **kwargs):
+        def lines():
+            for line in rows:
+                assert line.isascii(), f"loadtxt was handed {line!r}"
+                yield line
+
+        return loadtxt(lines(), *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", checked)
+
+
 class TestMalformedHistogram:
     """Every malformed histogram file ends in exit 2 and one line on stderr."""
 
     @pytest.mark.parametrize(
         "name,content", _MALFORMED, ids=[name for name, _ in _MALFORMED]
     )
-    def test_exit_2_with_one_line(self, run_cli, tmp_path, capsys, name, content):
+    def test_exit_2_with_one_line(self, run_cli, tmp_path, capsys, ascii_loadtxt,
+                                  name, content):
         path = tmp_path / name
         path.write_text(content, encoding="utf-8")
         assert run_cli(["marginal", "--hist", str(path), "--axis", "c"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "name,content", _MALFORMED, ids=[name for name, _ in _MALFORMED]
+    )
+    def test_exit_2_with_one_line_on_a_pipe(self, run_cli, tmp_path, capsys, pipe_path,
+                                            ascii_loadtxt, name, content):
+        on_file = tmp_path / name
+        on_file.write_text(content, encoding="utf-8")
+        assert run_cli(["marginal", "--hist", str(on_file), "--axis", "c"]) == 2
+        expected = capsys.readouterr().err.replace(str(on_file), "<hist>")
+        with pipe_path(content.encode("utf-8")) as path:
+            assert run_cli(["marginal", "--hist", path, "--axis", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert err.replace(path, "<hist>") == expected
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entmi import (
@@ -458,24 +458,56 @@ def json_texts(draw):
     return draw(st.sampled_from([text] * 8 + [text[:-1], f"[{text}]", "5"]))
 
 
-def _read_or_reject(read, text):
+def _outcome(read, source):
+    """The histogram ``read(source)`` gives, or the message of its format error."""
     try:
-        hist = read(io.StringIO(text))
-    except HistogramFormatError:
-        return
+        hist = read(source)
+    except HistogramFormatError as exc:
+        return str(exc).removeprefix(f"{source}: ")
     assert sum(hist.counts.ravel().tolist()) == hist.total
+    return hist
+
+
+def _read_every_route(text, tmp_path, pipe_path):
+    """The one outcome of ``text`` read as a text stream, as a file and as a pipe.
+
+    The stream reader is the one that ``load_histogram`` picks by the first
+    character.
+    """
+    read = JointHistogram.read_json if text.startswith("{") else JointHistogram.read_csv
+    path = tmp_path / "h"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = [_outcome(read, io.StringIO(text)), _outcome(load_histogram, path)]
+    with pipe_path(text.encode("utf-8")) as pipe:
+        outcomes.append(_outcome(load_histogram, pipe))
+    assert outcomes[1:] == outcomes[:1] * 2
+    return outcomes[0]
+
+
+# The fixtures are only a directory and a pipe factory, right for any example.
+FIXTURES_PER_TEST = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestReaderFuzz:
     @given(csv_texts())
-    @settings(max_examples=400, deadline=None)
-    def test_read_csv_gives_consistent_histogram_or_format_error(self, text):
-        _read_or_reject(JointHistogram.read_csv, text)
+    @settings(FIXTURES_PER_TEST, max_examples=400, deadline=None)
+    def test_read_csv_gives_consistent_histogram_or_format_error(self, tmp_path,
+                                                                 pipe_path, text):
+        _read_every_route(text, tmp_path, pipe_path)
 
     @given(json_texts())
-    @settings(max_examples=400, deadline=None)
-    def test_read_json_gives_consistent_histogram_or_format_error(self, text):
-        _read_or_reject(JointHistogram.read_json, text)
+    @settings(FIXTURES_PER_TEST, max_examples=400, deadline=None)
+    def test_read_json_gives_consistent_histogram_or_format_error(self, tmp_path,
+                                                                  pipe_path, text):
+        _read_every_route(text, tmp_path, pipe_path)
+
+    @pytest.mark.parametrize("end,read", [("\r\n", True), ("\r", False)], ids=["crlf", "cr"])
+    def test_line_ends_read_alike_on_every_route(self, tmp_path, pipe_path, end, read):
+        # Lines end at "\n" on every route; loadtxt drops a "\r" before it.
+        header = "# joint_histogram delta_c=0.5 delta_i=0.5 total=2"
+        for text in (f"{header}{end}0,0,1{end}1,1,1{end}", f"{header}\n0,0,1{end}1,1,1\n"):
+            outcome = _read_every_route(text, tmp_path, pipe_path)
+            assert isinstance(outcome, JointHistogram) == read, outcome
 
     def test_non_ascii_row_is_a_format_error(self):
         # loadtxt could crash the interpreter on this field instead of raising.
