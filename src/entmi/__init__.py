@@ -8,7 +8,7 @@ the ridge of the joint density) plus an executable verification suite
 make the sampled statistics checkable end to end.
 """
 
-from .curves import MIExtrema, mi_extrema, mi_from_angles, ridge_concurrence, ridge_mi
+from .curves import mi_from_angles, ridge_concurrence, ridge_mi
 from .errors import (
     ConsistencyError,
     ConvergenceError,
@@ -68,7 +68,6 @@ __all__ = [
     "HistogramFormatError",
     "InsufficientDataError",
     "JointHistogram",
-    "MIExtrema",
     "NotNormalizedError",
     "OutOfRangeError",
     "SeedSpec",
@@ -86,7 +85,6 @@ __all__ = [
     "entanglement_entropy",
     "entanglement_from_concurrence",
     "load_histogram",
-    "mi_extrema",
     "mi_from_angles",
     "mutual_information",
     "params_to_amplitudes",

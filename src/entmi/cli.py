@@ -19,7 +19,7 @@ import sys
 
 from .curves import ridge_concurrence, ridge_mi
 from .errors import DomainError, EmptySliceError, EntmiError
-from .histogram import JointHistogram, load_histogram, write_density_csv
+from .histogram import load_histogram, write_density_csv
 from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec
 from .states import entanglement_from_concurrence

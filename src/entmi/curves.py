@@ -5,7 +5,7 @@ with b = a - d, the post-measurement mutual information becomes an
 explicit periodic function of the angle a.  Its maxima over a trace out
 a curve I = ridge_mi(C) in the (concurrence, information) plane: the
 locus where the joint density of random states piles up.  This module
-evaluates that curve, inverts it, and locates the angle extrema.
+evaluates that curve and inverts it.
 
 ``mi_from_angles`` is deliberately implemented from the closed form
 rather than through the measurement pipeline.  The mi-oracle check of
@@ -14,8 +14,6 @@ share elementary-function values, not formulas.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +36,8 @@ def mi_from_angles(alpha, delta):
     if not (np.isfinite(alpha).all() and np.isfinite(delta).all()):
         raise DomainError("angles must be finite")
     beta = alpha - delta
-    squares = np.stack(
-        np.broadcast_arrays(
-            np.cos(alpha) ** 2, np.sin(alpha) ** 2, np.cos(beta) ** 2, np.sin(beta) ** 2
-        )
+    squares = np.square(
+        np.stack(np.broadcast_arrays(np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)))
     )
     rows = squares.reshape(4, -1)
     value = _mi_from_trig(
@@ -56,9 +52,7 @@ def _mi_from_trig(squares, buffers, mask):
     ``squares`` is a (4, n) float64 array of cos^2 a, sin^2 a, cos^2 b and
     sin^2 b, and is overwritten; ``buffers`` is a (3, n) float64 array
     whose first row receives the result, and ``mask`` a boolean array of
-    length n.  The caller squares: numpy squares a 0-d angle's cosine with
-    libm ``pow``, which differs from ``x * x`` in the last bit for about
-    0.1% of inputs, and ``mi_from_angles`` keeps that value.
+    length n.
     """
     cos_a2, sin_a2, cos_b2, sin_b2 = squares
     value, mean_sin, logs = buffers
@@ -117,31 +111,3 @@ def ridge_concurrence(info) -> float:
         f"bisection did not reach tolerance {_BISECT_TOL!r} for info={info!r}"
     )
 
-
-@dataclass(frozen=True)
-class MIExtrema:
-    """Angles where the two-angle mutual information is stationary.
-
-    For offset ``delta`` and integer branch ``index``:
-      alpha_max = (delta + (index + 1/2) pi) / 2   (maximum, MI = ridge_mi(|sin delta|))
-      alpha_min = (delta + index pi) / 2           (minimum, MI = 0)
-    """
-
-    delta: float
-    index: int
-    alpha_max: float
-    alpha_min: float
-
-
-def mi_extrema(delta: float, index: int = 0) -> MIExtrema:
-    """Stationary angles of ``mi_from_angles`` on branch ``index``, for a finite ``delta``."""
-    delta = float(delta)
-    if not np.isfinite(delta):
-        raise DomainError("angles must be finite")
-    index = int(index)
-    return MIExtrema(
-        delta=delta,
-        index=index,
-        alpha_max=0.5 * (delta + (index + 0.5) * np.pi),
-        alpha_min=0.5 * (delta + index * np.pi),
-    )

@@ -161,10 +161,6 @@ class Density1D:
     def centers(self) -> np.ndarray:
         return bin_centers(self.delta, len(self.values))
 
-    @property
-    def widths(self) -> np.ndarray:
-        return bin_widths(self.delta, len(self.values))
-
 
 @dataclass(frozen=True)
 class SliceStats:
@@ -352,7 +348,7 @@ class JointHistogram:
         table[:, 2] = self.counts[table[:, 0], table[:, 1]]
         return table
 
-    def to_json_dict(self, meta: dict | None = None) -> dict:
+    def write_json(self, stream: IO[str], meta: dict | None = None) -> None:
         payload = {
             "delta_c": self.delta_c,
             "delta_i": self.delta_i,
@@ -361,10 +357,7 @@ class JointHistogram:
         }
         if meta:
             payload["meta"] = dict(meta)
-        return payload
-
-    def write_json(self, stream: IO[str], meta: dict | None = None) -> None:
-        json.dump(self.to_json_dict(meta), stream, sort_keys=True, separators=(",", ":"))
+        json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
         stream.write("\n")
 
     @classmethod
@@ -409,7 +402,11 @@ class JointHistogram:
         return cls._from_bins(*header, _csv_bins(io.StringIO(body)))
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "JointHistogram":
+    def read_json(cls, stream: IO[str]) -> "JointHistogram":
+        try:
+            payload = json.load(stream, object_pairs_hook=_unique_fields)
+        except (ValueError, RecursionError) as exc:
+            raise HistogramFormatError(f"invalid histogram JSON: {exc}") from None
         try:
             delta_c, delta_i, declared_total, bins = (
                 payload[key] for key in ("delta_c", "delta_i", "total", "bins")
@@ -445,14 +442,6 @@ class JointHistogram:
                 "histogram JSON bin values must lie in [0, 2**64)"
             ) from None
         return cls._from_bins(float(delta_c), float(delta_i), declared_total, bins)
-
-    @classmethod
-    def read_json(cls, stream: IO[str]) -> "JointHistogram":
-        try:
-            payload = json.load(stream, object_pairs_hook=_unique_fields)
-        except (ValueError, RecursionError) as exc:
-            raise HistogramFormatError(f"invalid histogram JSON: {exc}") from None
-        return cls.from_json_dict(payload)
 
 
 def load_histogram(path) -> JointHistogram:

@@ -360,11 +360,11 @@ def _scan_share(consumers, n: int, seed: SeedSpec, block_size: int, indices, par
     return scan.results
 
 
-def scan_checks(consumers, n: int, seed: SeedSpec, workers: int | None = None,
-                block_size: int = BLOCK_SIZE):
+def scan_checks(consumers, n: int, seed: SeedSpec, workers: int | None = None):
     """Run several ``n``-sample consumers in one pass over one block plan.
 
-    Block ``j`` of every consumer uses stream ``seed.stream_id + j``.  A
+    Blocks are ``BLOCK_SIZE`` samples long, and block ``j`` of every
+    consumer uses stream ``seed.stream_id + j``.  A
     consumer is a :class:`TileCheck`, a :class:`StreamCheck`, a
     :class:`TileHistogram` or any spec with their ``kind``, ``empty``,
     ``tile`` and ``merge``; ``tile`` reads its (C, I) pairs from read-only
@@ -384,11 +384,11 @@ def scan_checks(consumers, n: int, seed: SeedSpec, workers: int | None = None,
     ``<= 0``, NaN included, is a violation, and max_excess is the largest
     finite excess, clipped at zero.  A histogram's is a :class:`JointHistogram`.
     """
-    consumers, blocks = list(consumers), _block_count(n, block_size)
+    consumers, blocks = list(consumers), _block_count(n, BLOCK_SIZE)
     workers = resolve_workers(workers)
     _block_seed(seed, blocks - 1)  # the last block's stream must exist too
     results = [consumer.empty() for consumer in consumers]
-    scan = partial(_scan_share, consumers, n, seed, block_size)
+    scan = partial(_scan_share, consumers, n, seed, BLOCK_SIZE)
     with closing(_run_shares(scan, blocks, workers)) as shares:
         for share in shares if consumers else ():
             results = [consumer.merge(total, part)

@@ -281,7 +281,7 @@ def concurrence_polar(mod_a, mod_b, mod_c, mod_d, theta):
     _require_unit_norm(mod_a**2 + mod_b**2 + mod_c**2 + mod_d**2)
     ad = mod_a * mod_d
     bc = mod_b * mod_c
-    radicand = ad**2 + bc**2 - 2.0 * ad * bc * np.cos(theta)
+    radicand = ad * ad + bc * bc - 2.0 * ad * bc * np.cos(theta)
     value = 2.0 * np.sqrt(np.maximum(radicand, 0.0))
     return _scalarize(_clamp_unit(value, "concurrence"))
 

@@ -36,7 +36,6 @@ from entmi import (
     entanglement_entropy,
     entanglement_from_concurrence,
     load_histogram,
-    mi_extrema,
     mi_from_angles,
     mutual_information,
     probabilities,
@@ -218,11 +217,12 @@ def test_criterion_7_analytic_oracle():
     for delta in gen.uniform(0.0, 2.0 * np.pi, 100):
         target = ridge_mi(abs(np.sin(delta)))
         for index in range(-2, 3):
-            ex = mi_extrema(delta, index)
-            worst_min = max(worst_min, mi_from_angles(ex.alpha_min, delta))
-            worst_max = max(
-                worst_max, abs(mi_from_angles(ex.alpha_max, delta) - target)
-            )
+            # The stationary angles of branch ``index``: MI is 0 at the
+            # minimum and ridge_mi(|sin delta|) at the maximum.
+            alpha_min = 0.5 * (delta + index * np.pi)
+            alpha_max = 0.5 * (delta + (index + 0.5) * np.pi)
+            worst_min = max(worst_min, mi_from_angles(alpha_min, delta))
+            worst_max = max(worst_max, abs(mi_from_angles(alpha_max, delta) - target))
     ok = _report(
         7, "closed form matches measurement pipeline",
         oracle.passed and worst_min <= 1e-12 and worst_max <= 1e-12,

@@ -16,12 +16,12 @@ README = ROOT / "README.md"
 PUBLIC = {
     "BLOCK_SIZE", "BOUND_TOL", "ConsistencyError", "ConvergenceError", "Density1D",
     "DomainError", "EmptyHistogramError", "EmptySliceError", "Ensemble", "EntmiError",
-    "HistogramFormatError", "InsufficientDataError", "JointHistogram", "MIExtrema",
+    "HistogramFormatError", "InsufficientDataError", "JointHistogram",
     "NotNormalizedError", "OutOfRangeError", "SeedSpec", "ShapeMismatchError",
     "SliceStats", "VerificationReport", "bin_count", "binary_entropy",
     "check_angle_oracle", "check_bound", "check_ridge", "check_zero_mi_family",
     "concurrence", "concurrence_polar", "entanglement_entropy",
-    "entanglement_from_concurrence", "load_histogram", "mi_extrema", "mi_from_angles",
+    "entanglement_from_concurrence", "load_histogram", "mi_from_angles",
     "mutual_information", "params_to_amplitudes", "probabilities", "ridge_concurrence",
     "ridge_mi", "run_histogram_job", "sample_amplitudes", "stream_generator",
     "write_density_csv", "write_reports_jsonl",
@@ -58,3 +58,10 @@ def test_importing_the_cli_leaves_out_multiprocessing_and_numpy_random():
     code = "import sys, entmi.cli; print({'multiprocessing', 'numpy.random'} & set(sys.modules))"
     run = run_isolated(code)
     assert (run.returncode, run.stdout) == (0, "set()\n"), run.stderr
+
+
+def test_the_benchmark_traced_sweep_imports():
+    # perfbench/traced.py imports entmi names and pipeline.block_plan for --trace 1.
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'perfbench')!r}); import traced"
+    run = run_isolated(code)
+    assert run.returncode == 0, run.stderr

@@ -8,7 +8,6 @@ from entmi import (
     DomainError,
     binary_entropy,
     entanglement_from_concurrence,
-    mi_extrema,
     mi_from_angles,
     mutual_information,
     params_to_amplitudes,
@@ -113,6 +112,16 @@ def _pipeline_mi(alpha, delta):
     return mutual_information(probabilities(amps))
 
 
+def _alpha_max(delta, index=0):
+    """Angle of the maximum on branch ``index``, where MI = ridge_mi(|sin delta|)."""
+    return 0.5 * (delta + (index + 0.5) * np.pi)
+
+
+def _alpha_min(delta, index=0):
+    """Angle of the minimum on branch ``index``, where MI = 0."""
+    return 0.5 * (delta + index * np.pi)
+
+
 class TestAngleFamily:
     @pytest.mark.parametrize(
         "alpha,delta",
@@ -126,40 +135,27 @@ class TestAngleFamily:
         with pytest.raises(DomainError, match="finite"):
             mi_from_angles(alpha, delta)
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
-    def test_extrema_reject_an_offset_that_is_not_finite(self, delta):
-        # A NaN offset gave NaN angles.
-        with pytest.raises(DomainError, match="finite"):
-            mi_extrema(delta)
-
     def test_zero_at_half_offset(self):
         for delta in np.linspace(0, 2 * np.pi, 17):
             assert mi_from_angles(delta / 2, delta) <= 1e-12
 
     def test_maximum_reaches_one_bit(self):
-        extrema = mi_extrema(np.pi / 2, 0)
-        assert extrema.alpha_max == pytest.approx(np.pi / 2)
-        assert mi_from_angles(extrema.alpha_max, np.pi / 2) == pytest.approx(
+        assert mi_from_angles(_alpha_max(np.pi / 2), np.pi / 2) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_maximum_matches_ridge_frozen(self):
-        extrema = mi_extrema(0.2 * np.pi, 0)
-        assert mi_from_angles(extrema.alpha_max, extrema.delta) == pytest.approx(
+        delta = 0.2 * np.pi
+        assert mi_from_angles(_alpha_max(delta), delta) == pytest.approx(
             RIDGE_AT_SIN_02PI, abs=1e-13
         )
-        extrema = mi_extrema(0.4 * np.pi, 0)
-        assert mi_from_angles(extrema.alpha_max, extrema.delta) == pytest.approx(
+        delta = 0.4 * np.pi
+        assert mi_from_angles(_alpha_max(delta), delta) == pytest.approx(
             RIDGE_AT_SIN_04PI, abs=1e-13
         )
 
-    def test_extrema_formulas(self):
-        extrema = mi_extrema(0.0, 0)
-        assert extrema.alpha_max == pytest.approx(np.pi / 4)
-        assert extrema.alpha_min == 0.0
-        extrema = mi_extrema(np.pi / 2, 1)
-        assert extrema.alpha_min == pytest.approx(3 * np.pi / 4)
-        assert mi_from_angles(extrema.alpha_min, extrema.delta) <= 1e-12
+    def test_minimum_on_another_branch(self):
+        assert mi_from_angles(_alpha_min(np.pi / 2, 1), np.pi / 2) <= 1e-12
 
     def test_matches_the_closed_form_bit_for_bit(self):
         # The expression the closed form was first written as; the buffered
@@ -196,11 +192,12 @@ class TestAngleFamily:
             (alpha[:500], 0.3),
         ]:
             assert np.array_equal(mi_from_angles(a, d), reference(a, d))
-        # A 0-d cosine is squared by libm pow, not x * x; keep that value.
+        # numpy squares a numpy scalar with libm pow, an array with x * x; a
+        # 0-d call must give the bits of the same angles in 1-element arrays.
         for a, d in zip(alpha[:3_000], delta[:3_000]):
             value = mi_from_angles(float(a), float(d))
             assert type(value) is float
-            assert value == float(reference(a, d))
+            assert value == float(reference([a], [d])[0])
 
     def test_periodicity(self):
         gen = np.random.default_rng(5)
@@ -224,12 +221,8 @@ class TestAngleFamily:
         gen = np.random.default_rng(29)
         for delta in gen.uniform(0, 2 * np.pi, 100):
             for index in range(-2, 3):
-                extrema = mi_extrema(delta, index)
-                probs = probabilities(
-                    params_to_amplitudes(
-                        0.5, extrema.alpha_max, extrema.alpha_max - delta
-                    )
-                )
+                alpha = _alpha_max(delta, index)
+                probs = probabilities(params_to_amplitudes(0.5, alpha, alpha - delta))
                 left, right = _marginal_entropies(probs)
                 assert left == pytest.approx(1.0, abs=1e-12)
                 assert right == pytest.approx(1.0, abs=1e-12)
@@ -237,10 +230,8 @@ class TestAngleFamily:
     def test_right_marginal_reaches_bound_at_minima(self):
         gen = np.random.default_rng(31)
         for delta in gen.uniform(0, 2 * np.pi, 100):
-            extrema = mi_extrema(delta, 0)
-            amps = params_to_amplitudes(
-                0.5, extrema.alpha_min, extrema.alpha_min - delta
-            )
+            alpha = _alpha_min(delta)
+            amps = params_to_amplitudes(0.5, alpha, alpha - delta)
             _, right = _marginal_entropies(probabilities(amps))
             limit = entanglement_from_concurrence(abs(np.sin(delta)))
             assert right == pytest.approx(limit, abs=1e-10)

@@ -49,9 +49,9 @@ def _bound_check(kind, tol=verify.BOUND_TOL):
     return TileCheck(kind.value, partial(verify._bound_excess, tol))
 
 
-def _scan_one(check, n, seed, workers=1, block_size=pipeline.BLOCK_SIZE):
+def _scan_one(check, n, seed, workers=1):
     """The result of ``check`` scanned alone: (violations, worst) or a histogram."""
-    return pipeline.scan_checks([check], n, seed, workers, block_size)[0]
+    return pipeline.scan_checks([check], n, seed, workers)[0]
 
 
 class TestBlockPlan:
@@ -83,8 +83,9 @@ class TestBlockPlan:
             pipeline.scan_checks(checks, 600_000, SeedSpec(1, 2**64 - 2), workers=2)
         assert forks == []
 
-    def test_last_stream_may_be_the_largest(self):
-        job = _scan_one(TileHistogram("real-s3", 0.1, 0.1), 2, SeedSpec(1, 2**64 - 2), 1, 1)
+    def test_last_stream_may_be_the_largest(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 1)
+        job = _scan_one(TileHistogram("real-s3", 0.1, 0.1), 2, SeedSpec(1, 2**64 - 2), 1)
         assert job.total == 2
 
     def test_resolve_workers(self):
@@ -112,23 +113,25 @@ class TestObservables:
 
 
 class TestHistogramJob:
-    def test_worker_count_is_irrelevant(self):
+    def test_worker_count_is_irrelevant(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 1000)
         histogram = TileHistogram("real-s3", 0.02, 0.02)
-        serial = _scan_one(histogram, 10_000, SeedSpec(42), workers=1, block_size=1000)
-        parallel = _scan_one(histogram, 10_000, SeedSpec(42), workers=2, block_size=1000)
+        serial = _scan_one(histogram, 10_000, SeedSpec(42), workers=1)
+        parallel = _scan_one(histogram, 10_000, SeedSpec(42), workers=2)
         assert serial == parallel
 
-    def test_repeat_runs_identical(self):
+    def test_repeat_runs_identical(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 1_000)
         first, second = (
-            _scan_one(TileHistogram("complex-s7", 0.05, 0.05), 4_000, SeedSpec(7),
-                      workers=2, block_size=1_000)
+            _scan_one(TileHistogram("complex-s7", 0.05, 0.05), 4_000, SeedSpec(7), workers=2)
             for _ in range(2)
         )
         assert first == second
 
-    def test_matches_manual_accumulation(self):
+    def test_matches_manual_accumulation(self, monkeypatch):
         n, block = 5_000, 1_024
-        job = _scan_one(TileHistogram("param", 0.05, 0.05), n, SeedSpec(11), 2, block)
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", block)
+        job = _scan_one(TileHistogram("param", 0.05, 0.05), n, SeedSpec(11), 2)
         manual = JointHistogram(0.05, 0.05)
         for stream_id, count in block_plan(n, block):
             amps = sample_amplitudes(Ensemble.PARAM, SeedSpec(11, stream_id), count)
@@ -136,14 +139,16 @@ class TestHistogramJob:
             manual.accumulate_many(c, i)
         assert job == manual
 
-    def test_prefix_property(self):
+    def test_prefix_property(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 1000)
         histogram = TileHistogram("real-s3", 0.1, 0.1)
-        short, longer = (_scan_one(histogram, n, SeedSpec(5), 1, 1000) for n in (2_000, 3_000))
-        tail = _scan_one(histogram, 1_000, SeedSpec(5, 2), 1, 1000)
+        short, longer = (_scan_one(histogram, n, SeedSpec(5), 1) for n in (2_000, 3_000))
+        tail = _scan_one(histogram, 1_000, SeedSpec(5, 2), 1)
         assert histogram.merge(short, tail) == longer
 
-    def test_total_matches_request(self):
-        job = _scan_one(TileHistogram("zero-mi", 0.1, 0.1), 3_333, SeedSpec(1), 2, 1000)
+    def test_total_matches_request(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 1000)
+        job = _scan_one(TileHistogram("zero-mi", 0.1, 0.1), 3_333, SeedSpec(1), 2)
         assert job.total == 3_333
         assert int(job.counts.sum()) == 3_333
 
@@ -166,25 +171,26 @@ class SmallMITally(NamedTuple):
 class TestConsumerProtocol:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [5_000, 4_321])
-    def test_a_spec_with_empty_tile_and_merge_is_a_consumer(self, n, workers):
+    def test_a_spec_with_empty_tile_and_merge_is_a_consumer(self, monkeypatch, n, workers):
         # Blocks of 1000 on 3 workers give shares of 2, 2 and 1 blocks.
         seed, block = SeedSpec(23, 4), 1_000
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", block)
         checks = [SmallMITally("real-s3"), TileHistogram("real-s3", 0.02, 0.02)]
-        tally, hist = pipeline.scan_checks(checks, n, seed, workers, block)
+        tally, hist = pipeline.scan_checks(checks, n, seed, workers)
         expected = sum(
             int(np.count_nonzero(mutual_information(probabilities(
                 sample_amplitudes(Ensemble.REAL_S3, SeedSpec(23, 4 + j), count))) < 1e-3))
             for j, count in block_plan(n, block)
         )
         assert tally == [expected] and 0 < expected < n
-        assert hist == _scan_one(TileHistogram("real-s3", 0.02, 0.02), n, seed, 1, block)
+        assert hist == _scan_one(TileHistogram("real-s3", 0.02, 0.02), n, seed, 1)
 
 
 class TestBoundScan:
-    def test_no_violations_on_real_ensemble(self):
+    def test_no_violations_on_real_ensemble(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 25_000)
         violations, excess = _scan_one(
-            _bound_check(Ensemble.REAL_S3), 100_000, SeedSpec(13),
-            workers=2, block_size=25_000,
+            _bound_check(Ensemble.REAL_S3), 100_000, SeedSpec(13), workers=2
         )
         assert violations == 0
         assert excess == 0.0
@@ -194,20 +200,19 @@ class TestBoundScan:
         assert report.violations == 0
         assert report.max_violation == 0.0
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 10_000)
         first, second = (
-            _scan_one(
-                _bound_check(Ensemble.REAL_S3), 50_000, SeedSpec(3),
-                workers=workers, block_size=10_000,
-            )
+            _scan_one(_bound_check(Ensemble.REAL_S3), 50_000, SeedSpec(3), workers=workers)
             for workers in (1, 2)
         )
         assert first == second
 
-    def test_worst_excess_is_the_block_maximum_for_any_worker_count(self):
+    def test_worst_excess_is_the_block_maximum_for_any_worker_count(self, monkeypatch):
         # A negative tolerance turns every sample into a violation, so the
         # reported maximum is a genuine float that every grouping must keep.
         n, block = 50_000, 7_000
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", block)
         expected = -np.inf
         for stream_id, count in block_plan(n, block):
             amps = sample_amplitudes(Ensemble.COMPLEX_S7, SeedSpec(3, stream_id), count)
@@ -216,8 +221,7 @@ class TestBoundScan:
             expected = max(expected, float(excess.max()))
         for workers in (1, 2, 3):
             assert _scan_one(
-                _bound_check(Ensemble.COMPLEX_S7, tol=-1.0), n, SeedSpec(3),
-                workers=workers, block_size=block,
+                _bound_check(Ensemble.COMPLEX_S7, tol=-1.0), n, SeedSpec(3), workers=workers
             ) == (n, expected)
 
 
@@ -301,7 +305,10 @@ class ZeroedRow:
 
 
 def _tiled_observables(kind, seed, count, tiles=None):
-    """The (C, I) pairs that a one-block scan hands a check, tile after tile, into ``tiles``."""
+    """The (C, I) pairs that a one-block scan hands a check, tile after tile, into ``tiles``.
+
+    ``count`` is at most ``BLOCK_SIZE``, so the scan is one block.
+    """
     tiles = [] if tiles is None else tiles
 
     def record(c, i, out, scratch, mask):
@@ -309,7 +316,7 @@ def _tiled_observables(kind, seed, count, tiles=None):
         out[...] = 0.0
 
     check = TileCheck(kind.value, record)
-    pipeline.scan_checks([check], count, seed, workers=1, block_size=count)
+    pipeline.scan_checks([check], count, seed, workers=1)
     return tuple(np.concatenate(pairs) for pairs in zip(*tiles))
 
 
@@ -697,10 +704,11 @@ class TestForkedWorkers:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["block 0: 250000 states", "no child left"]
 
-    def test_a_consumer_need_not_pickle(self):
+    def test_a_consumer_need_not_pickle(self, monkeypatch):
         # Only the partials cross the fork: a lambda, which cannot pickle, may check.
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 1000)
         check = TileCheck("real-s3", lambda c, i, out, scratch, mask: np.subtract(i, 0.1, out))
-        serial, forked = (_scan_one(check, 5000, SeedSpec(4), w, 1000) for w in (1, 2))
+        serial, forked = (_scan_one(check, 5000, SeedSpec(4), w) for w in (1, 2))
         assert serial == forked and serial[0] > 0
 
 

@@ -305,6 +305,16 @@ class TestConcurrence:
                 concurrence(amps), abs=1e-12
             )
 
+    def test_polar_0d_call_gives_the_bits_of_a_1_element_array(self):
+        # numpy squares a numpy scalar with libm pow, an array with x * x.
+        amps = _random_states(47, 10_000)
+        moduli = np.abs(amps)
+        phases = np.angle(amps)
+        theta = phases[:, 0] + phases[:, 3] - phases[:, 1] - phases[:, 2]
+        for row, angle in zip(moduli.tolist(), theta.tolist()):
+            value = concurrence_polar(*row, angle)
+            assert value == concurrence_polar(*([x] for x in row), [angle])[0]
+
 
 class TestEntanglement:
     def test_boundary_values(self):
