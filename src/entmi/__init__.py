@@ -26,14 +26,12 @@ from .histogram import (
     Density1D,
     JointHistogram,
     SliceStats,
-    bin_count,
     load_histogram,
     write_density_csv,
 )
-from .pipeline import BLOCK_SIZE, run_histogram_job
+from .pipeline import run_histogram_job
 from .sampling import Ensemble, SeedSpec, sample_amplitudes, stream_generator
 from .states import (
-    binary_entropy,
     concurrence,
     concurrence_polar,
     entanglement_entropy,
@@ -43,7 +41,6 @@ from .states import (
     probabilities,
 )
 from .verify import (
-    BOUND_TOL,
     VerificationReport,
     check_angle_oracle,
     check_bound,
@@ -55,8 +52,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK_SIZE",
-    "BOUND_TOL",
     "ConsistencyError",
     "ConvergenceError",
     "Density1D",
@@ -74,8 +69,6 @@ __all__ = [
     "ShapeMismatchError",
     "SliceStats",
     "VerificationReport",
-    "bin_count",
-    "binary_entropy",
     "check_angle_oracle",
     "check_bound",
     "check_ridge",

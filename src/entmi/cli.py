@@ -5,9 +5,10 @@ malformed histogram file, 3 I/O failure.  ``verify --check NAME`` runs the
 ``verify.CHECKS`` entry ``NAME[--ensemble]`` if there is one, else ``NAME``,
 and ``--all`` runs ``verify.SUITE``.  :func:`main` alone maps errors
 to exit codes (argument errors and ``EntmiError`` to 2, ``OSError`` to 3),
-each with one ``error: ...`` line on stderr.  Identical command lines produce
-byte-identical output files; the worker count (``--workers`` or the
-``QES_WORKERS`` variable) never changes results, only wall time.
+each with one ``error: ...`` line on stderr.  A run reads no environment
+variable, so its command line alone sets it: identical command lines
+produce byte-identical output files, and ``--workers`` never changes
+results, only wall time.
 """
 
 from __future__ import annotations
@@ -31,19 +32,6 @@ _EXIT_USAGE = 2
 _EXIT_IO = 3
 
 _DEFAULT_TABLE_CENTERS = "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
-
-
-def _workers_from(args) -> int | None:
-    env = os.environ.get("QES_WORKERS")
-    if args.workers is not None or not env:
-        return args.workers
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise DomainError(f"QES_WORKERS must be a positive integer, got {env!r}")
-    return workers
 
 
 def _write_output(path: str, write) -> None:
@@ -183,10 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sample(args) -> int:
     delta_c = args.delta_c if args.delta_c is not None else args.bins
     delta_i = args.delta_i if args.delta_i is not None else args.bins
-    workers = _workers_from(args)
     _check_writable(args.out)
     hist = run_histogram_job(
-        Ensemble(args.ensemble), args.n, args.seed, delta_c, delta_i, workers=workers
+        Ensemble(args.ensemble), args.n, args.seed, delta_c, delta_i, workers=args.workers
     )
     meta = {"ensemble": args.ensemble, "n": args.n, "master_seed": args.seed}
     writer = hist.write_json if args.format == "json" else hist.write_csv
@@ -237,7 +224,6 @@ def _cmd_curve(args) -> int:
 def _cmd_verify(args) -> int:
     if not args.all and not args.check:
         raise DomainError("select checks with --all or --check")
-    workers = _workers_from(args)
 
     names = list(SUITE) if args.all else []
     for name in args.check or []:
@@ -256,7 +242,7 @@ def _cmd_verify(args) -> int:
         at = names.index("ridge")
         del names[at]
     _check_writable(args.out)
-    reports = run_checks(names, args.n, SeedSpec(args.seed), workers)
+    reports = run_checks(names, args.n, SeedSpec(args.seed), args.workers)
     if args.hist is not None:
         reports.insert(at, ridge)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .states import _scalarize, _within, _xlog2_into, binary_entropy
+from .states import _binary_entropy, _require_finite, _scalarize, _unit_interval, _xlog2_into
 
 _BISECT_MAX_ITER = 200
 _BISECT_TOL = 1e-12
@@ -33,8 +33,7 @@ def mi_from_angles(alpha, delta):
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    if not (np.isfinite(alpha).all() and np.isfinite(delta).all()):
-        raise DomainError("angles must be finite")
+    _require_finite("angles", alpha, delta)
     beta = alpha - delta
     squares = np.square(
         np.stack(np.broadcast_arrays(np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)))
@@ -78,13 +77,12 @@ def ridge_mi(c):
     """Most probable nonzero mutual information at fixed concurrence.
 
     ridge_mi(C) = 1 + (1+C)/2 log2((1+C)/2) + (1-C)/2 log2((1-C)/2),
-    strictly increasing with ridge_mi(0) = 0 and ridge_mi(1) = 1.
+    strictly increasing with ridge_mi(0) = 0 and ridge_mi(1) = 1.  A ``c``
+    within 1e-12 of [0, 1] is clipped into it; one further off, or NaN,
+    raises ``DomainError``.
     """
-    c = np.asarray(c, dtype=np.float64)
-    if not _within(c, -1e-12, 1.0 + 1e-12):
-        raise DomainError("concurrence outside [0, 1]")
-    c = np.clip(c, 0.0, 1.0)
-    return _scalarize(np.maximum(1.0 - binary_entropy(0.5 * (1.0 + c)), 0.0))
+    c = _unit_interval(c, "concurrence")
+    return _scalarize(np.maximum(1.0 - _binary_entropy(0.5 * (1.0 + c)), 0.0))
 
 
 def ridge_concurrence(info) -> float:

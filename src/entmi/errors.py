@@ -18,7 +18,7 @@ class OutOfRangeError(EntmiError, ValueError):
 
 
 class ShapeMismatchError(EntmiError, ValueError):
-    """Histograms with different binning cannot be combined."""
+    """The c and i batches given to ``JointHistogram.accumulate_many`` differ in length."""
 
 
 class EmptyHistogramError(EntmiError, ValueError):

@@ -153,7 +153,6 @@ class Density1D:
     widths is 1 for any non-empty source histogram.
     """
 
-    label: str
     delta: float
     values: np.ndarray
 
@@ -300,7 +299,7 @@ class JointHistogram:
     def _density(self, axis: str, sums: np.ndarray, total) -> Density1D:
         """Density over ``axis`` of the counts ``sums``: each over total x width."""
         delta, nbins = self._axis(axis)
-        return Density1D(axis.upper(), delta, sums / (float(total) * bin_widths(delta, nbins)))
+        return Density1D(delta, sums / (float(total) * bin_widths(delta, nbins)))
 
     def slice_stats(self, i_center: float, i_halfwidth: float) -> SliceStats:
         """Peak position, mean, and spread of concurrence in one MI slice.

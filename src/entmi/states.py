@@ -39,14 +39,15 @@ def xlog2(v):
 def binary_entropy(p):
     """Base-2 entropy of a two-outcome distribution (p, 1-p).
 
-    A ``p`` off [0, 1] by at most 1e-12 of round-off is clipped into it;
-    one further off, or NaN, raises ``DomainError``.
+    A ``p`` within 1e-12 of [0, 1] is clipped into it; one further off, or
+    NaN, raises ``DomainError``.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if not _within(p, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
-        raise DomainError("probability outside [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    return _scalarize(np.maximum(-xlog2(p) - xlog2(1.0 - p), 0.0))
+    return _scalarize(_binary_entropy(_unit_interval(p, "probability")))
+
+
+def _binary_entropy(p):
+    """:func:`binary_entropy` of a ``p`` already in [0, 1], unscalarized."""
+    return np.maximum(-xlog2(p) - xlog2(1.0 - p), 0.0)
 
 
 def _scalarize(x):
@@ -56,6 +57,23 @@ def _scalarize(x):
 def _within(values, lo: float, hi: float) -> bool:
     """Whether every value lies in [lo, hi]; NaN fails both comparisons."""
     return bool(np.min(values, initial=lo) >= lo and np.max(values, initial=hi) <= hi)
+
+
+def _unit_interval(values, what: str):
+    """``values`` as float64 clipped into [0, 1], each off it by at most 1e-12.
+
+    One further off, or NaN, raises ``DomainError("<what> outside [0, 1]")``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not _within(values, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
+        raise DomainError(f"{what} outside [0, 1]")
+    return np.clip(values, 0.0, 1.0)
+
+
+def _require_finite(what: str, *values) -> None:
+    """Raise ``DomainError("<what> must be finite")`` unless every value is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise DomainError(f"{what} must be finite")
 
 
 def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
@@ -73,8 +91,7 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
     )
     if not _within(y, 0.0, 1.0):
         raise DomainError("y outside [0, 1]")
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-        raise DomainError("angles must be finite")
+    _require_finite("angles", alpha, beta)
     shape = y.shape
     return _params_into(
         y, alpha, beta, np.empty(shape + (4,)), np.empty((4,) + shape), np.empty(shape)
@@ -112,8 +129,7 @@ def _amplitudes_of(state) -> np.ndarray:
     arr = np.asarray(state)
     if arr.ndim == 0 or arr.shape[-1] != 4:
         raise ValueError("expected four amplitudes on the last axis")
-    if not np.isfinite(arr).all():
-        raise DomainError("amplitudes must be finite")
+    _require_finite("amplitudes", arr)
     return arr
 
 
@@ -196,8 +212,7 @@ def mutual_information(probs):
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] != 4:
         raise ValueError("expected four probabilities on the last axis")
-    if not np.isfinite(p).all():
-        raise DomainError("probabilities must be finite")
+    _require_finite("probabilities", p)
     if np.min(p, initial=0.0) < -_UNIT_CLAMP_TOL:
         raise DomainError("probabilities must not be negative")
     rows = p.reshape(-1, 4).T.copy()
@@ -270,11 +285,14 @@ def concurrence_polar(mod_a, mod_b, mod_c, mod_d, theta):
 
         2 * sqrt(|ad|^2 + |bc|^2 - 2 |abcd| cos(theta))
 
-    The squared moduli must sum to 1 within ``NORM_TOL``.
+    Moduli or an angle that are not finite, or a negative modulus, raise
+    ``DomainError``; the squared moduli must sum to 1 within ``NORM_TOL``.
     """
     mod_a, mod_b, mod_c, mod_d, theta = np.broadcast_arrays(
         *(np.asarray(x, dtype=np.float64) for x in (mod_a, mod_b, mod_c, mod_d, theta))
     )
+    _require_finite("moduli", mod_a, mod_b, mod_c, mod_d)
+    _require_finite("angles", theta)
     for moduli in (mod_a, mod_b, mod_c, mod_d):
         if np.any(moduli < 0.0):
             raise DomainError("moduli must be non-negative")
@@ -292,12 +310,11 @@ def entanglement_from_concurrence(c):
     E(C) is the binary entropy of x = (1 + sqrt(1 - C^2)) / 2; it rises
     monotonically from E(0) = 0 to E(1) = 1.  The complement 1 - x is
     evaluated as C^2 / (2 (1 + sqrt(1 - C^2))) to avoid cancellation for
-    small C.
+    small C.  A ``c`` within 1e-12 of [0, 1] is clipped into it; one
+    further off, or NaN, raises ``DomainError``.
     """
-    c = np.asarray(c, dtype=np.float64)
-    if not _within(c, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
-        raise DomainError("concurrence outside [0, 1]")
-    flat = np.clip(c, 0.0, 1.0).reshape(-1)
+    c = _unit_interval(c, "concurrence")
+    flat = c.reshape(-1)
     x, root = np.empty((2, flat.size))
     value = _entanglement_into(flat, (x, root, flat), np.empty(flat.size, dtype=bool))
     return _scalarize(value.reshape(c.shape))
@@ -338,9 +355,14 @@ def entanglement_entropy(state):
     bottom = c.real**2 + c.imag**2 + d.real**2 + d.imag**2
     norm2 = top + bottom
     _require_unit_norm(norm2)
-    off = a * np.conj(c) + b * np.conj(d)
-    det = np.maximum(top * bottom - (off.real**2 + off.imag**2), 0.0)
+    # np.multiply, not ``*``: numpy reuses a large temporary in place, which
+    # turns ``a * conj(c)`` into ``conj(c) * a``, and complex products are
+    # not bit-identical in both orders, so a state's bits would depend on
+    # the size of its batch.  ``x * x``, not ``x**2``, where ``x`` may be a
+    # numpy scalar: numpy squares those with libm pow.
+    off = np.multiply(a, np.conj(c)) + np.multiply(b, np.conj(d))
+    det = np.maximum(top * bottom - (off.real * off.real + off.imag * off.imag), 0.0)
     half_trace = 0.5 * norm2
-    lam_big = half_trace + np.sqrt(np.maximum(half_trace**2 - det, 0.0))
+    lam_big = half_trace + np.sqrt(np.maximum(half_trace * half_trace - det, 0.0))
     lam_small = det / lam_big
     return _scalarize(np.maximum(-xlog2(lam_big) - xlog2(lam_small), 0.0))

@@ -14,12 +14,11 @@ README = ROOT / "README.md"
 # What the CLI, the README, the verify checks and the benchmark use, plus
 # the exceptions, result types and independent reference routes.
 PUBLIC = {
-    "BLOCK_SIZE", "BOUND_TOL", "ConsistencyError", "ConvergenceError", "Density1D",
-    "DomainError", "EmptyHistogramError", "EmptySliceError", "Ensemble", "EntmiError",
+    "ConsistencyError", "ConvergenceError", "Density1D", "DomainError",
+    "EmptyHistogramError", "EmptySliceError", "Ensemble", "EntmiError",
     "HistogramFormatError", "InsufficientDataError", "JointHistogram",
     "NotNormalizedError", "OutOfRangeError", "SeedSpec", "ShapeMismatchError",
-    "SliceStats", "VerificationReport", "bin_count", "binary_entropy",
-    "check_angle_oracle", "check_bound", "check_ridge", "check_zero_mi_family",
+    "SliceStats", "VerificationReport", "check_angle_oracle", "check_bound", "check_ridge", "check_zero_mi_family",
     "concurrence", "concurrence_polar", "entanglement_entropy",
     "entanglement_from_concurrence", "load_histogram", "mi_from_angles",
     "mutual_information", "params_to_amplitudes", "probabilities", "ridge_concurrence",

@@ -109,21 +109,13 @@ class TestSample:
         assert _read(one) == _read(two)
         assert load_histogram(one) == load_histogram(two)
 
-    def test_env_var_sets_workers(self, run_cli, tmp_path, monkeypatch):
-        monkeypatch.setenv("QES_WORKERS", "2")
-        out = tmp_path / "h.csv"
-        assert run_cli(["sample", "--n", "5000", "--out", str(out)]) == 0
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-    def test_invalid_env_workers_exit_2(
-        self, run_cli, tmp_path, monkeypatch, capsys, value
-    ):
-        monkeypatch.setenv("QES_WORKERS", value)
-        out = tmp_path / "h.csv"
-        assert run_cli(["sample", "--n", "5000", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "QES_WORKERS" in err
-        assert not out.exists()
+    def test_the_environment_does_not_set_the_run(self, run_cli, tmp_path, monkeypatch):
+        # A run reads no environment variable: its command line alone sets it.
+        plain, with_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+        assert run_cli(["sample", "--n", "5000", "--out", str(plain)]) == 0
+        monkeypatch.setenv("QES_WORKERS", "abc")
+        assert run_cli(["sample", "--n", "5000", "--out", str(with_env)]) == 0
+        assert _read(with_env) == _read(plain)
 
     def test_json_format(self, run_cli, tmp_path):
         out = tmp_path / "h.json"

@@ -6,7 +6,6 @@ import pytest
 from entmi import (
     ConvergenceError,
     DomainError,
-    binary_entropy,
     entanglement_from_concurrence,
     mi_from_angles,
     mutual_information,
@@ -15,7 +14,7 @@ from entmi import (
     ridge_concurrence,
     ridge_mi,
 )
-from entmi.states import xlog2
+from entmi.states import binary_entropy, xlog2
 
 # 40-digit reference evaluations of the ridge curve and the bound.
 RIDGE_AT_037 = 0.1011389629557098

@@ -19,10 +19,9 @@ from entmi import (
     JointHistogram,
     OutOfRangeError,
     ShapeMismatchError,
-    bin_count,
     write_density_csv,
 )
-from entmi.histogram import bin_widths, load_histogram
+from entmi.histogram import bin_count, bin_widths, load_histogram
 from entmi.pipeline import TileHistogram
 
 
@@ -344,7 +343,7 @@ class TestSerialization:
         assert load_histogram(json_path) == h
 
     def test_density_csv_format(self):
-        density = Density1D("C", 0.5, np.array([1.5, 0.5]))
+        density = Density1D(0.5, np.array([1.5, 0.5]))
         buf = io.StringIO()
         write_density_csv(density, buf)
         assert buf.getvalue() == "bin_center,density\n0.25,1.5\n0.75,0.5\n"

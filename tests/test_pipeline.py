@@ -24,7 +24,6 @@ from entmi import (
     JointHistogram,
     OutOfRangeError,
     SeedSpec,
-    bin_count,
     check_bound,
     concurrence,
     entanglement_from_concurrence,
@@ -35,6 +34,7 @@ from entmi import (
     sample_amplitudes,
 )
 from entmi import pipeline, sampling, verify
+from entmi.histogram import bin_count
 from entmi.pipeline import TileCheck, TileHistogram, block_plan, resolve_workers
 from entmi.states import xlog2
 

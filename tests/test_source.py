@@ -26,3 +26,24 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(p for p in (SRC / "entmi").glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _environment_reads(path):
+    """``file:line: name`` of each ``os.environ``/``os.getenv`` that ``path`` reads."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in names]
+    return [f"{path.name}:{line}: {name}" for line, name in found]
+
+
+def test_no_module_reads_the_environment():
+    # A run is set by its command line alone.
+    modules = sorted((SRC / "entmi").glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in _environment_reads(path)] == []
