@@ -213,10 +213,9 @@ def _cmd_table(args) -> int:
 def _cmd_curve(args) -> int:
     if args.points < 2:
         raise DomainError("--points must be at least 2")
-    rows = ["c,ridge_i,bound_e"]
-    for k in range(args.points):
-        c = k / (args.points - 1)
-        rows.append(f"{c!r},{ridge_mi(c)!r},{entanglement_from_concurrence(c)!r}")
+    grid = [k / (args.points - 1) for k in range(args.points)]
+    columns = grid, ridge_mi(grid).tolist(), entanglement_from_concurrence(grid).tolist()
+    rows = ["c,ridge_i,bound_e", *(f"{c!r},{i!r},{e!r}" for c, i, e in zip(*columns))]
     _write_output(args.out, lambda out: out.write("\n".join(rows) + "\n"))
     return _EXIT_OK
 

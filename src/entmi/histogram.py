@@ -37,7 +37,7 @@ from .errors import (
     OutOfRangeError,
     ShapeMismatchError,
 )
-from .states import _within
+from .states import _require_finite, _within
 
 # Values may poke out of [0, 1] by at most this much before they are an error.
 _EDGE_TOL = 1e-12
@@ -306,10 +306,12 @@ class JointHistogram:
 
         The peak is the center of the highest bin of the sliced counts
         (ties resolve to the lowest bin); mean and standard deviation are
-        taken over bin centers weighted by counts.
+        taken over bin centers weighted by counts.  A center that is not
+        finite, or a halfwidth outside (0, inf), raises ``DomainError``.
         """
-        if i_halfwidth <= 0.0:
-            raise DomainError("slice halfwidth must be positive")
+        _require_finite("slice center", i_center)
+        if not 0.0 < i_halfwidth < math.inf:
+            raise DomainError("slice halfwidth must be positive and finite")
         sums = self._slice_sums("i", i_center - i_halfwidth, i_center + i_halfwidth)
         count = int(sums.sum())
         centers = self.centers("c")

@@ -36,10 +36,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
 from .histogram import JointHistogram
 from .sampling import _LAYOUTS, _TILE_ROWS, Ensemble, SeedSpec, _as_amplitudes
-from .sampling import _screen_and_finish, _tiles, stream_generator
+from .sampling import _count, _tiles, stream_generator
 from .states import _concurrence_into, _mutual_information_into, _probabilities_into
 
 BLOCK_SIZE = 250_000
@@ -47,11 +46,7 @@ BLOCK_SIZE = 250_000
 
 def _block_count(n: int, block_size: int) -> int:
     """The number of blocks of ``block_size`` samples that cover ``n``."""
-    if n < 1:
-        raise DomainError("sample count must be at least 1")
-    if block_size < 1:
-        raise DomainError("block size must be at least 1")
-    return -(-n // block_size)
+    return -(-_count(n, "sample count") // _count(block_size, "block size"))
 
 
 def _block_length(n: int, block_size: int, index: int) -> int:
@@ -70,14 +65,12 @@ def resolve_workers(workers: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return max(os.cpu_count() or 1, 1)
-    if workers < 1:
-        raise DomainError("worker count must be at least 1")
-    return int(workers)
+    return _count(workers, "worker count")
 
 
 def _block_seed(seed: SeedSpec, index: int) -> SeedSpec:
     """The stream of block ``index`` of a job whose block 0 uses ``seed``."""
-    return SeedSpec(seed.master_seed, seed.stream_id + index)
+    return SeedSpec(seed.master_seed, int(seed.stream_id) + index)
 
 
 def _run_shares(scan: Callable, blocks: int, workers: int):
@@ -316,7 +309,7 @@ class _ShareScan:
         draws = drawn if in_place else self.work[: drawn.size].reshape(drawn.shape)
         if not in_place:
             draws[...] = drawn
-        _screen_and_finish(layout, draws, self.probs[:, :size])
+        layout.finish(draws, self.probs[:, :size])
         buffers = self.work, self.probs, self.c
         c, i = self.pairs(_as_amplitudes(kind, draws.view(layout.dtype), buffers))
         spare, mask = self.probs[:, :size], self.mask[:size]
@@ -329,8 +322,8 @@ class _ShareScan:
         Computes, element for element, what the public ``concurrence``,
         ``probabilities`` and ``mutual_information`` compute; ``i`` is a
         view of the amplitudes' memory.  Until the probabilities are
-        written, ``probs`` holds the norms and scratch of screen and
-        finish, param's cos/sin rows (with its square roots in ``c``) and
+        written, ``probs`` holds the norms and scratch of the layout's
+        ``finish``, param's cos/sin rows (with its square roots in ``c``) and
         the concurrence's products, a (2, rows) view in the amplitudes'
         dtype.  Then the amplitudes are spent, and their memory holds
         MI's four rows, ``i`` among them.  ``probs`` and ``mask`` are free

@@ -34,11 +34,27 @@ from .states import _params_into
 
 # A drawn row counts as degenerate when every component of a group it
 # normalizes is below this: it is too close to zero to normalize.  The
-# screen flags about 8e-48 of real-s3 states, 2e-94 of complex-s7 states
-# and 4e-24 of zero-mi states, so a flagged row is an error, not redrawn.
+# norm test of ``finish`` flags about 8e-48 of real-s3 states, 2e-94 of
+# complex-s7 states and 4e-24 of zero-mi states, so a flagged row is an
+# error, not redrawn.
 _DEGENERATE_TOL = 1e-12
 
 _UINT64_LIMIT = 2**64
+
+
+def _integer(value, what: str) -> int:
+    """``value``, an ``int`` or ``np.integer`` but not a ``bool``, as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _count(value, what: str) -> int:
+    """``value``, an integer of at least 1, as an ``int``."""
+    value = _integer(value, what)
+    if value < 1:
+        raise DomainError(f"{what} must be at least 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,10 +72,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} {value!r} is not an integer")
-            if not 0 <= int(value) < _UINT64_LIMIT:
+            if not 0 <= _integer(getattr(self, name), name) < _UINT64_LIMIT:
                 raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
 
 
@@ -118,28 +131,31 @@ def _pairwise_squares(cols, out, scratch):
     return out
 
 
-def _may_be_degenerate(norm: np.ndarray, width: int, scratch: np.ndarray) -> np.ndarray:
-    """Rows whose norm over ``width`` components lets them be degenerate.
+def _require_normalizable(norm: np.ndarray, width: int, scratch: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` if a row's norm over ``width`` components lets it be degenerate.
 
     Every |x| < tol forces norm < sqrt(width) * tol; the extra factor
     sqrt(2) covers the rounding of the squares, their sum and the root.
-    This is a superset of the degenerate rows, cheap because the norm is
+    This flags a superset of the degenerate rows, cheap because the norm is
     needed anyway.  The flags go in the bytes of ``scratch``, a float64
     row as long as ``norm``.
     """
     flags = scratch.view(bool)[: len(norm)]
-    return np.flatnonzero(np.less(norm, np.sqrt(2.0 * width) * _DEGENERATE_TOL, out=flags))
+    if np.less(norm, np.sqrt(2.0 * width) * _DEGENERATE_TOL, out=flags).any():
+        raise ConsistencyError(
+            f"a drawn state lies within about {_DEGENERATE_TOL:g} of zero and "
+            "cannot be normalized; use another seed"
+        )
 
 
-# Each ensemble is three row-wise steps, run on one tile at a time:
-# ``fill(gen, draws)`` draws the rows with one generator call;
-# ``screen(draws, rows)`` leaves in ``rows`` what ``finish`` needs and
-# returns the draws that may be degenerate; and ``finish(draws, rows)``
-# turns drawn rows into the stream's values in place.  ``rows`` are four
-# float64 rows of the tile's length, norms first and then scratch:
-# sphere-8 uses 1 + 3 of them, zero-mi 2 + 2, sphere-4 1 + 1 and param
-# none.  Every step computes each row on its own, so the values do not
-# depend on the tiling.
+# Each ensemble is two row-wise steps, run on one tile at a time:
+# ``fill(gen, draws)`` draws the rows with one generator call, and
+# ``finish(draws, rows)`` turns them into the stream's values in place,
+# raising ``ConsistencyError`` before it divides if a row may be
+# degenerate.  ``rows`` are four float64 rows of the tile's length, norms
+# first and then scratch: sphere-8 uses 1 + 3 of them, zero-mi 2 + 2,
+# sphere-4 1 + 1 and param none.  Every step computes each row on its
+# own, so the values do not depend on the tiling.
 
 
 def _fill_normal(gen, draws):
@@ -150,25 +166,15 @@ def _fill_uniform(gen, draws):
     gen.random(out=draws)
 
 
-def _screen_sphere(draws, rows):
+def _finish_sphere(draws, rows):
     norm = rows[0]
     _squared_norm(draws, norm, rows[1:])
     np.sqrt(norm, out=norm)
-    return _may_be_degenerate(norm, draws.shape[1], rows[1])
-
-
-def _finish_sphere(draws, rows):
+    _require_normalizable(norm, draws.shape[1], rows[1])
     # Column by column: the same quotients as ``draws /= norm[:, None]``,
     # without the broadcast's per-row inner loop.
     for col in draws.T:
-        col /= rows[0]
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)
-
-
-def _screen_params(draws, rows):
-    return _NO_ROWS
+        col /= norm
 
 
 def _finish_params(draws, rows):
@@ -176,18 +182,14 @@ def _finish_params(draws, rows):
     draws[:, 2] *= 2.0 * np.pi
 
 
-def _screen_zero_mi(draws, rows):
-    left, right = rows[:2]
-    np.hypot(draws[:, 0], draws[:, 2], out=left)
-    np.hypot(draws[:, 1], draws[:, 3], out=right)
-    return _may_be_degenerate(np.minimum(left, right, out=rows[2]), 2, rows[3])
-
-
 def _finish_zero_mi(draws, rows):
     # Normalize (p, r) and (q, s), then overwrite the row with
     # (pq, ps, rq, -rs); the two cross products go through scratch.
     p, q, r, s = draws.T
     left, right = rows[:2]
+    np.hypot(p, r, out=left)
+    np.hypot(q, s, out=right)
+    _require_normalizable(np.minimum(left, right, out=rows[2]), 2, rows[3])
     p /= left
     r /= left
     q /= right
@@ -201,7 +203,7 @@ def _finish_zero_mi(draws, rows):
 
 
 class _Layout(NamedTuple):
-    """An ensemble's three steps, and the shape of its draws and values.
+    """An ensemble's two steps, and the shape of its draws and values.
 
     ``width`` float64 columns are drawn per state; ``dtype`` is the
     values' dtype: complex-s7 draws (re, im) pairs, so its float64 rows
@@ -209,32 +211,17 @@ class _Layout(NamedTuple):
     """
 
     fill: Callable
-    screen: Callable
     finish: Callable
     width: int
     dtype: type
 
 
-_SPHERE = (_fill_normal, _screen_sphere, _finish_sphere)
 _LAYOUTS = {
-    Ensemble.REAL_S3: _Layout(*_SPHERE, 4, np.float64),
-    Ensemble.COMPLEX_S7: _Layout(*_SPHERE, 8, np.complex128),
-    Ensemble.PARAM: _Layout(_fill_uniform, _screen_params, _finish_params, 3, np.float64),
-    Ensemble.ZERO_MI: _Layout(_fill_normal, _screen_zero_mi, _finish_zero_mi, 4, np.float64),
+    Ensemble.REAL_S3: _Layout(_fill_normal, _finish_sphere, 4, np.float64),
+    Ensemble.COMPLEX_S7: _Layout(_fill_normal, _finish_sphere, 8, np.complex128),
+    Ensemble.PARAM: _Layout(_fill_uniform, _finish_params, 3, np.float64),
+    Ensemble.ZERO_MI: _Layout(_fill_normal, _finish_zero_mi, 4, np.float64),
 }
-
-
-def _screen_and_finish(layout: _Layout, draws, rows) -> None:
-    """Turn one tile of drawn rows into values; a row that may be degenerate is an error.
-
-    ``rows`` is a (4, len(draws)) float64 array, the steps' norms and scratch.
-    """
-    if layout.screen(draws, rows).size:
-        raise ConsistencyError(
-            f"a drawn state lies within about {_DEGENERATE_TOL:g} of zero and "
-            "cannot be normalized; use another seed"
-        )
-    layout.finish(draws, rows)
 
 
 def _as_amplitudes(kind: Ensemble, values: np.ndarray, buffers=None) -> np.ndarray:
@@ -266,7 +253,7 @@ def _take(kind: Ensemble, gen: np.random.Generator, n: int) -> np.ndarray:
     for start, stop in _tiles(n):
         draws = out[start:stop]
         layout.fill(gen, draws)
-        _screen_and_finish(layout, draws, rows[:, : stop - start])
+        layout.finish(draws, rows[:, : stop - start])
     return out.view(layout.dtype)
 
 
@@ -275,7 +262,6 @@ def sample_amplitudes(kind: Ensemble, seed: SeedSpec, n: int) -> np.ndarray:
 
     Parameter triples of ``param`` are mapped to their real amplitudes.
     """
-    if n < 1:
-        raise DomainError("sample count must be at least 1")
+    n = _count(n, "sample count")
     kind = Ensemble(kind)
-    return _as_amplitudes(kind, _take(kind, stream_generator(seed), int(n)))
+    return _as_amplitudes(kind, _take(kind, stream_generator(seed), n))

@@ -30,7 +30,11 @@ SAMPLE_DIGESTS = {
     ("real-s3", 0.001): "f8ace1f45e56fde42fd1892305163c3d717135cae98a53cae7fb18c562ceba9e",
 }
 
-CURVE_DIGEST = "05b60f60adff76ff0200a867a826604e9c051e6f7afed65090d899bfb1a71c55"
+# sha256 of ``curve --points N``, keyed by N.
+CURVE_DIGESTS = {
+    101: "05b60f60adff76ff0200a867a826604e9c051e6f7afed65090d899bfb1a71c55",
+    1001: "c61c9bd2a9e6d01e01c3adf6a6189001511b972f0614ede9abea5074099bae27",
+}
 
 VERIFY_DIGESTS = {
     "real-s3": "0531bef3062c2fafc1904d358484190bed3f68d821fc947c5e8a691ea0624949",
@@ -109,10 +113,11 @@ def test_sample_json_digest(run_cli, tmp_path, workers):
     assert _sha256(out) == SAMPLE_JSON_DIGEST, DIGEST_NUMPY
 
 
-def test_curve_csv_digest(run_cli, tmp_path):
+@pytest.mark.parametrize("points", sorted(CURVE_DIGESTS))
+def test_curve_csv_digest(run_cli, tmp_path, points):
     out = tmp_path / "curve.csv"
-    assert run_cli(["curve", "--points", "101", "--out", str(out)]) == 0
-    assert _sha256(out) == CURVE_DIGEST, DIGEST_NUMPY
+    assert run_cli(["curve", "--points", str(points), "--out", str(out)]) == 0
+    assert _sha256(out) == CURVE_DIGESTS[points], DIGEST_NUMPY
 
 
 @pytest.mark.parametrize("check", sorted(EXCESS_DIGESTS))

@@ -260,6 +260,24 @@ class TestSliceStats:
         with pytest.raises(EmptySliceError):
             h.slice_stats(0.2, 0.005)
 
+    @pytest.mark.parametrize(
+        "center,halfwidth,message",
+        [(np.nan, 0.01, "slice center must be finite"),
+         (np.inf, 0.01, "slice center must be finite"),
+         (-np.inf, 0.01, "slice center must be finite"),
+         (0.5, np.nan, "slice halfwidth must be positive and finite"),
+         (0.5, np.inf, "slice halfwidth must be positive and finite"),
+         (0.5, 0.0, "slice halfwidth must be positive and finite"),
+         (0.5, -0.01, "slice halfwidth must be positive and finite")],
+    )
+    def test_bad_slice_raises_domain_error(self, center, halfwidth, message):
+        # A NaN center or halfwidth raised EmptySliceError ("no i-bins with
+        # centers in [nan, nan]"), and an infinite halfwidth ran.
+        h = JointHistogram(0.01, 0.01)
+        h.accumulate_many([0.4], [0.5])
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            h.slice_stats(center, halfwidth)
+
     def test_moments_match_manual_computation(self):
         gen = np.random.default_rng(15)
         h = JointHistogram(0.01, 0.01)

@@ -81,6 +81,9 @@ class TestBlockPlan:
         checks = [TileHistogram("real-s3", 0.1, 0.1), _bound_check(Ensemble.REAL_S3)]
         with pytest.raises(DomainError, match="unsigned 64-bit"):
             pipeline.scan_checks(checks, 600_000, SeedSpec(1, 2**64 - 2), workers=2)
+        # A numpy stream id must not wrap around to stream 0.
+        with pytest.raises(DomainError, match="unsigned 64-bit"):
+            pipeline.scan_checks(checks, 600_000, SeedSpec(1, np.uint64(2**64 - 2)), workers=2)
         assert forks == []
 
     def test_last_stream_may_be_the_largest(self, monkeypatch):
@@ -88,11 +91,32 @@ class TestBlockPlan:
         job = _scan_one(TileHistogram("real-s3", 0.1, 0.1), 2, SeedSpec(1, 2**64 - 2), 1)
         assert job.total == 2
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(600_000.0), True, "10"])
+    def test_job_rejects_a_count_that_is_not_an_integer(self, no_fork, n):
+        with pytest.raises(DomainError, match="^sample count .* is not an integer$"):
+            run_histogram_job(Ensemble.REAL_S3, n, 1, 0.01, 0.01, workers=2)
+
+    @pytest.mark.parametrize("block_size,message", [(2.5, "is not an integer"),
+                                                    (True, "is not an integer"),
+                                                    (0, "must be at least 1")])
+    def test_block_size_is_an_integer_of_at_least_1(self, block_size, message):
+        with pytest.raises(DomainError, match=f"^block size .*{message}$"):
+            block_plan(10, block_size)
+
     def test_resolve_workers(self):
         assert resolve_workers(4) == 4
+        assert resolve_workers(np.int64(3)) == 3
         assert resolve_workers(None) >= 1
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^worker count must be at least 1$"):
             resolve_workers(0)
+
+    @pytest.mark.parametrize("workers", [True, 1.5, np.float64(2.0)])
+    def test_worker_count_must_be_an_integer(self, no_fork, workers):
+        # Each of these ran as one worker.
+        with pytest.raises(DomainError, match="^worker count .* is not an integer$"):
+            resolve_workers(workers)
+        with pytest.raises(DomainError, match="^worker count .* is not an integer$"):
+            run_histogram_job(Ensemble.REAL_S3, 10, 1, 0.1, 0.1, workers=workers)
 
     def test_default_workers_are_the_cpus_of_the_affinity_mask(self, monkeypatch):
         # A process pinned to one CPU of a 64-CPU host forks no second worker.
@@ -737,7 +761,7 @@ class TestShareMemory:
     # tracemalloc peaks of one share of two 250k blocks.  A share allocates
     # its tile memory once: the fill, the work tile, c, four probability
     # rows and a mask.  Every other per-tile buffer borrows rows idle at
-    # its step (norms and scratch of screen and finish, param's cos/sin rows
+    # its step (norms and scratch of the finish step, param's cos/sin rows
     # and roots, the concurrence's products, MI's four rows in the spent
     # amplitudes, mi-oracle's angles, MI rows and excess), so no case grows
     # with the block, and a step that allocates its own tile buffer again

@@ -1,11 +1,14 @@
 """Unit tests for the reproducible ensemble samplers."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from entmi import sampling
 from entmi import (
+    ConsistencyError,
     DomainError,
     Ensemble,
     SeedSpec,
@@ -211,16 +214,30 @@ class TestDispatch:
         assert amps.shape == (10, 4)
 
     def test_take_validates_count(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^sample count must be at least 1$"):
             sample_amplitudes(Ensemble.REAL_S3, SeedSpec(1, 0), 0)
+
+    @pytest.mark.parametrize("n", [2.7, np.float64(3.0), True, "3"])
+    def test_count_must_be_an_integer(self, n):
+        # 2.7 drew 2 states, and True one.
+        with pytest.raises(DomainError, match="^sample count .* is not an integer$"):
+            sample_amplitudes(Ensemble.REAL_S3, SeedSpec(1, 0), n)
+
+    def test_count_may_be_a_numpy_integer(self):
+        amps = sample_amplitudes(Ensemble.REAL_S3, SeedSpec(1, 0), np.int64(3))
+        assert np.array_equal(amps, sample_amplitudes(Ensemble.REAL_S3, SeedSpec(1, 0), 3))
 
 
 # -- degenerate draws --------------------------------------------------------
 #
-# The drawers screen rows by the norm they compute anyway, and a flagged row
-# is an error.  The reference below is the exact rule: every |x| below 1e-12.
+# The finish steps test rows by the norm they compute anyway, and a flagged
+# row is an error.  The reference below is the exact rule: every |x| below
+# 1e-12.
 
 DEGENERATE_TOL = 1e-12
+DEGENERATE = (
+    "a drawn state lies within about 1e-12 of zero and cannot be normalized; use another seed"
+)
 
 
 def _reference_degenerate(rows):
@@ -251,23 +268,25 @@ def _hand_built_rows(width, rng):
     return np.array(rows)
 
 
-def _screened(kind, rows):
-    """The rows that ``kind``'s screen step flags."""
-    layout = sampling._LAYOUTS[kind]
-    return layout.screen(rows, np.empty((4, len(rows))))
+def _assert_each_row_raises(kind, rows, indices):
+    """``kind``'s finish step, given each of ``rows[indices]`` as a tile of its own, raises."""
+    finish = sampling._LAYOUTS[kind].finish
+    for index in indices:
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(DEGENERATE)}$"):
+            finish(rows[index : index + 1].copy(), np.empty((4, 1)))
 
 
-class TestDegenerateScreen:
+class TestDegenerateRows:
     @pytest.mark.parametrize("width", [4, 8])
-    def test_sphere_screen_flags_reference_rows(self, width):
+    def test_sphere_finish_rejects_reference_rows(self, width):
         kind = Ensemble.REAL_S3 if width == 4 else Ensemble.COMPLEX_S7
         rows = _hand_built_rows(width, np.random.default_rng(width))
         expected = _reference_degenerate(rows)
         assert expected.tolist() == [0, 1, 2, 3]
-        assert np.isin(expected, _screened(kind, rows)).all()
+        _assert_each_row_raises(kind, rows, expected)
 
     @pytest.mark.parametrize("kind", ["left", "right"])
-    def test_zero_mi_screen_flags_reference_rows(self, kind):
+    def test_zero_mi_finish_rejects_reference_rows(self, kind):
         rng = np.random.default_rng(2)
         halves = _hand_built_rows(2, rng)
         other = rng.standard_normal((len(halves), 2))
@@ -277,7 +296,7 @@ class TestDegenerateScreen:
         rows[:, theirs] = other
         expected = _reference_degenerate(halves)
         assert expected.tolist() == [0, 1, 2, 3]
-        assert np.isin(expected, _screened(Ensemble.ZERO_MI, rows)).all()
+        _assert_each_row_raises(Ensemble.ZERO_MI, rows, expected)
 
     def test_squared_norm_matches_row_sums(self):
         rng = np.random.default_rng(3)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entmi import (
     Ensemble,
@@ -24,7 +26,7 @@ from entmi import (
     write_reports_jsonl,
 )
 from entmi import verify
-from entmi.verify import off_zero_peak_index
+from entmi.verify import off_zero_peaks
 
 
 class TestBound:
@@ -105,26 +107,49 @@ class TestAngleOracle:
         assert not report.passed
 
 
+def _peak(column) -> int:
+    return int(off_zero_peaks(np.array([column]))[0])
+
+
+def _loop_peak(column) -> int:
+    """The reference rule, bin by bin; 0 when no bin past the first is a peak."""
+    best = 0
+    for k in range(1, len(column)):
+        left = column[k - 1]
+        right = column[k + 1] if k + 1 < len(column) else 0
+        if column[k] > 0 and column[k] >= left and column[k] >= right:
+            if best == 0 or column[k] > column[best]:
+                best = k
+    return best
+
+
 class TestPeakFinder:
     def test_finds_interior_bump(self):
-        column = np.array([900, 40, 30, 20, 60, 90, 55, 10, 5, 1])
-        assert off_zero_peak_index(column) == 5
+        assert _peak([900, 40, 30, 20, 60, 90, 55, 10, 5, 1]) == 5
 
     def test_skips_zero_bin(self):
-        column = np.array([900, 10, 0, 0, 0, 0, 0, 0, 0, 0])
-        assert off_zero_peak_index(column) is None
+        assert _peak([900, 10, 0, 0, 0, 0, 0, 0, 0, 0]) == 0
 
     def test_largest_bump_wins(self):
-        column = np.array([900, 10, 50, 10, 10, 300, 10, 0, 0, 0])
-        assert off_zero_peak_index(column) == 5
+        assert _peak([900, 10, 50, 10, 10, 300, 10, 0, 0, 0]) == 5
 
     def test_ties_resolve_low(self):
-        column = np.array([0, 0, 70, 70, 0, 0, 0, 0, 0, 0])
-        assert off_zero_peak_index(column) == 2
+        assert _peak([0, 0, 70, 70, 0, 0, 0, 0, 0, 0]) == 2
 
     def test_edge_peak_allowed(self):
-        column = np.array([900, 5, 4, 3, 2, 1, 1, 1, 2, 80])
-        assert off_zero_peak_index(column) == 9
+        assert _peak([900, 5, 4, 3, 2, 1, 1, 1, 2, 80]) == 9
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda bins: st.lists(
+                st.lists(st.integers(0, 3), min_size=bins, max_size=bins), min_size=1, max_size=8
+            )
+        )
+    )
+    def test_matches_the_loop_on_every_column(self, columns):
+        # Counts of 0 to 3 make ties and empty bins common; 1 bin has no peak.
+        expected = [_loop_peak(column) for column in columns]
+        assert off_zero_peaks(np.array(columns, dtype=np.int64)).tolist() == expected
 
 
 def _ridge_synthetic(displace_bins: int = 0) -> JointHistogram:
@@ -150,6 +175,13 @@ class TestRidge:
     def test_synthetic_peaks_on_curve_pass(self):
         report = check_ridge(_ridge_synthetic())
         assert report.passed
+
+    def test_a_column_without_a_peak_is_a_violation_of_1(self):
+        h = _ridge_synthetic()
+        h.counts[50, 1:] = 0  # C = 0.505: every count in the zero bin
+        h.total = int(h.counts.sum())
+        report = check_ridge(h)
+        assert (report.violations, report.max_violation) == (1, 1.0)
 
     def test_displaced_peaks_fail(self):
         report = check_ridge(_ridge_synthetic(displace_bins=5))
