@@ -11,7 +11,6 @@ make the sampled statistics checkable end to end.
 from .curves import mi_from_angles, ridge_concurrence, ridge_mi
 from .errors import (
     ConsistencyError,
-    ConvergenceError,
     DomainError,
     EmptyHistogramError,
     EmptySliceError,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsistencyError",
-    "ConvergenceError",
     "Density1D",
     "DomainError",
     "EmptyHistogramError",

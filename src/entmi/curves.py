@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
 from .states import _binary_entropy, _require_finite, _scalarize, _unit_interval, _xlog2_into
 
-_BISECT_MAX_ITER = 200
 _BISECT_TOL = 1e-12
 
 
@@ -88,24 +86,19 @@ def ridge_mi(c):
 def ridge_concurrence(info) -> float:
     """Invert ``ridge_mi`` by bisection on [0, 1].
 
-    The curve is strictly increasing, so bisection converges
-    unconditionally; the loop stops once |ridge_mi(c) - info| <= 1e-12.
-    Raises ``ConvergenceError`` if 200 iterations are not enough.
+    The curve is strictly increasing, so the loop stops once
+    |ridge_mi(c) - info| <= 1e-12, or once no float is left between the
+    ends of the bracket.  An ``info`` within 1e-12 of [0, 1] is clipped
+    into it; one further off, or NaN, raises ``DomainError``.
     """
-    info = float(info)
-    if not 0.0 <= info <= 1.0:
-        raise DomainError(f"mutual information {info!r} outside [0, 1]")
+    info = float(_unit_interval(info, "mutual information"))
     lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
+    while True:
         mid = 0.5 * (lo + hi)
         value = ridge_mi(mid)
-        if abs(value - info) <= _BISECT_TOL:
+        if abs(value - info) <= _BISECT_TOL or mid in (lo, hi):
             return mid
         if value < info:
             lo = mid
         else:
             hi = mid
-    raise ConvergenceError(
-        f"bisection did not reach tolerance {_BISECT_TOL!r} for info={info!r}"
-    )
-

@@ -39,7 +39,3 @@ class HistogramFormatError(EntmiError, ValueError):
 
 class ConsistencyError(EntmiError, ArithmeticError):
     """A quantity violated an internal numerical invariant (rounding guard)."""
-
-
-class ConvergenceError(EntmiError, ArithmeticError):
-    """Iterative solver exhausted its iteration budget before reaching tolerance."""

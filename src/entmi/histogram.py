@@ -246,25 +246,29 @@ class JointHistogram:
     # -- bin geometry --------------------------------------------------
 
     def centers(self, axis: str) -> np.ndarray:
-        delta, nbins = self._axis(axis)
+        _, delta, nbins = self._axis(axis)
         return bin_centers(delta, nbins)
 
-    def _axis(self, axis: str):
-        axis = axis.lower()
-        if axis == "c":
-            return self.delta_c, self.nbins_c
-        if axis == "i":
-            return self.delta_i, self.nbins_i
-        raise ValueError("axis must be 'c' or 'i'")
+    def _axis(self, axis: str) -> tuple[int, float, int]:
+        """(axis of ``counts``, bin width, bin count) of ``axis``, 'c' or 'i' in either case.
+
+        Any other axis, a non-string included, raises ``DomainError``.
+        """
+        name = axis.lower() if isinstance(axis, str) else None
+        if name == "c":
+            return 0, self.delta_c, self.nbins_c
+        if name == "i":
+            return 1, self.delta_i, self.nbins_i
+        raise DomainError("axis must be 'c' or 'i'")
 
     # -- densities and statistics ---------------------------------------
 
     def marginal(self, axis: str) -> Density1D:
         """Marginal density over concurrence (axis='c') or MI (axis='i')."""
+        k = self._axis(axis)[0]
         if self.total == 0:
             raise EmptyHistogramError("cannot normalize an empty histogram")
-        sums = self.counts.sum(axis=1 if axis.lower() == "c" else 0, dtype=np.float64)
-        return self._density(axis, sums, self.total)
+        return self._density(axis, self.counts.sum(axis=1 - k, dtype=np.float64), self.total)
 
     def _slice_sums(self, sliced: str, lo: float, hi: float) -> np.ndarray:
         """Counts along the other axis of the ``sliced`` bins centered in [lo, hi].
@@ -272,14 +276,12 @@ class JointHistogram:
         Raises ``EmptySliceError`` when no bin center lies there or those
         bins hold no counts.
         """
-        centers = self.centers(sliced)
+        k, delta, nbins = self._axis(sliced)
+        centers = bin_centers(delta, nbins)
         picked = np.flatnonzero((centers >= lo) & (centers <= hi))
         if picked.size == 0:
             raise EmptySliceError(f"no {sliced}-bins with centers in [{lo}, {hi}]")
-        if sliced == "i":
-            sums = self.counts[:, picked].sum(axis=1, dtype=np.float64)
-        else:
-            sums = self.counts[picked, :].sum(axis=0, dtype=np.float64)
+        sums = self.counts.take(picked, axis=k).sum(axis=k, dtype=np.float64)
         if float(sums.sum()) == 0.0:
             raise EmptySliceError(f"slice [{lo}, {hi}] over {sliced} holds no counts")
         return sums
@@ -291,14 +293,15 @@ class JointHistogram:
         in the closed interval, which keeps the boundaries robust to 1-ulp
         edge effects.
         """
+        k = self._axis(axis)[0]
         if not 0.0 <= lo < hi <= 1.0:
             raise DomainError("slice bounds must satisfy 0 <= lo < hi <= 1")
-        sums = self._slice_sums("i" if axis.lower() == "c" else "c", lo, hi)
+        sums = self._slice_sums("ic"[k], lo, hi)  # the other axis
         return self._density(axis, sums, sums.sum())
 
     def _density(self, axis: str, sums: np.ndarray, total) -> Density1D:
         """Density over ``axis`` of the counts ``sums``: each over total x width."""
-        delta, nbins = self._axis(axis)
+        _, delta, nbins = self._axis(axis)
         return Density1D(delta, sums / (float(total) * bin_widths(delta, nbins)))
 
     def slice_stats(self, i_center: float, i_halfwidth: float) -> SliceStats:

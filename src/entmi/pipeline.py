@@ -340,16 +340,16 @@ class _ShareScan:
         return c, i
 
 
-def _scan_share(consumers, n: int, seed: SeedSpec, block_size: int, indices, parent=None):
+def _scan_share(consumers, n: int, seed: SeedSpec, indices, parent=None):
     """The consumers' results of ``indices``, blocks of an ``n``-sample scan.
 
     A forked share exits before a block once ``parent``, its parent's pid, has died.
     """
-    scan = _ShareScan(consumers, seed, _block_length(n, block_size, indices[0]))  # the longest
+    scan = _ShareScan(consumers, seed, _block_length(n, BLOCK_SIZE, indices[0]))  # the longest
     for index in indices:
         if parent is not None and os.getppid() != parent:
             os._exit(1)
-        scan.block(index, _block_length(n, block_size, index))
+        scan.block(index, _block_length(n, BLOCK_SIZE, index))
     return scan.results
 
 
@@ -381,7 +381,7 @@ def scan_checks(consumers, n: int, seed: SeedSpec, workers: int | None = None):
     workers = resolve_workers(workers)
     _block_seed(seed, blocks - 1)  # the last block's stream must exist too
     results = [consumer.empty() for consumer in consumers]
-    scan = partial(_scan_share, consumers, n, seed, BLOCK_SIZE)
+    scan = partial(_scan_share, consumers, n, seed)
     with closing(_run_shares(scan, blocks, workers)) as shares:
         for share in shares if consumers else ():
             results = [consumer.merge(total, part)

@@ -36,17 +36,8 @@ def xlog2(v):
     return _xlog2_into(v, np.empty_like(v), np.empty(v.shape, dtype=bool))
 
 
-def binary_entropy(p):
-    """Base-2 entropy of a two-outcome distribution (p, 1-p).
-
-    A ``p`` within 1e-12 of [0, 1] is clipped into it; one further off, or
-    NaN, raises ``DomainError``.
-    """
-    return _scalarize(_binary_entropy(_unit_interval(p, "probability")))
-
-
 def _binary_entropy(p):
-    """:func:`binary_entropy` of a ``p`` already in [0, 1], unscalarized."""
+    """Base-2 entropy of each two-outcome distribution (p, 1-p), for ``p`` in [0, 1]."""
     return np.maximum(-xlog2(p) - xlog2(1.0 - p), 0.0)
 
 
@@ -81,16 +72,15 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
 
     (sqrt(y) cos(alpha), sqrt(y) sin(alpha), sqrt(1-y) cos(beta),
     sqrt(1-y) sin(beta)) has unit norm by construction.  Broadcasts y,
-    alpha, beta and stacks the amplitudes on the last axis.  y outside
-    [0, 1] or an angle that is not finite raises ``DomainError``.
+    alpha, beta and stacks the amplitudes on the last axis.  A y within
+    1e-12 of [0, 1] is clipped into it; one further off, or NaN, raises
+    ``DomainError``, as does an angle that is not finite.
     """
     y, alpha, beta = np.broadcast_arrays(
-        np.asarray(y, dtype=np.float64),
+        _unit_interval(y, "y"),
         np.asarray(alpha, dtype=np.float64),
         np.asarray(beta, dtype=np.float64),
     )
-    if not _within(y, 0.0, 1.0):
-        raise DomainError("y outside [0, 1]")
     _require_finite("angles", alpha, beta)
     shape = y.shape
     return _params_into(
@@ -125,11 +115,17 @@ def _require_unit_norm(norm2, what: str = "squared moduli") -> None:
         raise NotNormalizedError(f"{what} do not sum to 1 within tolerance")
 
 
-def _amplitudes_of(state) -> np.ndarray:
-    arr = np.asarray(state)
+def _four_finite(values, what: str = "amplitudes") -> np.ndarray:
+    """``values`` as an array of finite ``what``, four on its last axis.
+
+    Any other shape raises ``DomainError("expected four <what> on the last
+    axis")``, and a value that is not finite ``DomainError("<what> must be
+    finite")``.
+    """
+    arr = np.asarray(values)
     if arr.ndim == 0 or arr.shape[-1] != 4:
-        raise ValueError("expected four amplitudes on the last axis")
-    _require_finite("amplitudes", arr)
+        raise DomainError(f"expected four {what} on the last axis")
+    _require_finite(what, arr)
     return arr
 
 
@@ -147,7 +143,7 @@ def probabilities(state) -> np.ndarray:
     Returns (|a|^2, |b|^2, |c|^2, |d|^2) on the last axis; the state must
     be finite and normalized, as for :func:`entanglement_entropy`.
     """
-    amps = _amplitudes_of(state)
+    amps = _four_finite(state)
     if not np.iscomplexobj(amps):
         amps = np.asarray(amps, dtype=np.float64)
     return _unit_probabilities(amps.reshape(-1, 4)).T.reshape(amps.shape)
@@ -209,10 +205,7 @@ def mutual_information(probs):
     -1e-12, raises ``DomainError``, and four that do not sum to 1 within
     ``NORM_TOL`` raise ``NotNormalizedError``.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 0 or p.shape[-1] != 4:
-        raise ValueError("expected four probabilities on the last axis")
-    _require_finite("probabilities", p)
+    p = _four_finite(np.asarray(probs, dtype=np.float64), "probabilities")
     if np.min(p, initial=0.0) < -_UNIT_CLAMP_TOL:
         raise DomainError("probabilities must not be negative")
     rows = p.reshape(-1, 4).T.copy()
@@ -268,7 +261,7 @@ def _concurrence_into(amps, out, scratch):
 
 def concurrence(state):
     """Concurrence 2|ad - bc| of a finite, normalized pure state, in [0, 1]."""
-    amps = _amplitudes_of(state)
+    amps = _four_finite(state)
     rows = amps.reshape(-1, 4)
     _unit_probabilities(rows)
     value = _concurrence_into(
@@ -349,7 +342,7 @@ def entanglement_entropy(state):
     not finite raise ``DomainError``, and squared moduli that do not sum
     to 1 within ``NORM_TOL`` raise ``NotNormalizedError``.
     """
-    amps = np.asarray(_amplitudes_of(state), dtype=np.complex128)
+    amps = np.asarray(_four_finite(state), dtype=np.complex128)
     a, b, c, d = (amps[..., k] for k in range(4))
     top = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
     bottom = c.real**2 + c.imag**2 + d.real**2 + d.imag**2

@@ -14,7 +14,7 @@ README = ROOT / "README.md"
 # What the CLI, the README, the verify checks and the benchmark use, plus
 # the exceptions, result types and independent reference routes.
 PUBLIC = {
-    "ConsistencyError", "ConvergenceError", "Density1D", "DomainError",
+    "ConsistencyError", "Density1D", "DomainError",
     "EmptyHistogramError", "EmptySliceError", "Ensemble", "EntmiError",
     "HistogramFormatError", "InsufficientDataError", "JointHistogram",
     "NotNormalizedError", "OutOfRangeError", "SeedSpec", "ShapeMismatchError",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from entmi import (
-    ConvergenceError,
     DomainError,
     entanglement_from_concurrence,
     mi_from_angles,
@@ -14,7 +13,8 @@ from entmi import (
     ridge_concurrence,
     ridge_mi,
 )
-from entmi.states import binary_entropy, xlog2
+from entmi import curves
+from entmi.states import _binary_entropy, xlog2
 
 # 40-digit reference evaluations of the ridge curve and the bound.
 RIDGE_AT_037 = 0.1011389629557098
@@ -93,17 +93,49 @@ class TestInverse:
         with pytest.raises(DomainError):
             ridge_concurrence(1.5)
 
-    def test_iteration_cap_raises(self, monkeypatch):
-        import entmi.curves as curves
+    def test_inverse_is_within_tolerance_everywhere(self):
+        # A dense grid, both ends approached on a log scale, and the edge floats.
+        tail = np.logspace(-300, -1, 150)
+        infos = np.concatenate([
+            np.linspace(0.0, 1.0, 501), tail, 1.0 - tail,
+            [0.0, 5e-324, 1e-300, np.nextafter(1.0, 0.0), 1.0],
+        ])
+        for info in infos.tolist():
+            assert abs(ridge_mi(ridge_concurrence(info)) - info) <= 1e-12, info
 
-        monkeypatch.setattr(curves, "_BISECT_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError):
-            ridge_concurrence(0.5)
+    @pytest.mark.parametrize("info", [0.0, 5e-324, 0.5, 1.0])
+    def test_stops_once_the_bracket_holds_no_further_float(self, monkeypatch, info):
+        # With a tolerance no value meets, only the bracket's end stops the loop.
+        monkeypatch.setattr(curves, "_BISECT_TOL", -1.0)
+        c = ridge_concurrence(info)
+        assert abs(ridge_mi(c) - info) <= 1e-12
+
+
+# Each function whose argument must lie in [0, 1], with that argument alone.
+UNIT_INTERVAL_INPUTS = {
+    "ridge_mi": ridge_mi,
+    "ridge_concurrence": ridge_concurrence,
+    "entanglement_from_concurrence": entanglement_from_concurrence,
+    "params_to_amplitudes-y": lambda y: params_to_amplitudes(y, 0.1, 0.2),
+}
+
+
+@pytest.mark.parametrize("call", UNIT_INTERVAL_INPUTS.values(), ids=UNIT_INTERVAL_INPUTS)
+class TestUnitIntervalInputs:
+    @pytest.mark.parametrize("edge,off", [(1.0, 1.0 + 5e-13), (1.0, np.nextafter(1.0, 2.0)),
+                                          (0.0, -5e-13), (0.0, -5e-324)])
+    def test_round_off_is_clipped(self, call, edge, off):
+        assert np.array_equal(call(off), call(edge))
+
+    @pytest.mark.parametrize("value", [1.0 + 2e-12, -2e-12, 2.0, -0.5, np.nan, np.inf])
+    def test_what_is_further_off_raises(self, call, value):
+        with pytest.raises(DomainError, match="outside \\[0, 1\\]"):
+            call(value)
 
 
 def _marginal_entropies(probs):
     """Entropies (bits) of the left outcome pair (0, 1 | 2, 3) and the right (0, 2 | 1, 3)."""
-    return binary_entropy(probs[0] + probs[1]), binary_entropy(probs[0] + probs[2])
+    return _binary_entropy(probs[0] + probs[1]), _binary_entropy(probs[0] + probs[2])
 
 
 def _pipeline_mi(alpha, delta):

@@ -220,6 +220,32 @@ class TestDensities:
         with pytest.raises(EmptySliceError):
             h.conditional("c", 0.0, 0.1)
 
+    @pytest.mark.parametrize("axis", ["x", "", "ci", 0, None, b"c"])
+    @pytest.mark.parametrize("call", [
+        lambda h, axis: h.centers(axis),
+        lambda h, axis: h.marginal(axis),
+        lambda h, axis: h.conditional(axis, 0.1, 0.9),
+    ], ids=["centers", "marginal", "conditional"])
+    def test_bad_axis_raises_domain_error_before_any_sum(self, monkeypatch, call, axis):
+        h = JointHistogram(0.1, 0.1)
+        h.accumulate_many([0.5], [0.5])
+
+        def no_sum(*args):
+            raise AssertionError("summed a slice of a bad axis")
+
+        monkeypatch.setattr(JointHistogram, "_slice_sums", no_sum)
+        with pytest.raises(DomainError, match="axis must be 'c' or 'i'"):
+            call(h, axis)
+
+    def test_axis_takes_either_case(self):
+        h = JointHistogram(0.1, 0.05)
+        h.accumulate_many([0.5], [0.5])
+        np.testing.assert_array_equal(h.centers("C"), h.centers("c"))
+        np.testing.assert_array_equal(h.marginal("I").values, h.marginal("i").values)
+        np.testing.assert_array_equal(
+            h.conditional("I", 0.4, 0.6).values, h.conditional("i", 0.4, 0.6).values
+        )
+
     def test_selection_is_by_bin_center(self):
         h = JointHistogram(0.0025, 0.0025)
         # i-bins 38 and 41 hold the first and last centers inside [0.095, 0.105];

@@ -569,10 +569,10 @@ from entmi import SeedSpec, cli, pipeline
 
 scan = pipeline._scan_share
 
-def dying(consumers, n, seed, block_size, indices, parent=None):
+def dying(consumers, n, seed, indices, parent=None):
     if indices[0] == 1:  # the second of two shares dies before it sends its partials
         os._exit(9) if sys.argv[2] == "exit" else os.kill(os.getpid(), signal.SIGKILL)
-    return scan(consumers, n, seed, block_size, indices, parent)
+    return scan(consumers, n, seed, indices, parent)
 
 pipeline._scan_share = dying
 histogram = pipeline.TileHistogram("real-s3", 0.1, 0.1)
@@ -737,7 +737,7 @@ class TestForkedWorkers:
 
 
 def _scan_two_blocks(checks):
-    pipeline._scan_share(checks, 500_000, SeedSpec(7), 250_000, range(2))
+    pipeline._scan_share(checks, 2 * pipeline.BLOCK_SIZE, SeedSpec(7), range(2))
 
 
 def _histogram_two_blocks(kind, delta=0.01):

@@ -3,6 +3,7 @@
 import ast
 
 from conftest import SRC
+from entmi import errors
 
 
 def _unused_imports(path):
@@ -47,3 +48,23 @@ def test_no_module_reads_the_environment():
     modules = sorted((SRC / "entmi").glob("*.py"))
     assert modules
     assert [entry for path in modules for entry in _environment_reads(path)] == []
+
+
+def _foreign_raises(path, allowed):
+    """``file:line: name`` of each ``raise X(...)`` in ``path`` whose ``X`` is not in ``allowed``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node.exc.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and ast.unparse(node.exc.func) not in allowed]
+
+
+def test_every_raise_is_an_entmi_or_os_error():
+    # A bad argument surfaces as an EntmiError; a bare ``raise`` or a
+    # re-raised name (``raise part``) passes on an error already made.
+    allowed = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.EntmiError)}
+    allowed |= {"OSError", "ChildProcessError", "SystemExit"}
+    modules = sorted((SRC / "entmi").glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in _foreign_raises(path, allowed)] == []

@@ -21,7 +21,7 @@ from entmi import (
     sample_amplitudes,
 )
 from entmi import states
-from entmi.states import binary_entropy, xlog2
+from entmi.states import _binary_entropy, xlog2
 
 INV_SQRT2 = 2**-0.5
 
@@ -180,10 +180,16 @@ class TestEntropies:
             mutual_information(probabilities([np.nan, 0.0, 0.0, 1.0]))
 
     def test_mutual_information_needs_four_outcomes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="expected four probabilities on the last axis"):
             mutual_information([0.5, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="expected four probabilities on the last axis"):
             mutual_information(np.full((2, 8), 0.125))
+
+    @pytest.mark.parametrize("call", [concurrence, probabilities, entanglement_entropy])
+    @pytest.mark.parametrize("state", [[1.0, 0.0, 0.0], np.full((2, 8), 0.25), 1.0])
+    def test_amplitudes_need_four_on_the_last_axis(self, call, state):
+        with pytest.raises(DomainError, match="expected four amplitudes on the last axis"):
+            call(state)
 
     @pytest.mark.parametrize(
         "call,error",
@@ -227,22 +233,10 @@ class TestEntropies:
     def test_mutual_information_takes_a_round_off_negative(self):
         assert mutual_information([1.0, 0.0, 0.0, -1e-13]) == 0.0
 
-    @pytest.mark.parametrize("p", [2.0, -0.5, np.nan, 1.0 + 1e-11, -1e-11, np.inf])
-    def test_binary_entropy_rejects_what_is_not_a_probability(self, p):
-        with pytest.raises(DomainError):
-            binary_entropy(p)
-        with pytest.raises(DomainError):
-            binary_entropy([0.5, p])
-
-    def test_binary_entropy_clips_round_off(self):
-        assert binary_entropy(1.0 + 1e-13) == 0.0
-        assert binary_entropy(-1e-13) == 0.0
-        assert binary_entropy(np.nextafter(1.0, 2.0)) == 0.0
-
     def test_binary_entropy_symmetry(self):
         grid = np.linspace(0, 1, 101)
         np.testing.assert_allclose(
-            binary_entropy(grid), binary_entropy(1 - grid), atol=1e-14
+            _binary_entropy(grid), _binary_entropy(1 - grid), atol=1e-14
         )
 
 
