@@ -29,13 +29,9 @@ def mi_from_angles(alpha, delta):
     period pi and accepts unrestricted finite angles.  Result lies in
     [0, 1].  An angle that is not finite raises ``DomainError``.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    _require_finite("angles", alpha, delta)
+    alpha, delta = _require_finite("angles", alpha, delta)
     beta = alpha - delta
-    squares = np.square(
-        np.stack(np.broadcast_arrays(np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)))
-    )
+    squares = np.square(np.stack([np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)]))
     rows = squares.reshape(4, -1)
     value = _mi_from_trig(
         rows, np.empty((3, rows.shape[1])), np.empty(rows.shape[1], dtype=bool)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import IO
@@ -310,10 +311,11 @@ class JointHistogram:
         The peak is the center of the highest bin of the sliced counts
         (ties resolve to the lowest bin); mean and standard deviation are
         taken over bin centers weighted by counts.  A center that is not
-        finite, or a halfwidth outside (0, inf), raises ``DomainError``.
+        finite, or a halfwidth that is not a number in (0, inf), raises
+        ``DomainError``.
         """
         _require_finite("slice center", i_center)
-        if not 0.0 < i_halfwidth < math.inf:
+        if not (isinstance(i_halfwidth, numbers.Real) and 0.0 < i_halfwidth < math.inf):
             raise DomainError("slice halfwidth must be positive and finite")
         sums = self._slice_sums("i", i_center - i_halfwidth, i_center + i_halfwidth)
         count = int(sums.sum())

@@ -53,18 +53,39 @@ def _within(values, lo: float, hi: float) -> bool:
 def _unit_interval(values, what: str):
     """``values`` as float64 clipped into [0, 1], each off it by at most 1e-12.
 
-    One further off, or NaN, raises ``DomainError("<what> outside [0, 1]")``.
+    One further off, NaN, or a value that is not a number raises
+    ``DomainError("<what> outside [0, 1]")``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if not _within(values, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL):
+    try:
+        values = np.asarray(values, dtype=np.float64)
+        inside = _within(values, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL)
+    except (TypeError, ValueError):  # not numbers, or rows of unequal length
+        inside = False
+    if not inside:
         raise DomainError(f"{what} outside [0, 1]")
     return np.clip(values, 0.0, 1.0)
 
 
-def _require_finite(what: str, *values) -> None:
-    """Raise ``DomainError("<what> must be finite")`` unless every value is finite."""
-    if not all(np.isfinite(v).all() for v in values):
+def _require_finite(what: str, *values) -> tuple[np.ndarray, ...]:
+    """``values`` as float64 arrays broadcast to one shape.
+
+    Raises ``DomainError("<what> must be finite")`` unless each value is an
+    array of finite real numbers (a string, None or rows of unequal length
+    is not), and ``DomainError("arguments do not broadcast to one shape")``
+    unless their shapes broadcast together.
+    """
+    try:
+        arrays = [np.asarray(v) for v in values]
+    except ValueError:  # rows of unequal length
+        arrays = None
+    if arrays is None or not all(
+        a.dtype.kind in "biuf" and np.isfinite(a).all() for a in arrays
+    ):
         raise DomainError(f"{what} must be finite")
+    try:
+        return np.broadcast_arrays(*(a.astype(np.float64, copy=False) for a in arrays))
+    except ValueError:
+        raise DomainError("arguments do not broadcast to one shape") from None
 
 
 def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
@@ -74,14 +95,10 @@ def params_to_amplitudes(y, alpha, beta) -> np.ndarray:
     sqrt(1-y) sin(beta)) has unit norm by construction.  Broadcasts y,
     alpha, beta and stacks the amplitudes on the last axis.  A y within
     1e-12 of [0, 1] is clipped into it; one further off, or NaN, raises
-    ``DomainError``, as does an angle that is not finite.
+    ``DomainError``, as do an angle that is not finite and arguments that
+    do not broadcast together.
     """
-    y, alpha, beta = np.broadcast_arrays(
-        _unit_interval(y, "y"),
-        np.asarray(alpha, dtype=np.float64),
-        np.asarray(beta, dtype=np.float64),
-    )
-    _require_finite("angles", alpha, beta)
+    y, alpha, beta = _require_finite("angles", _unit_interval(y, "y"), alpha, beta)
     shape = y.shape
     return _params_into(
         y, alpha, beta, np.empty(shape + (4,)), np.empty((4,) + shape), np.empty(shape)
@@ -93,7 +110,7 @@ def _params_into(y, alpha, beta, out, trig, root):
 
     ``out`` has the angles' shape plus a last axis of 4; ``trig`` holds
     four float64 arrays and ``root`` is one, each of the angles' shape, and
-    none of them overlaps the parameters, but ``beta`` may be ``trig[3]``.
+    none of them overlaps the parameters.
     """
     cos_a, sin_a, cos_b, sin_b = (trig[k, ...] for k in range(4))  # arrays, even 0-d
     np.cos(alpha, out=cos_a)
@@ -118,14 +135,18 @@ def _require_unit_norm(norm2, what: str = "squared moduli") -> None:
 def _four_finite(values, what: str = "amplitudes") -> np.ndarray:
     """``values`` as an array of finite ``what``, four on its last axis.
 
-    Any other shape raises ``DomainError("expected four <what> on the last
-    axis")``, and a value that is not finite ``DomainError("<what> must be
-    finite")``.
+    Any other shape, rows of unequal length included, raises
+    ``DomainError("expected four <what> on the last axis")``, and a value
+    that is not a finite number ``DomainError("<what> must be finite")``.
     """
-    arr = np.asarray(values)
-    if arr.ndim == 0 or arr.shape[-1] != 4:
+    try:
+        arr = np.asarray(values)
+        four = arr.ndim > 0 and arr.shape[-1] == 4
+    except ValueError:  # rows of unequal length
+        four = False
+    if not four:
         raise DomainError(f"expected four {what} on the last axis")
-    _require_finite(what, arr)
+    _require_finite(what, *((arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)))
     return arr
 
 
@@ -205,7 +226,7 @@ def mutual_information(probs):
     -1e-12, raises ``DomainError``, and four that do not sum to 1 within
     ``NORM_TOL`` raise ``NotNormalizedError``.
     """
-    p = _four_finite(np.asarray(probs, dtype=np.float64), "probabilities")
+    p = np.asarray(_four_finite(probs, "probabilities"), dtype=np.float64)
     if np.min(p, initial=0.0) < -_UNIT_CLAMP_TOL:
         raise DomainError("probabilities must not be negative")
     rows = p.reshape(-1, 4).T.copy()
@@ -281,11 +302,10 @@ def concurrence_polar(mod_a, mod_b, mod_c, mod_d, theta):
     Moduli or an angle that are not finite, or a negative modulus, raise
     ``DomainError``; the squared moduli must sum to 1 within ``NORM_TOL``.
     """
-    mod_a, mod_b, mod_c, mod_d, theta = np.broadcast_arrays(
-        *(np.asarray(x, dtype=np.float64) for x in (mod_a, mod_b, mod_c, mod_d, theta))
-    )
-    _require_finite("moduli", mod_a, mod_b, mod_c, mod_d)
     _require_finite("angles", theta)
+    mod_a, mod_b, mod_c, mod_d, theta = _require_finite(
+        "moduli", mod_a, mod_b, mod_c, mod_d, theta
+    )
     for moduli in (mod_a, mod_b, mod_c, mod_d):
         if np.any(moduli < 0.0):
             raise DomainError("moduli must be non-negative")

@@ -8,7 +8,9 @@ as one scan of one seed, in which the Gaussian checks (``bound``,
 ``zero-mi`` and the real-s3 histogram of ``ridge``) share each tile's
 draw, and ``ridge`` and
 ``bound[real-s3]`` share its read-only (C, I) pairs too; ``mi-oracle``
-draws uniform angles from the same streams.  Every check counts
+draws two uniforms u per state from the same streams, each giving the
+angle 2 atan(2u - 1) of a half turn, which covers the two-angle family
+since its MI has period pi in each angle.  Every check counts
 violations instead of aborting on the first one and returns a
 :class:`VerificationReport`.  Reports are deterministic for a fixed
 (seed, n), whichever checks share the scan and however many workers run
@@ -29,7 +31,7 @@ from .errors import InsufficientDataError
 from .histogram import JointHistogram
 from .pipeline import StreamCheck, TileCheck, TileHistogram, scan_checks
 from .sampling import Ensemble, SeedSpec
-from .states import _entanglement_into, _mutual_information_into, _params_into, _probabilities_into
+from .states import _entanglement_into, _mutual_information_into, _probabilities_into
 
 # MI may exceed the entanglement bound by this much before a sample
 # counts as a violation.
@@ -40,6 +42,9 @@ ZERO_MI_TOL = 1e-12
 
 # Closed-form and pipeline MI must agree to this.
 ORACLE_TOL = 1e-12
+
+# Each amplitude of the two-angle family is a cos or sin scaled by this.
+_SQRT_HALF = np.sqrt(0.5)
 
 # Histograms below this sample count are too noisy for the ridge check.
 RIDGE_MIN_TOTAL = 10_000_000
@@ -106,30 +111,41 @@ def check_zero_mi_family(
 def _angle_oracle_tiles(rows: int, shared):
     """The oracle as a :class:`StreamCheck` makes it: one tile at a time.
 
-    Each tile's angles are drawn with one ``random((size, 2))`` call, which
-    replays the block's stream as one ``random((count, 2))`` call would.
-    Per tile, ``_params_into`` evaluates cos and sin of alpha and of beta =
-    alpha - delta once, and scales them into the amplitudes
-    ``params_to_amplitudes(0.5, alpha, beta)`` computes, in the rows that
-    then hold their probabilities; the closed form squares them.  Every
-    array is a row of the tile memory of ``shared``, the worker share's
-    scan, idle while it runs its stream checks: the cos/sin rows in its
-    ``work``, beta in the sin(beta) row, the square roots in ``out``, the
+    Each tile's uniforms are drawn with one ``random((size, 2))`` call,
+    which replays the block's stream as one ``random((count, 2))`` call
+    would.  A state's two uniforms u give its angles alpha and beta as
+    2 atan(2u - 1), a half turn [-pi/2, pi/2) each, through the rational
+    parametrization of the circle: with t = 2u - 1, cos = (1 - t^2)/(1 + t^2)
+    and sin = 2t/(1 + t^2), so no trigonometric function is evaluated.  The
+    amplitudes enter both routes only through their squares, which have
+    period pi, so a half turn per angle covers every state of the family.
+    Per tile, the four cos/sin rows are evaluated once; the pipeline route
+    scales them by sqrt(1/2) into the amplitudes in the rows that then hold
+    their probabilities, and the closed form squares them.  Every array is
+    a row of the tile memory of ``shared``, the worker share's scan, idle
+    while it runs its stream checks: the cos/sin rows in its ``work``, the
     probabilities and then the squares in its ``probs``, and first the
-    angles, then both routes' MI rows in its ``fill``.
+    uniforms and the denominators 1 + t^2, then both routes' MI rows in its
+    ``fill``.
     """
-    angles = shared.fill[: 2 * rows].reshape(rows, 2)
+    uniforms = shared.fill[: 2 * rows].reshape(rows, 2)
     spent = shared.fill[: 4 * rows].reshape(4, rows)
     trig = shared.work[: 4 * rows].reshape(4, rows)
     probs, mask = shared.probs, shared.mask
 
     def excess_of(gen, out: np.ndarray) -> np.ndarray:
         size = len(out)
-        drawn = gen.random(out=angles[:size])
-        drawn *= 2.0 * np.pi
-        alpha, delta = drawn[:, 0], drawn[:, 1]
-        beta = np.subtract(alpha, delta, out=trig[3, :size])
-        amplitudes = _params_into(0.5, alpha, beta, probs[:, :size].T, trig[:, :size], out)
+        drawn = gen.random(out=uniforms[:size])
+        cos, sin = trig[0::2, :size], trig[1::2, :size]  # (alpha, beta) rows each
+        t = np.multiply(drawn.T, 2.0, out=sin)
+        t -= 1.0
+        t_sq = np.multiply(t, t, out=cos)
+        denominator = np.add(1.0, t_sq, out=spent[2:, :size])
+        np.subtract(1.0, t_sq, out=cos)
+        cos /= denominator
+        sin += sin
+        sin /= denominator
+        amplitudes = np.multiply(trig[:, :size], _SQRT_HALF, out=probs[:, :size]).T
         outcomes = _probabilities_into(amplitudes, amplitudes.T)
         pipelined = _mutual_information_into(outcomes, spent[:, :size], mask[:size])
         squares = np.square(trig[:, :size], out=probs[:, :size])
@@ -147,10 +163,16 @@ def check_angle_oracle(
 ) -> VerificationReport:
     """Closed-form MI of the two-angle family matches the measurement pipeline.
 
-    Draws random (alpha, delta) pairs and compares the closed form of
-    ``mi_from_angles`` against MI computed from the assembled amplitudes.
-    Both routes start from the same cos and sin values, evaluated once:
-    they share elementary-function values, not formulas.
+    Draws random states (cos a, sin a, cos b, sin b)/sqrt(2), the family of
+    ``mi_from_angles`` with b = a - delta, and compares its closed form
+    against MI computed from the assembled amplitudes.  Each state's a and
+    b are 2 atan(2u - 1) of two uniforms u, each a half turn [-pi/2, pi/2):
+    the amplitudes enter the MI only through their squares, which have
+    period pi, so a half turn per angle covers every state of the family.
+    Their cos and sin come from the rational parametrization of the circle,
+    (1 - t^2, 2t)/(1 + t^2) with t = 2u - 1.  Both routes start from the
+    same cos and sin values, evaluated once: they share those values, not
+    formulas.
     """
     return run_checks(["mi-oracle"], n, seed, workers)[0]
 

@@ -44,6 +44,33 @@ def test_public_surface_and_readme_quick_start(capsys):
     assert float(inverse) == entmi.ridge_concurrence(0.5)
 
 
+def _slice_stats(center, halfwidth):
+    hist = entmi.JointHistogram(0.01, 0.01)
+    hist.accumulate_many([0.4], [0.5])
+    return hist.slice_stats(center, halfwidth)
+
+
+# Arguments of the wrong type or shape, for which numpy's own TypeError or
+# ValueError used to escape instead of an EntmiError.
+MALFORMED_CALLS = {
+    "concurrence-strings": lambda: entmi.concurrence(["a", "b", "c", "d"]),
+    "params_to_amplitudes-shapes":
+        lambda: entmi.params_to_amplitudes([0.1, 0.2], [0.1, 0.2, 0.3], 0),
+    "slice_stats-halfwidth-string": lambda: _slice_stats(0.5, "a"),
+    "ridge_mi-string": lambda: entmi.ridge_mi("x"),
+    "mutual_information-strings": lambda: entmi.mutual_information(["a"] * 4),
+    "entanglement_from_concurrence-string": lambda: entmi.entanglement_from_concurrence("x"),
+    "mi_from_angles-string": lambda: entmi.mi_from_angles("a", 0.1),
+    "probabilities-ragged-rows": lambda: entmi.probabilities([[1, 0, 0, 0], [1, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS)
+def test_malformed_arguments_raise_domain_error(call):
+    with pytest.raises(entmi.DomainError):
+        call()
+
+
 def test_version_matches_the_project_metadata():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as stream:

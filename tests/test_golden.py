@@ -49,7 +49,7 @@ EXCESS_DIGESTS = {
     "bound[real-s3]": "c7dde8b0dfb49c0379030869bcfda95e3fb097b3843f95b08a75f70cb07d7e86",
     "bound[complex-s7]": "2164871b56ca7d2cdd8876a90fe8d0be0041e11648fe688c2c9223093234b333",
     "zero-mi": "798f2bd5d75ab7c14cff5898cdcbcaa8573ffa6b632fb3e1ae1d55b51ea79f73",
-    "mi-oracle": "2aabe75f1f283ba87493f2b86d4edc7f71c34515fb8c7bf453f47623c3dc70d2",
+    "mi-oracle": "0aa1f911dc4102d7bcbcda4ca47ea7c9491296e12afbaed3b63060be9a3ab9bd",
 }
 
 # sha256 of each density command's output, read from the (real-s3, 0.01)

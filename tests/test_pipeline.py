@@ -763,15 +763,15 @@ class TestShareMemory:
     # rows and a mask.  Every other per-tile buffer borrows rows idle at
     # its step (norms and scratch of the finish step, param's cos/sin rows
     # and roots, the concurrence's products, MI's four rows in the spent
-    # amplitudes, mi-oracle's angles, MI rows and excess), so no case grows
-    # with the block, and a step that allocates its own tile buffer again
-    # breaks these ceilings.  Measured: 1.24 MiB for a real-s3 histogram,
-    # 1.15 for the real-s3 bound and for zero-mi, 1.23 and 1.15 for
-    # complex-s7 (its fill is 4 floats a row, half a tile of its 8-wide
-    # rows), 1.60 for param (a 3-wide fill and a 4-wide work tile for its
-    # amplitudes), 1.65 for mi-oracle, and 1.65 for the suite's four checks
-    # scanned together, which share one share's memory; the fine histogram
-    # adds its 7.6 MiB grid (8.78 MiB).
+    # amplitudes, mi-oracle's uniforms, cos/sin rows, 1 + t^2 denominators,
+    # MI rows and excess), so no case grows with the block, and a step that
+    # allocates its own tile buffer again breaks these ceilings.  Measured:
+    # 1.24 MiB for a real-s3 histogram, 1.15 for the real-s3 bound and for
+    # zero-mi, 1.23 and 1.15 for complex-s7 (its fill is 4 floats a row,
+    # half a tile of its 8-wide rows), 1.60 for param (a 3-wide fill and a
+    # 4-wide work tile for its amplitudes), 1.65 for mi-oracle, and 1.65 for
+    # the suite's four checks scanned together, which share one share's
+    # memory; the fine histogram adds its 7.6 MiB grid (8.78 MiB).
     # What seeding Philox imports on first use (secrets, hmac: about 1 MiB)
     # is imported before tracing, so the peak is the share's alone.
     @pytest.mark.parametrize(

@@ -106,6 +106,25 @@ class TestAngleOracle:
         assert report.violations > 0
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "near", [lambda cos_sq: cos_sq < 1e-3, lambda cos_sq: cos_sq > 1.0 - 1e-3],
+        ids=["cos-alpha-near-0", "cos-alpha-near-1"],
+    )
+    def test_the_angles_reach_both_ends_of_the_half_turn(self, monkeypatch, near):
+        # alpha = 2 atan(2u - 1) spans [-pi/2, pi/2): cos^2 alpha near 0 at
+        # its ends and near 1 at its middle.  A closed-form fault confined to
+        # either region must still show as violations.
+        exact = verify._mi_from_trig
+
+        def faulty(squares, buffers, mask):
+            region = near(squares[0])  # cos^2 alpha, before the closed form overwrites it
+            value = exact(squares, buffers, mask)
+            value[region] += 1e-9
+            return value
+
+        monkeypatch.setattr(verify, "_mi_from_trig", faulty)
+        assert check_angle_oracle(10_000, SeedSpec(606)).violations > 0
+
 
 def _peak(column) -> int:
     return int(off_zero_peaks(np.array([column]))[0])
