@@ -12,14 +12,10 @@ from .curves import mi_from_angles, ridge_concurrence, ridge_mi
 from .errors import (
     ConsistencyError,
     DomainError,
-    EmptyHistogramError,
     EmptySliceError,
     EntmiError,
     HistogramFormatError,
-    InsufficientDataError,
     NotNormalizedError,
-    OutOfRangeError,
-    ShapeMismatchError,
 )
 from .histogram import (
     Density1D,
@@ -54,17 +50,13 @@ __all__ = [
     "ConsistencyError",
     "Density1D",
     "DomainError",
-    "EmptyHistogramError",
     "EmptySliceError",
     "Ensemble",
     "EntmiError",
     "HistogramFormatError",
-    "InsufficientDataError",
     "JointHistogram",
     "NotNormalizedError",
-    "OutOfRangeError",
     "SeedSpec",
-    "ShapeMismatchError",
     "SliceStats",
     "VerificationReport",
     "check_angle_oracle",

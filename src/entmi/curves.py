@@ -79,22 +79,22 @@ def ridge_mi(c):
     return _scalarize(np.maximum(1.0 - _binary_entropy(0.5 * (1.0 + c)), 0.0))
 
 
-def ridge_concurrence(info) -> float:
-    """Invert ``ridge_mi`` by bisection on [0, 1].
+def ridge_concurrence(info):
+    """Invert ``ridge_mi`` by bisection on [0, 1], element by element.
 
-    The curve is strictly increasing, so the loop stops once
+    The curve is strictly increasing, so an element's bisection stops once
     |ridge_mi(c) - info| <= 1e-12, or once no float is left between the
-    ends of the bracket.  An ``info`` within 1e-12 of [0, 1] is clipped
+    ends of its bracket.  An ``info`` within 1e-12 of [0, 1] is clipped
     into it; one further off, or NaN, raises ``DomainError``.
     """
-    info = float(_unit_interval(info, "mutual information"))
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
+    info = _unit_interval(info, "mutual information")
+    lo, hi, mid = np.zeros(info.shape), np.ones(info.shape), np.empty(info.shape)
+    open_ = np.ones(info.shape, dtype=bool)
+    while open_.any():
+        np.copyto(mid, 0.5 * (lo + hi), where=open_)
         value = ridge_mi(mid)
-        if abs(value - info) <= _BISECT_TOL or mid in (lo, hi):
-            return mid
-        if value < info:
-            lo = mid
-        else:
-            hi = mid
+        open_ &= (np.abs(value - info) > _BISECT_TOL) & (mid != lo) & (mid != hi)
+        below = value < info
+        np.copyto(lo, mid, where=open_ & below)
+        np.copyto(hi, mid, where=open_ & ~below)
+    return _scalarize(mid)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error is an ``EntmiError``; the CLI maps each one to exit 2.
+"""
 
 
 class EntmiError(Exception):
@@ -6,31 +9,15 @@ class EntmiError(Exception):
 
 
 class NotNormalizedError(EntmiError, ValueError):
-    """Squared amplitudes do not sum to 1 within tolerance."""
+    """Squared amplitudes or probabilities do not sum to 1 within tolerance."""
 
 
 class DomainError(EntmiError, ValueError):
-    """Argument outside the mathematical domain of the operation."""
-
-
-class OutOfRangeError(EntmiError, ValueError):
-    """Sample value outside [0, 1] by more than the clamping tolerance."""
-
-
-class ShapeMismatchError(EntmiError, ValueError):
-    """The c and i batches given to ``JointHistogram.accumulate_many`` differ in length."""
-
-
-class EmptyHistogramError(EntmiError, ValueError):
-    """Operation requires at least one accumulated sample."""
+    """An argument of the wrong type, shape or value, or too few samples for a check."""
 
 
 class EmptySliceError(EntmiError, ValueError):
-    """Requested slice contains no counts."""
-
-
-class InsufficientDataError(EntmiError, ValueError):
-    """Histogram does not contain enough samples for a reliable check."""
+    """The histogram, or the requested slice of it, holds no counts."""
 
 
 class HistogramFormatError(EntmiError, ValueError):

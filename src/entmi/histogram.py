@@ -30,18 +30,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyHistogramError,
-    EmptySliceError,
-    HistogramFormatError,
-    OutOfRangeError,
-    ShapeMismatchError,
-)
-from .states import _require_finite, _within
-
-# Values may poke out of [0, 1] by at most this much before they are an error.
-_EDGE_TOL = 1e-12
+from .errors import DomainError, EmptySliceError, HistogramFormatError
+from .states import _require_finite, _require_unit
 
 _CSV_HEADER_PREFIX = "# joint_histogram "
 _NON_ASCII = "non-ASCII text after the header line"
@@ -58,8 +48,11 @@ def _tiles_unit_interval(delta: float) -> bool:
 
 
 def bin_count(delta: float) -> int:
-    """Number of bins of width ``delta`` needed to cover [0, 1]."""
-    if not 0.0 < delta <= 1.0:
+    """Number of bins of width ``delta`` needed to cover [0, 1].
+
+    A width that is not a real number in (0, 1] raises ``DomainError``.
+    """
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta <= 1.0):
         raise DomainError(f"bin width {delta!r} outside (0, 1]")
     if not math.isfinite(1.0 / delta):
         raise DomainError(f"bin width {delta!r} too small: 1/width overflows")
@@ -140,12 +133,6 @@ def _csv_bins(rows: IO[str]) -> np.ndarray:
     return bins
 
 
-def _check_unit_interval(values: np.ndarray, what: str) -> None:
-    # NaN is out of range too, instead of being cast to some bin index.
-    if not _within(values, -_EDGE_TOL, 1.0 + _EDGE_TOL):
-        raise OutOfRangeError(f"{what} values outside [0, 1] beyond tolerance")
-
-
 @dataclass
 class Density1D:
     """Binned probability density over [0, 1].
@@ -183,10 +170,10 @@ class JointHistogram:
     """
 
     def __init__(self, delta_c: float, delta_i: float):
+        self.nbins_c = bin_count(delta_c)
+        self.nbins_i = bin_count(delta_i)
         self.delta_c = float(delta_c)
         self.delta_i = float(delta_i)
-        self.nbins_c = bin_count(self.delta_c)
-        self.nbins_i = bin_count(self.delta_i)
         try:
             self.counts = np.zeros((self.nbins_c, self.nbins_i), dtype=np.uint64)
         except (MemoryError, ValueError):
@@ -200,11 +187,14 @@ class JointHistogram:
     # -- construction ------------------------------------------------
 
     def accumulate_many(self, c, i) -> None:
-        """Add a batch of observations from two equal-length arrays."""
-        c = np.asarray(c, dtype=np.float64).ravel()
-        i = np.asarray(i, dtype=np.float64).ravel()
+        """Add a batch of observations from two equal-length arrays.
+
+        Batches of unequal length, or values that :meth:`_flat_bins`
+        rejects, raise ``DomainError``, and nothing of the batch is counted.
+        """
+        c, i = np.ravel(c), np.ravel(i)
         if c.shape != i.shape:
-            raise ShapeMismatchError("c and i batches must have the same length")
+            raise DomainError("c and i batches must have the same length")
         if c.size == 0:
             return
         flat = np.empty(c.size, dtype=np.int64)
@@ -214,13 +204,13 @@ class JointHistogram:
     def _flat_bins(self, c, i, out, scratch, work) -> np.ndarray:
         """Row-major flat bin index of each (c, i) pair into ``out``.
 
-        ``c`` and ``i`` are float64 arrays and are left as they are;
-        ``scratch`` is an int64 and ``work`` a float64 array as long as
-        ``out``.  Values outside [0, 1] by more than round-off raise
-        ``OutOfRangeError``.
+        ``c`` and ``i`` are flat arrays and are left as they are; ``scratch``
+        is an int64 and ``work`` a float64 array as long as ``out``.  Values
+        that are not numbers within 1e-12 of [0, 1], NaN included, raise
+        ``DomainError`` by the rule of ``states._require_unit``.
         """
-        _check_unit_interval(c, "concurrence")
-        _check_unit_interval(i, "mutual information")
+        c = _require_unit(c, "concurrence")
+        i = _require_unit(i, "mutual information")
         _bin_indices_into(c, self.delta_c, self.nbins_c, out, work)
         _bin_indices_into(i, self.delta_i, self.nbins_i, scratch, work)
         out *= self.nbins_i
@@ -265,10 +255,13 @@ class JointHistogram:
     # -- densities and statistics ---------------------------------------
 
     def marginal(self, axis: str) -> Density1D:
-        """Marginal density over concurrence (axis='c') or MI (axis='i')."""
+        """Marginal density over concurrence (axis='c') or MI (axis='i').
+
+        An empty histogram raises ``EmptySliceError``.
+        """
         k = self._axis(axis)[0]
         if self.total == 0:
-            raise EmptyHistogramError("cannot normalize an empty histogram")
+            raise EmptySliceError("cannot normalize an empty histogram")
         return self._density(axis, self.counts.sum(axis=1 - k, dtype=np.float64), self.total)
 
     def _slice_sums(self, sliced: str, lo: float, hi: float) -> np.ndarray:
@@ -292,10 +285,12 @@ class JointHistogram:
 
         A bin of the other axis belongs to the slice when its center lies
         in the closed interval, which keeps the boundaries robust to 1-ulp
-        edge effects.
+        edge effects.  Bounds that are not real numbers with
+        0 <= lo < hi <= 1 raise ``DomainError``.
         """
         k = self._axis(axis)[0]
-        if not 0.0 <= lo < hi <= 1.0:
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+                and 0.0 <= lo < hi <= 1.0):
             raise DomainError("slice bounds must satisfy 0 <= lo < hi <= 1")
         sums = self._slice_sums("ic"[k], lo, hi)  # the other axis
         return self._density(axis, sums, sums.sum())

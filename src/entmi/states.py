@@ -45,25 +45,37 @@ def _scalarize(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _within(values, lo: float, hi: float) -> bool:
-    """Whether every value lies in [lo, hi]; NaN fails both comparisons."""
-    return bool(np.min(values, initial=lo) >= lo and np.max(values, initial=hi) <= hi)
+def _numbers(values):
+    """``values`` as a float64 array if they are real numbers, else None.
 
-
-def _unit_interval(values, what: str):
-    """``values`` as float64 clipped into [0, 1], each off it by at most 1e-12.
-
-    One further off, NaN, or a value that is not a number raises
-    ``DomainError("<what> outside [0, 1]")``.
+    A string, None or rows of unequal length are not real numbers.
     """
     try:
-        values = np.asarray(values, dtype=np.float64)
-        inside = _within(values, -_UNIT_CLAMP_TOL, 1.0 + _UNIT_CLAMP_TOL)
-    except (TypeError, ValueError):  # not numbers, or rows of unequal length
-        inside = False
-    if not inside:
+        arr = np.asarray(values)
+    except ValueError:  # rows of unequal length
+        return None
+    return arr.astype(np.float64, copy=False) if arr.dtype.kind in "biuf" else None
+
+
+def _require_unit(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, each off [0, 1] by at most 1e-12.
+
+    One further off, NaN, or a value that is not a number raises
+    ``DomainError("<what> outside [0, 1]")``.  A float64 array is returned
+    as it is, neither copied nor clipped.
+    """
+    arr = _numbers(values)
+    if arr is None or not (  # NaN fails both comparisons
+        np.min(arr, initial=0.0) >= -_UNIT_CLAMP_TOL
+        and np.max(arr, initial=0.0) <= 1.0 + _UNIT_CLAMP_TOL
+    ):
         raise DomainError(f"{what} outside [0, 1]")
-    return np.clip(values, 0.0, 1.0)
+    return arr
+
+
+def _unit_interval(values, what: str) -> np.ndarray:
+    """:func:`_require_unit` of ``values``, clipped into [0, 1] in a new array."""
+    return np.clip(_require_unit(values, what), 0.0, 1.0)
 
 
 def _require_finite(what: str, *values) -> tuple[np.ndarray, ...]:
@@ -74,16 +86,11 @@ def _require_finite(what: str, *values) -> tuple[np.ndarray, ...]:
     is not), and ``DomainError("arguments do not broadcast to one shape")``
     unless their shapes broadcast together.
     """
-    try:
-        arrays = [np.asarray(v) for v in values]
-    except ValueError:  # rows of unequal length
-        arrays = None
-    if arrays is None or not all(
-        a.dtype.kind in "biuf" and np.isfinite(a).all() for a in arrays
-    ):
+    arrays = [_numbers(v) for v in values]
+    if not all(a is not None and np.isfinite(a).all() for a in arrays):
         raise DomainError(f"{what} must be finite")
     try:
-        return np.broadcast_arrays(*(a.astype(np.float64, copy=False) for a in arrays))
+        return np.broadcast_arrays(*arrays)
     except ValueError:
         raise DomainError("arguments do not broadcast to one shape") from None
 

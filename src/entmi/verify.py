@@ -27,7 +27,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .curves import _mi_from_trig, ridge_mi
-from .errors import InsufficientDataError
+from .errors import DomainError
 from .histogram import JointHistogram
 from .pipeline import StreamCheck, TileCheck, TileHistogram, scan_checks
 from .sampling import Ensemble, SeedSpec
@@ -179,9 +179,7 @@ def check_angle_oracle(
 
 def _require_ridge_total(total: int) -> None:
     if total < RIDGE_MIN_TOTAL:
-        raise InsufficientDataError(
-            f"ridge check needs at least {RIDGE_MIN_TOTAL} samples, got {total}"
-        )
+        raise DomainError(f"ridge check needs at least {RIDGE_MIN_TOTAL} samples, got {total}")
 
 
 def off_zero_peaks(columns: np.ndarray) -> np.ndarray:
@@ -208,7 +206,7 @@ def check_ridge(hist: JointHistogram) -> VerificationReport:
     must sit within two I-bins of the predicted curve; a column with no
     such maximum is a violation of 1.  Requires a histogram of at least
     ``RIDGE_MIN_TOTAL`` samples (from the uniform real-amplitude ensemble
-    for the prediction to apply).
+    for the prediction to apply); a smaller one raises ``DomainError``.
     """
     _require_ridge_total(hist.total)
     centers_c = hist.centers("c")

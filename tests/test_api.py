@@ -14,11 +14,10 @@ README = ROOT / "README.md"
 # What the CLI, the README, the verify checks and the benchmark use, plus
 # the exceptions, result types and independent reference routes.
 PUBLIC = {
-    "ConsistencyError", "Density1D", "DomainError",
-    "EmptyHistogramError", "EmptySliceError", "Ensemble", "EntmiError",
-    "HistogramFormatError", "InsufficientDataError", "JointHistogram",
-    "NotNormalizedError", "OutOfRangeError", "SeedSpec", "ShapeMismatchError",
-    "SliceStats", "VerificationReport", "check_angle_oracle", "check_bound", "check_ridge", "check_zero_mi_family",
+    "ConsistencyError", "Density1D", "DomainError", "EmptySliceError", "Ensemble",
+    "EntmiError", "HistogramFormatError", "JointHistogram", "NotNormalizedError",
+    "SeedSpec", "SliceStats", "VerificationReport", "check_angle_oracle", "check_bound",
+    "check_ridge", "check_zero_mi_family",
     "concurrence", "concurrence_polar", "entanglement_entropy",
     "entanglement_from_concurrence", "load_histogram", "mi_from_angles",
     "mutual_information", "params_to_amplitudes", "probabilities", "ridge_concurrence",
@@ -44,24 +43,32 @@ def test_public_surface_and_readme_quick_start(capsys):
     assert float(inverse) == entmi.ridge_concurrence(0.5)
 
 
-def _slice_stats(center, halfwidth):
+def _filled():
     hist = entmi.JointHistogram(0.01, 0.01)
     hist.accumulate_many([0.4], [0.5])
-    return hist.slice_stats(center, halfwidth)
+    return hist
 
 
-# Arguments of the wrong type or shape, for which numpy's own TypeError or
-# ValueError used to escape instead of an EntmiError.
+# Arguments of the wrong type or shape, for which Python's or numpy's own
+# TypeError or ValueError used to escape instead of an EntmiError, and
+# strings of digits, which numpy used to convert.
 MALFORMED_CALLS = {
     "concurrence-strings": lambda: entmi.concurrence(["a", "b", "c", "d"]),
     "params_to_amplitudes-shapes":
         lambda: entmi.params_to_amplitudes([0.1, 0.2], [0.1, 0.2, 0.3], 0),
-    "slice_stats-halfwidth-string": lambda: _slice_stats(0.5, "a"),
+    "slice_stats-halfwidth-string": lambda: _filled().slice_stats(0.5, "a"),
     "ridge_mi-string": lambda: entmi.ridge_mi("x"),
     "mutual_information-strings": lambda: entmi.mutual_information(["a"] * 4),
     "entanglement_from_concurrence-string": lambda: entmi.entanglement_from_concurrence("x"),
     "mi_from_angles-string": lambda: entmi.mi_from_angles("a", 0.1),
     "probabilities-ragged-rows": lambda: entmi.probabilities([[1, 0, 0, 0], [1, 0, 0]]),
+    "JointHistogram-None": lambda: entmi.JointHistogram(None, 0.01),
+    "JointHistogram-string": lambda: entmi.JointHistogram("x", 0.01),
+    "accumulate_many-string": lambda: _filled().accumulate_many(["x"], [0.5]),
+    "conditional-string-bound": lambda: _filled().conditional("c", "x", 0.5),
+    "ridge_mi-digit-string": lambda: entmi.ridge_mi("0.5"),
+    "entanglement_from_concurrence-digit-string":
+        lambda: entmi.entanglement_from_concurrence("0.5"),
 }
 
 

@@ -103,6 +103,14 @@ class TestInverse:
         for info in infos.tolist():
             assert abs(ridge_mi(ridge_concurrence(info)) - info) <= 1e-12, info
 
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        tail = np.logspace(-300, -1, 40)
+        infos = np.concatenate([np.linspace(0.0, 1.0, 100), tail, 1.0 - tail]).reshape(2, -1, 3)
+        values = ridge_concurrence(infos)
+        assert values.shape == infos.shape
+        scalars = np.array([ridge_concurrence(info) for info in infos.ravel().tolist()])
+        assert np.array_equal(values.ravel().view(np.int64), scalars.view(np.int64))
+
     @pytest.mark.parametrize("info", [0.0, 5e-324, 0.5, 1.0])
     def test_stops_once_the_bracket_holds_no_further_float(self, monkeypatch, info):
         # With a tolerance no value meets, only the bracket's end stops the loop.

@@ -68,3 +68,18 @@ def test_every_raise_is_an_entmi_or_os_error():
     modules = sorted((SRC / "entmi").glob("*.py"))
     assert modules
     assert [entry for path in modules for entry in _foreign_raises(path, allowed)] == []
+
+
+def test_every_error_class_has_a_raiser():
+    # An error class that no ``raise`` names is API that nothing can produce.
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.EntmiError)
+               and value is not errors.EntmiError}
+    raised = set()
+    for path in (SRC / "entmi").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(call))
+    assert classes
+    assert sorted(classes - raised) == []

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entmi import (
+    DomainError,
     Ensemble,
-    InsufficientDataError,
     JointHistogram,
     SeedSpec,
     check_angle_oracle,
@@ -188,7 +188,8 @@ def _ridge_synthetic(displace_bins: int = 0) -> JointHistogram:
 
 class TestRidge:
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        message = "ridge check needs at least 10000000 samples, got 0"
+        with pytest.raises(DomainError, match=message):
             check_ridge(JointHistogram(0.01, 0.01))
 
     def test_synthetic_peaks_on_curve_pass(self):
