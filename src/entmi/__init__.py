@@ -15,7 +15,6 @@ from .errors import (
     EmptySliceError,
     EntmiError,
     HistogramFormatError,
-    NotNormalizedError,
 )
 from .histogram import (
     Density1D,
@@ -55,7 +54,6 @@ __all__ = [
     "EntmiError",
     "HistogramFormatError",
     "JointHistogram",
-    "NotNormalizedError",
     "SeedSpec",
     "SliceStats",
     "VerificationReport",

@@ -196,8 +196,10 @@ def _cmd_table(args) -> int:
         raise DomainError("--halfwidth must be positive and finite")
     hist = load_histogram(args.hist)
     lines = ["i_center,c_star,ridge_c,mean_c,std_c,count"]
+    # One bisection inverts every center in [0, 1]; the others have no inverse.
+    inverses = iter(ridge_concurrence([c for c in centers if 0.0 <= c <= 1.0]).tolist())
     for center in centers:
-        inverse = ridge_concurrence(center) if 0.0 <= center <= 1.0 else float("nan")
+        inverse = next(inverses) if 0.0 <= center <= 1.0 else float("nan")
         try:
             stats = hist.slice_stats(center, args.halfwidth)
             lines.append(

@@ -8,12 +8,8 @@ class EntmiError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotNormalizedError(EntmiError, ValueError):
-    """Squared amplitudes or probabilities do not sum to 1 within tolerance."""
-
-
 class DomainError(EntmiError, ValueError):
-    """An argument of the wrong type, shape or value, or too few samples for a check."""
+    """An argument of the wrong type, shape, value or norm, or too few samples for a check."""
 
 
 class EmptySliceError(EntmiError, ValueError):

@@ -189,10 +189,12 @@ class JointHistogram:
     def accumulate_many(self, c, i) -> None:
         """Add a batch of observations from two equal-length arrays.
 
-        Batches of unequal length, or values that :meth:`_flat_bins`
-        rejects, raise ``DomainError``, and nothing of the batch is counted.
+        Values that :meth:`_flat_bins` rejects (ragged rows included) or
+        batches of unequal length raise ``DomainError``, and nothing of the
+        batch is counted.
         """
-        c, i = np.ravel(c), np.ravel(i)
+        c = np.ravel(_require_unit(c, "concurrence"))
+        i = np.ravel(_require_unit(i, "mutual information"))
         if c.shape != i.shape:
             raise DomainError("c and i batches must have the same length")
         if c.size == 0:
@@ -390,7 +392,8 @@ class JointHistogram:
                 f"histogram corrupt: header total {declared_total} != "
                 f"sum of counts {total}"
             )
-        np.add.at(hist.counts, (rows.astype(np.intp), cols.astype(np.intp)), values)
+        flat = (rows * hist.nbins_i + cols).astype(np.intp)
+        np.add.at(hist.counts.reshape(-1), flat, values)
         hist.total = total
         return hist
 

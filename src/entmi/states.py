@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, NotNormalizedError
+from .errors import ConsistencyError, DomainError
 
 # |sum of squared moduli - 1| must stay below this for a valid state.
 NORM_TOL = 1e-12
@@ -134,9 +134,9 @@ def _params_into(y, alpha, beta, out, trig, root):
 
 
 def _require_unit_norm(norm2, what: str = "squared moduli") -> None:
-    """Raise ``NotNormalizedError`` unless every squared norm is 1 within ``NORM_TOL``."""
+    """Raise ``DomainError`` unless every squared norm is 1 within ``NORM_TOL``."""
     if not np.max(np.abs(norm2 - 1.0), initial=0.0) <= NORM_TOL:
-        raise NotNormalizedError(f"{what} do not sum to 1 within tolerance")
+        raise DomainError(f"{what} do not sum to 1 within tolerance")
 
 
 def _four_finite(values, what: str = "amplitudes") -> np.ndarray:
@@ -229,13 +229,11 @@ def mutual_information(probs):
     Computed as H_left + H_right - H_total.  Round-off can produce values
     a few ulp below zero; those are clamped to 0.  Anything below
     -1e-12 means the input was not a distribution and raises
-    ``ConsistencyError``.  A probability that is not finite, or is below
-    -1e-12, raises ``DomainError``, and four that do not sum to 1 within
-    ``NORM_TOL`` raise ``NotNormalizedError``.
+    ``ConsistencyError``.  A probability that is not a finite real number
+    or is off [0, 1] by more than 1e-12, and four that do not sum to 1
+    within ``NORM_TOL``, raise ``DomainError``; none is clipped.
     """
-    p = np.asarray(_four_finite(probs, "probabilities"), dtype=np.float64)
-    if np.min(p, initial=0.0) < -_UNIT_CLAMP_TOL:
-        raise DomainError("probabilities must not be negative")
+    p = _require_unit(_four_finite(probs, "probabilities"), "probabilities")
     rows = p.reshape(-1, 4).T.copy()
     _require_unit_norm(rows.sum(axis=0), "probabilities")
     info = _mutual_information_into(
@@ -366,8 +364,8 @@ def entanglement_entropy(state):
     quadratic, no iterative solver), and returns their base-2 entropy.
     The small eigenvalue is recovered as det/lambda_max so near-product
     states do not lose precision to cancellation.  Amplitudes that are
-    not finite raise ``DomainError``, and squared moduli that do not sum
-    to 1 within ``NORM_TOL`` raise ``NotNormalizedError``.
+    not finite, or squared moduli that do not sum to 1 within
+    ``NORM_TOL``, raise ``DomainError``.
     """
     amps = np.asarray(_four_finite(state), dtype=np.complex128)
     a, b, c, d = (amps[..., k] for k in range(4))

@@ -15,7 +15,7 @@ README = ROOT / "README.md"
 # the exceptions, result types and independent reference routes.
 PUBLIC = {
     "ConsistencyError", "Density1D", "DomainError", "EmptySliceError", "Ensemble",
-    "EntmiError", "HistogramFormatError", "JointHistogram", "NotNormalizedError",
+    "EntmiError", "HistogramFormatError", "JointHistogram",
     "SeedSpec", "SliceStats", "VerificationReport", "check_angle_oracle", "check_bound",
     "check_ridge", "check_zero_mi_family",
     "concurrence", "concurrence_polar", "entanglement_entropy",
@@ -69,6 +69,8 @@ MALFORMED_CALLS = {
     "ridge_mi-digit-string": lambda: entmi.ridge_mi("0.5"),
     "entanglement_from_concurrence-digit-string":
         lambda: entmi.entanglement_from_concurrence("0.5"),
+    "accumulate_many-ragged-rows":
+        lambda: _filled().accumulate_many([[0.1], [0.2, 0.3]], [0.1, 0.2, 0.3]),
 }
 
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from entmi import (
+    EmptySliceError,
     Ensemble,
     JointHistogram,
+    cli,
     load_histogram,
     pipeline,
     ridge_concurrence,
@@ -288,6 +290,48 @@ class TestTable:
         assert float(row["ridge_c"]) == pytest.approx(ridge_concurrence(0.5))
         assert int(row["count"]) > 0
         assert 0.0 <= float(row["c_star"]) <= 1.0
+
+    def test_many_centers_match_a_table_built_one_center_at_a_time(
+        self, run_cli, tmp_path, sampled_hist
+    ):
+        centers = [0.0, 1.0, 1.0 + 1e-13, -0.0, *np.linspace(-0.1, 1.1, 996).tolist()]
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            ["table", "--hist", str(sampled_hist), "--halfwidth", "0.01",
+             "--centers", ",".join(map(repr, centers)), "--out", str(out)]
+        )
+        assert code == 0
+        hist = load_histogram(sampled_hist)
+        expected = ["i_center,c_star,ridge_c,mean_c,std_c,count"]
+        for center in centers:
+            inverse = ridge_concurrence(center) if 0.0 <= center <= 1.0 else float("nan")
+            try:
+                stats = hist.slice_stats(center, 0.01)
+            except EmptySliceError:
+                expected.append(f"{center!r},nan,{inverse!r},nan,nan,0")
+                continue
+            expected.append(
+                f"{center!r},{stats.c_star!r},{inverse!r},"
+                f"{stats.mean_c!r},{stats.std_c!r},{stats.count}"
+            )
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_one_bisection_inverts_every_center(
+        self, run_cli, tmp_path, sampled_hist, monkeypatch
+    ):
+        calls = []
+
+        def counted(info):
+            calls.append(info)
+            return ridge_concurrence(info)
+
+        monkeypatch.setattr(cli, "ridge_concurrence", counted)
+        code = run_cli(
+            ["table", "--hist", str(sampled_hist), "--centers", "0.2,1.5,0.4,-0.1,0.9",
+             "--out", str(tmp_path / "table.csv")]
+        )
+        assert code == 0
+        assert calls == [[0.2, 0.4, 0.9]]
 
     def test_empty_slice_rows_are_flagged(self, run_cli, tmp_path):
         hist_path = tmp_path / "tiny.csv"

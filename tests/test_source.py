@@ -70,16 +70,53 @@ def test_every_raise_is_an_entmi_or_os_error():
     assert [entry for path in modules for entry in _foreign_raises(path, allowed)] == []
 
 
+def _error_classes():
+    """Names of the ``EntmiError`` subclasses in ``errors``, leaving out ``EntmiError``."""
+    return {name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.EntmiError)
+            and value is not errors.EntmiError}
+
+
+def _raisers_and_catches():
+    """The functions that raise each error name, and the names ``except`` clauses catch.
+
+    A function is named by its module and its enclosing definitions
+    (``states._require_unit_norm``); a raise outside any function counts
+    for its module.
+    """
+    raisers, caught = {}, set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                raisers.setdefault(ast.unparse(exc).split(".")[-1], set()).add(owner)
+            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                caught.update(ast.unparse(t).split(".")[-1] for t in types)
+            visit(child, owner)
+
+    for path in sorted((SRC / "entmi").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return raisers, caught
+
+
 def test_every_error_class_has_a_raiser():
     # An error class that no ``raise`` names is API that nothing can produce.
-    classes = {name for name, value in vars(errors).items()
-               if isinstance(value, type) and issubclass(value, errors.EntmiError)
-               and value is not errors.EntmiError}
-    raised = set()
-    for path in (SRC / "entmi").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.add(ast.unparse(call))
+    classes = _error_classes()
+    raisers, _ = _raisers_and_catches()
     assert classes
-    assert sorted(classes - raised) == []
+    assert sorted(classes - raisers.keys()) == []
+
+
+def test_every_error_class_is_caught_or_raised_twice():
+    # A class with one raiser and no catcher tells a caller nothing that
+    # DomainError and its message do not; DomainError is the catch-all.
+    classes = _error_classes() - {"DomainError"}
+    raisers, caught = _raisers_and_catches()
+    assert classes
+    assert sorted(name for name in classes
+                  if name not in caught and len(raisers.get(name, ())) < 2) == []

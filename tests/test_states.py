@@ -9,7 +9,6 @@ from entmi import (
     ConsistencyError,
     DomainError,
     Ensemble,
-    NotNormalizedError,
     SeedSpec,
     concurrence,
     concurrence_polar,
@@ -33,6 +32,9 @@ BASIS_00 = np.array([1.0, 0, 0, 0])                         # |00>
 # Independently evaluated with 40-digit arithmetic: binary entropy of 0.8.
 E_AT_C_08 = 0.7219280948873623
 
+UNNORMALIZED = "do not sum to 1 within tolerance"
+OFF_UNIT = r"probabilities outside \[0, 1\]"
+
 
 def _random_states(seed, n, complex_amps=True):
     gen = np.random.default_rng(seed)
@@ -47,7 +49,7 @@ def _random_states(seed, n, complex_amps=True):
 class TestConstruction:
     def test_norm_tolerance_is_tight(self):
         eps = 1e-6
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(DomainError, match=UNNORMALIZED):
             concurrence_polar(1 + eps, 0, 0, 0, 0.0)
 
     def test_param_state_rejects_bad_weight(self):
@@ -123,7 +125,7 @@ class TestEntropies:
 
     def test_mutual_information_guards_against_garbage(self):
         # Not a distribution: the guard should refuse rather than clamp.
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(DomainError, match=UNNORMALIZED):
             mutual_information([0.9, 0.9, 0.9, 0.9])
 
     def test_mutual_information_matches_row_wise_reference(self):
@@ -192,37 +194,42 @@ class TestEntropies:
             call(state)
 
     @pytest.mark.parametrize(
-        "call,error",
+        "call,message",
         [
-            (lambda: entanglement_entropy([np.nan, 0.0, 0.0, 1.0]), DomainError),
-            (lambda: entanglement_entropy([np.inf, 0.0, 0.0, 1.0]), DomainError),
-            (lambda: entanglement_entropy([0.0, 1j * np.nan, 0.0, 1.0]), DomainError),
-            (lambda: entanglement_entropy([1.0, 0.0, 0.0, 1.0]), NotNormalizedError),
-            (lambda: entanglement_entropy([[1.0, 0, 0, 0], [0.5, 0, 0, 0.5]]),
-             NotNormalizedError),
-            (lambda: mutual_information([2.0, -1.0, 0.0, 0.0]), DomainError),
-            (lambda: mutual_information([1.0, 0.0, 0.0, -1e-11]), DomainError),
-            (lambda: mutual_information([np.inf, 0.0, 0.0, 0.0]), DomainError),
-            (lambda: mutual_information([0.1, 0.0, 0.0, 0.1]), NotNormalizedError),
-            (lambda: mutual_information([[0.5, 0, 0, 0.5], [0.6, 0, 0, 0.6]]),
-             NotNormalizedError),
-            (lambda: concurrence([0.5, 0.0, 0.0, 0.5]), NotNormalizedError),
-            (lambda: concurrence([[1.0, 0, 0, 0], [1.0, 0, 0, 1.0]]), NotNormalizedError),
-            (lambda: concurrence([np.inf, 0.0, 0.0, 1.0]), DomainError),
-            (lambda: probabilities([2.0, 0.0, 0.0, 0.0]), NotNormalizedError),
-            (lambda: probabilities([0.0, 0.6j, 0.0, 0.6]), NotNormalizedError),
-            (lambda: probabilities([np.nan, 0.0, 0.0, 1.0]), DomainError),
-            (lambda: probabilities([0.0, 1j * np.inf, 0.0, 1.0]), DomainError),
+            (lambda: entanglement_entropy([np.nan, 0.0, 0.0, 1.0]), "amplitudes must be finite"),
+            (lambda: entanglement_entropy([np.inf, 0.0, 0.0, 1.0]), "amplitudes must be finite"),
+            (lambda: entanglement_entropy([0.0, 1j * np.nan, 0.0, 1.0]),
+             "amplitudes must be finite"),
+            (lambda: entanglement_entropy([1.0, 0.0, 0.0, 1.0]), UNNORMALIZED),
+            (lambda: entanglement_entropy([[1.0, 0, 0, 0], [0.5, 0, 0, 0.5]]), UNNORMALIZED),
+            (lambda: mutual_information([2.0, -1.0, 0.0, 0.0]), OFF_UNIT),
+            (lambda: mutual_information([1.0, 0.0, 0.0, -1e-11]), OFF_UNIT),
+            (lambda: mutual_information([1.0 + 2e-12, -1e-12, -0.9e-12, 0.0]), OFF_UNIT),
+            (lambda: mutual_information([0.5 + 0j, 0.0, 0.0, 0.5]), OFF_UNIT),
+            (lambda: mutual_information([np.inf, 0.0, 0.0, 0.0]), "probabilities must be finite"),
+            (lambda: mutual_information([0.1, 0.0, 0.0, 0.1]), UNNORMALIZED),
+            (lambda: mutual_information([[0.5, 0, 0, 0.5], [0.6, 0, 0, 0.6]]), UNNORMALIZED),
+            (lambda: concurrence([0.5, 0.0, 0.0, 0.5]), UNNORMALIZED),
+            (lambda: concurrence([[1.0, 0, 0, 0], [1.0, 0, 0, 1.0]]), UNNORMALIZED),
+            (lambda: concurrence([np.inf, 0.0, 0.0, 1.0]), "amplitudes must be finite"),
+            (lambda: probabilities([2.0, 0.0, 0.0, 0.0]), UNNORMALIZED),
+            (lambda: probabilities([0.0, 0.6j, 0.0, 0.6]), UNNORMALIZED),
+            (lambda: probabilities([np.nan, 0.0, 0.0, 1.0]), "amplitudes must be finite"),
+            (lambda: probabilities([0.0, 1j * np.inf, 0.0, 1.0]), "amplitudes must be finite"),
         ],
         ids=["entropy-nan", "entropy-inf", "entropy-complex-nan", "entropy-unnormalized",
-             "entropy-unnormalized-row", "mi-negative", "mi-slightly-negative", "mi-inf",
-             "mi-unnormalized", "mi-unnormalized-row", "concurrence-unnormalized",
+             "entropy-unnormalized-row", "mi-negative", "mi-slightly-negative",
+             "mi-above-one-summing-to-one", "mi-complex", "mi-inf", "mi-unnormalized",
+             "mi-unnormalized-row", "concurrence-unnormalized",
              "concurrence-unnormalized-row", "concurrence-inf", "probabilities-unnormalized",
              "probabilities-complex-unnormalized", "probabilities-nan",
              "probabilities-complex-inf"],
     )
-    def test_invalid_input_raises_instead_of_reading_zero(self, call, error):
-        with pytest.raises(error):
+    def test_invalid_input_raises_instead_of_reading_zero(self, call, message):
+        # The above-one row sums to 1 within 1e-12, so only the [0, 1]
+        # rule can refuse it; complex numbers are not probabilities, even
+        # with a zero imaginary part.
+        with pytest.raises(DomainError, match=message):
             call()
 
     def test_entanglement_entropy_takes_round_off_in_the_norm(self):
@@ -264,7 +271,7 @@ class TestConcurrence:
         )
 
     def test_polar_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(DomainError, match=UNNORMALIZED):
             concurrence_polar(1.0, 1.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
